@@ -16,11 +16,12 @@ import sys
 
 from . import watermark
 from .errors import LbpmarkdexError
-from .evaluation import class_mean_pr, render_pr_csv
+from .evaluation import class_mean_pr, render_pr_csv, write_pr_csv
 from .image_io import load_pgm, save_pgm
 from .payload import PatientRecord
 from .retrieval import (
     Index,
+    _load_tsv,
     index_add,
     query_by_image,
     query_by_patient_id,
@@ -166,20 +167,8 @@ def _entry_for(parser, args) -> str:
     return entry.locator
 
 
-def _read_labels(path: str) -> dict[str, str]:
-    labels: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.rstrip("\r\n").split("\t")
-            if len(fields) != 2:
-                raise LbpmarkdexError(
-                    f"labels line {lineno} has {len(fields)} fields, expected 2"
-                )
-            labels[fields[0]] = fields[1]
-    return labels
+def _format_birthday(record: PatientRecord) -> str:
+    return f"{record.birth_year:04d}-{record.birth_month:02d}-{record.birth_day:02d}"
 
 
 def _cmd_index(parser, args) -> int:
@@ -217,10 +206,9 @@ def _cmd_query(parser, args) -> int:
 def _cmd_find_patient(parser, args) -> int:
     hits = query_by_patient_id(args.patient_id, _need_index(parser, args))
     for entry, record in hits:
-        birthday = f"{record.birth_year:04d}-{record.birth_month:02d}-{record.birth_day:02d}"
         print(
             f"{entry.image_id}\t{record.patient_id}\t{record.name}"
-            f"\t{birthday}\t{record.diagnostic}"
+            f"\t{_format_birthday(record)}\t{record.diagnostic}"
         )
     return 0
 
@@ -228,11 +216,10 @@ def _cmd_find_patient(parser, args) -> int:
 def _cmd_extract(parser, args) -> int:
     payload, _ = read_stored(_entry_for(parser, args))
     record = payload.record
-    birthday = f"{record.birth_year:04d}-{record.birth_month:02d}-{record.birth_day:02d}"
     print(f"locator\t{payload.locator}")
     print(f"patient_id\t{record.patient_id}")
     print(f"name\t{record.name}")
-    print(f"birthday\t{birthday}")
+    print(f"birthday\t{_format_birthday(record)}")
     print(f"diagnostic\t{record.diagnostic}")
     print(f"descriptor_total\t{sum(payload.descriptor)}")
     if args.descriptor:
@@ -262,7 +249,7 @@ def _cmd_relink(parser, args) -> int:
 def _cmd_evaluate(parser, args) -> int:
     index = Index.load(_need_index(parser, args))
     if args.labels:
-        labels = _read_labels(args.labels)
+        labels = dict(_load_tsv(args.labels, "labels", (2,), lambda *fields: fields))
     else:
         labels = {
             e.image_id: e.class_label for e in index.entries if e.class_label
@@ -274,12 +261,10 @@ def _cmd_evaluate(parser, args) -> int:
         payload, _ = read_stored(entry.locator)
         descriptors[entry.image_id] = payload.descriptor_array()
     rows = class_mean_pr(descriptors, labels, args.cutoffs)
-    text = render_pr_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_pr_csv(args.out, rows)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_pr_csv(rows))
     return 0
 
 

@@ -60,10 +60,6 @@ def descriptor_distance(a, b) -> float:
     vb = np.asarray(b, dtype=np.int64)
     if va.shape != (BINS,) or vb.shape != (BINS,):
         raise ValueError(f"descriptors must have {BINS} bins, got {va.shape} and {vb.shape}")
-    if np.array_equal(va, vb):
-        # Same counts normalize to the same point; skip the float round trip.
-        _normalize(va, "first")
-        return 0.0
     na = _normalize(va, "first")
     nb = _normalize(vb, "second")
     return float(math.sqrt(np.sum((na - nb) ** 2)))

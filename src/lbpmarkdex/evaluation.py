@@ -6,9 +6,11 @@ classic ratios are
     recall    = |A intersect R| / |R|
     precision = |A intersect R| / |A|
 
-Both are computed as exact rationals and only converted to floats at the
-edge. Curves evaluate the top-k prefixes of a ranking for a list of
-cutoffs; class means average per-query values at each fixed cutoff.
+Both are kept as integer hit counts and divided once, at the edge.
+Python's int/int division is correctly rounded, so every value is the
+float nearest the exact ratio. Curves evaluate the top-k prefixes of a
+ranking for a list of cutoffs; class means average per-query values at
+each fixed cutoff.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import io
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,16 +50,19 @@ class EvalSets:
         return self.relevant & frozenset(self.answers)
 
 
+def _hits(relevant: set[str] | frozenset[str], answers: Iterable[str]) -> int:
+    """|A intersect R|, the numerator of both precision and recall."""
+    return len(relevant.intersection(answers))
+
+
 def precision_recall(sets: EvalSets) -> tuple[float, float]:
     """(precision, recall) of one answer list against one relevant set."""
     if not sets.relevant:
         raise EmptyRelevantSet("relevant set R is empty; recall is undefined")
     if not sets.answers:
         raise EmptyAnswerSet("answer list A is empty; precision is undefined")
-    hits = len(sets.relevant_answers)
-    precision = Fraction(hits, len(set(sets.answers)))
-    recall = Fraction(hits, len(sets.relevant))
-    return float(precision), float(recall)
+    hits = _hits(sets.relevant, sets.answers)
+    return hits / len(set(sets.answers)), hits / len(sets.relevant)
 
 
 def pr_curve(
@@ -99,7 +103,8 @@ def class_mean_pr(
     """
     ids = sorted(set(descriptors) & set(labels))
     vectors = {i: np.asarray(descriptors[i], dtype=np.int64) for i in ids}
-    per_class: dict[str, list[list[tuple[Fraction, Fraction]]]] = {}
+    # class -> one list of hit counts per query, one count per cutoff
+    per_class: dict[str, list[list[int]]] = {}
     max_k = max(cutoffs, default=0)
     for k in cutoffs:
         if k < 1 or k > len(ids) - 1:
@@ -112,19 +117,16 @@ def class_mean_pr(
         ranked = sorted(
             others, key=lambda i: (descriptor_distance(vectors[query_id], vectors[i]), i)
         )[:max_k]
-        curve = []
-        for k in cutoffs:
-            hits = sum(1 for i in ranked[:k] if i in relevant)
-            curve.append((Fraction(hits, k), Fraction(hits, len(relevant))))
-        per_class.setdefault(labels[query_id], []).append(curve)
+        per_class.setdefault(labels[query_id], []).append(
+            [_hits(relevant, ranked[:k]) for k in cutoffs]
+        )
     rows: list[tuple[str, int, float, float]] = []
     for label in sorted(per_class):
-        curves = per_class[label]
-        n = len(curves)
-        for pos, k in enumerate(cutoffs):
-            mean_p = sum(c[pos][0] for c in curves) / n
-            mean_r = sum(c[pos][1] for c in curves) / n
-            rows.append((label, k, float(mean_p), float(mean_r)))
+        n = len(per_class[label])
+        # Every query of a class has the same |R|: the rest of its class.
+        n_relevant = sum(1 for i in ids if labels[i] == label) - 1
+        for k, total in zip(cutoffs, map(sum, zip(*per_class[label]))):
+            rows.append((label, k, total / (k * n), total / (n_relevant * n)))
     return rows
 
 

@@ -39,6 +39,7 @@ from .errors import (
     ChecksumMismatch,
     FieldTooLong,
     LengthMismatch,
+    MalformedStream,
     OutOfRange,
     TruncatedData,
     UnsupportedVersion,
@@ -152,7 +153,10 @@ class _BodyReader:
 
     def take_text(self, name: str) -> str:
         (length,) = struct.unpack(">H", self.take(2, f"{name} length"))
-        return self.take(length, name).decode("utf-8")
+        try:
+            return self.take(length, name).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedStream(f"payload {name} is not valid UTF-8: {exc}") from exc
 
 
 def decode_payload(data: bytes) -> Payload:
@@ -160,8 +164,8 @@ def decode_payload(data: bytes) -> Payload:
 
     Raises TruncatedData (short header), BadMagic, UnsupportedVersion,
     LengthMismatch (declared body longer than the data, or inner fields
-    overrunning the declared body) and ChecksumMismatch. Bytes after the
-    declared body are ignored.
+    overrunning the declared body), ChecksumMismatch and MalformedStream (a
+    text field that is not UTF-8). Bytes after the declared body are ignored.
     """
     if len(data) < HEADER_LEN:
         raise TruncatedData(f"payload header needs {HEADER_LEN} bytes, got {len(data)}")

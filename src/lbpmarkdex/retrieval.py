@@ -103,23 +103,7 @@ class Index:
 
     @classmethod
     def parse(cls, text: str) -> "Index":
-        index = cls()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.rstrip("\r\n").split("\t")
-            if len(fields) == 2:
-                image_id, locator = fields
-                label = ""
-            elif len(fields) == 3:
-                image_id, locator, label = fields
-            else:
-                raise IoFailure(
-                    f"index line {lineno} has {len(fields)} fields, expected 2 or 3"
-                )
-            index.add(IndexEntry(image_id, locator, label))
-        return index
+        return cls(_parse_tsv(text, "index", (2, 3), IndexEntry))
 
     def render(self) -> str:
         return "".join(_entry_line(e) for e in self._entries)
@@ -128,8 +112,7 @@ class Index:
     def load(cls, path: str | os.PathLike) -> "Index":
         """Read the index file; a missing file is an empty index."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.parse(fh.read())
+            return cls(_load_tsv(path, "index", (2, 3), IndexEntry))
         except FileNotFoundError:
             return cls()
         except OSError as exc:
@@ -147,6 +130,43 @@ class Index:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise IoFailure(f"cannot write index {path!r}: {exc}") from exc
+
+
+def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
+    """make(*fields) for every data line of a tab-separated text.
+
+    Blank lines and lines starting with '#' are skipped. A line with a
+    field count outside widths, or whose fields make() rejects with
+    ValueError, raises IoFailure naming source and the line number.
+    """
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = line.split("\t")
+        where = f"{source} line {lineno}"
+        if len(fields) not in widths:
+            expected = " or ".join(str(w) for w in widths)
+            raise IoFailure(f"{where} has {len(fields)} fields, expected {expected}")
+        try:
+            rows.append(make(*fields))
+        except ValueError as exc:
+            raise IoFailure(f"{where}: {exc}") from exc
+    return rows
+
+
+def _load_tsv(path: str | os.PathLike, what: str, widths: tuple[int, ...], make) -> list:
+    """_parse_tsv over a UTF-8 file; undecodable bytes raise IoFailure."""
+    source = f"{what} {os.fspath(path)!r}"
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IoFailure(f"{source} line {lineno} is not UTF-8: {exc}") from exc
+    return _parse_tsv(text, source, widths, make)
 
 
 def _entry_line(entry: IndexEntry) -> str:

@@ -70,9 +70,41 @@ def forward_transform(x: int, y: int) -> DiffPair:
     return DiffPair(l=(x + y) // 2, h=x - y)
 
 
-def reconstruction_bound(l: int) -> int:
-    """Largest |h| that keeps both reconstructed pixels inside [0, 255]."""
-    return min(2 * (255 - l), 2 * l + 1)
+def reconstruction_bound(l):
+    """Largest |h| that keeps both reconstructed pixels inside [0, 255].
+
+    Works elementwise on numpy arrays as well as on ints.
+    """
+    return np.minimum(2 * (255 - l), 2 * l + 1)
+
+
+def _to_pixels(l, h):
+    """Pixels (x, y) of the pair (l, h), for ints or arrays alike."""
+    return l + (h + 1) // 2, l - h // 2
+
+
+def _expand(h, bit):
+    """Difference after expansion: the bit becomes the new LSB."""
+    return 2 * h + bit
+
+
+def _substitute(h, bit):
+    """Difference after LSB substitution."""
+    return 2 * (h // 2) + bit
+
+
+def _zone_masks(l, h):
+    """(expandable, changeable) for ints or arrays; changeable includes expandable.
+
+    A pair is in a zone when that zone's write, with either bit, keeps the
+    new difference within the reconstruction bound.
+    """
+    bound = reconstruction_bound(l)
+
+    def fits(write):
+        return (np.abs(write(h, 0)) <= bound) & (np.abs(write(h, 1)) <= bound)
+
+    return fits(_expand), fits(_substitute)
 
 
 def inverse_transform(p: DiffPair) -> tuple[int, int]:
@@ -81,20 +113,18 @@ def inverse_transform(p: DiffPair) -> tuple[int, int]:
     Raises OutOfRange when |h| exceeds the reconstruction bound, i.e. when
     the pair does not correspond to two in-range pixels.
     """
-    if abs(p.h) > reconstruction_bound(p.l):
-        raise OutOfRange(
-            f"|h|={abs(p.h)} exceeds bound {reconstruction_bound(p.l)} at l={p.l}"
-        )
-    return p.l + (p.h + 1) // 2, p.l - p.h // 2
+    bound = reconstruction_bound(p.l)
+    if abs(p.h) > bound:
+        raise OutOfRange(f"|h|={abs(p.h)} exceeds bound {bound} at l={p.l}")
+    return _to_pixels(p.l, p.h)
 
 
 def classify(p: DiffPair) -> ZoneClass:
     """Zone of a pair: can it be expanded, only LSB-written, or neither."""
-    bound = reconstruction_bound(p.l)
-    if abs(2 * p.h) <= bound and abs(2 * p.h + 1) <= bound:
+    expandable, changeable = _zone_masks(p.l, p.h)
+    if expandable:
         return ZoneClass.EXPANDABLE
-    base = 2 * (p.h // 2)
-    if abs(base) <= bound and abs(base + 1) <= bound:
+    if changeable:
         return ZoneClass.CHANGEABLE_ONLY
     return ZoneClass.UNCHANGEABLE
 
@@ -176,17 +206,35 @@ def _pair_arrays(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return (x + y) // 2, x - y
 
 
-def _zone_masks(l: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(expandable, changeable) boolean masks; changeable includes expandable."""
-    bound = np.minimum(2 * (255 - l), 2 * l + 1)
-    expandable = (np.abs(2 * h) <= bound) & (np.abs(2 * h + 1) <= bound)
-    base = 2 * (h // 2)
-    changeable = (np.abs(base) <= bound) & (np.abs(base + 1) <= bound)
-    return expandable, changeable
+def _with_pairs(img: GrayImage, l, h, error: Exception) -> GrayImage:
+    """The image with its pairs replaced by (l, h).
+
+    Raises error when a reconstructed pixel leaves [0, 255].
+    """
+    x, y = _to_pixels(l, h)
+    if x.size and (x.min() < 0 or x.max() > 255 or y.min() < 0 or y.max() > 255):
+        raise error
+    out = img.pixels.copy()
+    n = img.width // 2
+    out[:, 0 : 2 * n : 2] = x
+    out[:, 1 : 2 * n : 2] = y
+    return GrayImage(out)
 
 
-def _encoded_map(expandable: np.ndarray) -> tuple[int, np.ndarray]:
-    return encode_location_map(expandable.ravel().astype(np.uint8))
+def _layout(img: GrayImage):
+    """(l, h, expandable, changeable, head, capacity) of an original image.
+
+    head is the bookkeeping that opens the stream: flag, map length, map
+    body and the saved LSBs of changeable-only pairs. The writable slots
+    left after it are the capacity, clamped at zero.
+    """
+    l, h = _pair_arrays(img)
+    expandable, changeable = _zone_masks(l, h)
+    flag, body = encode_location_map(expandable.ravel())
+    length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
+    saved = (h[changeable & ~expandable] % 2).astype(np.uint8)
+    head = np.concatenate([np.array([flag], dtype=np.uint8), length_field, body, saved])
+    return l, h, expandable, changeable, head, max(0, int(changeable.sum()) - head.size)
 
 
 def capacity(img: GrayImage) -> int:
@@ -196,13 +244,7 @@ def capacity(img: GrayImage) -> int:
     header, encoded map and saved original LSBs are overhead, leaving
     E - (33 + map bits) net payload bits.
     """
-    l, h = _pair_arrays(img)
-    if l.size == 0:
-        return 0
-    expandable, changeable = _zone_masks(l, h)
-    _, body = _encoded_map(expandable)
-    net = int(expandable.sum()) - (_HEADER_BITS + body.size)
-    return max(0, net)
+    return _layout(img)[-1]
 
 
 def embed(img: GrayImage, data: bytes) -> GrayImage:
@@ -214,46 +256,24 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
     """
     if img.width < 2:
         raise ImageTooNarrow(f"width {img.width} offers no pixel pairs")
-    l, h = _pair_arrays(img)
-    expandable, changeable = _zone_masks(l, h)
-    change_only = changeable & ~expandable
+    l, h, expandable, changeable, head, room = _layout(img)
     slots = int(changeable.sum())
-    flag, map_body = _encoded_map(expandable)
-    saved = (h[change_only] % 2).astype(np.uint8)
-    need = _HEADER_BITS + map_body.size + saved.size + 8 * len(data)
+    need = head.size + 8 * len(data)
     if need > slots:
         raise PayloadTooLarge(
             f"stream needs {need} bits but the image offers {slots} writable slots "
-            f"({8 * len(data)} payload bits vs capacity {capacity(img)})"
+            f"({8 * len(data)} payload bits vs capacity {room})"
         )
-    length_field = np.unpackbits(
-        np.frombuffer(struct.pack(">I", map_body.size), dtype=np.uint8)
-    )
     data_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    stream = np.concatenate(
-        [
-            np.array([flag], dtype=np.uint8),
-            length_field,
-            map_body,
-            saved,
-            data_bits,
-            np.zeros(slots - need, dtype=np.uint8),
-        ]
-    )
     carried = np.zeros(l.shape, dtype=np.int64)
-    carried[changeable] = stream
+    padding = np.zeros(slots - need, dtype=np.uint8)
+    carried[changeable] = np.concatenate([head, data_bits, padding])
     h_new = np.where(
-        expandable, 2 * h + carried, np.where(change_only, 2 * (h // 2) + carried, h)
+        expandable, _expand(h, carried), np.where(changeable, _substitute(h, carried), h)
     )
-    x = l + (h_new + 1) // 2
-    y = l - h_new // 2
-    if x.size and (x.min() < 0 or x.max() > 255 or y.min() < 0 or y.max() > 255):
-        raise AssertionError("zone classification let a pixel leave [0, 255]")
-    out = img.pixels.copy()
-    n = img.width // 2
-    out[:, 0 : 2 * n : 2] = x
-    out[:, 1 : 2 * n : 2] = y
-    return GrayImage(out)
+    return _with_pairs(
+        img, l, h_new, AssertionError("zone classification let a pixel leave [0, 255]")
+    )
 
 
 def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
@@ -300,22 +320,15 @@ def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
         raise MalformedStream(
             f"stream too short for {n_saved} saved LSBs after the location map"
         )
-    saved_flat = np.zeros(l.shape, dtype=np.int64).ravel()
-    saved_flat[change_only.ravel()] = stream[saved_start : saved_start + n_saved]
-    saved = saved_flat.reshape(l.shape)
+    saved = np.zeros(l.shape, dtype=np.int64)
+    saved[change_only] = stream[saved_start : saved_start + n_saved]
     data_bits = stream[saved_start + n_saved :]
     data = np.packbits(data_bits[: 8 * (data_bits.size // 8)]).tobytes()
     h = np.where(
         expanded,
         h_marked // 2,
-        np.where(change_only, 2 * (h_marked // 2) + saved, h_marked),
+        np.where(change_only, _substitute(h_marked, saved), h_marked),
     )
-    x = l + (h + 1) // 2
-    y = l - h // 2
-    if x.size and (x.min() < 0 or x.max() > 255 or y.min() < 0 or y.max() > 255):
-        raise MalformedStream("restored pixels leave [0, 255]; stream is corrupt")
-    out = img.pixels.copy()
-    n = img.width // 2
-    out[:, 0 : 2 * n : 2] = x
-    out[:, 1 : 2 * n : 2] = y
-    return data, GrayImage(out)
+    return data, _with_pairs(
+        img, l, h, MalformedStream("restored pixels leave [0, 255]; stream is corrupt")
+    )

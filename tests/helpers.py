@@ -10,9 +10,19 @@ format.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
-from lbpmarkdex import GrayImage, PatientRecord, embed
+from lbpmarkdex import (
+    GrayImage,
+    PatientRecord,
+    Payload,
+    compute_descriptor,
+    embed,
+    encode_payload,
+    save_pgm,
+)
 from lbpmarkdex.errors import PayloadTooLarge
 
 
@@ -228,3 +238,32 @@ def flip_stream_bit(img: GrayImage, bit_index: int) -> GrayImage:
     pixels[row, 2 * j] = l + (flipped + 1) // 2
     pixels[row, 2 * j + 1] = l - flipped // 2
     return GrayImage(pixels)
+
+
+# ---------------------------------------------------------------------------
+# Payloads that only the UTF-8 check rejects
+
+
+def non_utf8_payload(locator: str = "store/x.pgm", descriptor=None) -> bytes:
+    """Wire bytes whose name field starts with 0xFF, checksum recomputed.
+
+    Framing, lengths and CRC are all valid, so only the text decoding can
+    reject it.
+    """
+    record = PatientRecord(patient_id="P-BAD", name="~name")
+    payload = Payload(
+        descriptor=range(256) if descriptor is None else descriptor,
+        locator=locator,
+        record=record,
+    )
+    blob = bytearray(encode_payload(payload))
+    blob[blob.index(b"~name", 16)] = 0xFF
+    blob[10:14] = zlib.crc32(bytes(blob[16:])).to_bytes(4, "big")
+    return bytes(blob)
+
+
+def save_non_utf8_file(path, rng: np.random.Generator) -> None:
+    """Store a watermarked image at path that carries non_utf8_payload()."""
+    img = smooth_noise_image(rng, 160, 160)
+    blob = non_utf8_payload(str(path), compute_descriptor(img))
+    save_pgm(path, embed(img, blob))

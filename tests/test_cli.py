@@ -212,6 +212,45 @@ class TestQueryVerb:
         assert exc.value.code == 2
 
 
+class TestBadTsvFiles:
+    """A bad index or labels line is an IoFailure naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"a\tstore/a.pgm\n\tfoo.pgm\n", b"a\tstore/a.pgm\n\xff\tfoo.pgm\n"],
+        ids=["empty-id", "not-utf8"],
+    )
+    def test_bad_index_line(self, tmp_path, capsys, content):
+        index_path = tmp_path / "index.tsv"
+        index_path.write_bytes(content)
+        code = run(["find-patient", "--patient-id", "P", "--index", str(index_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("IoFailure")
+        assert str(index_path) in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"ga0\tg\nga1\t\xfe\n", b"ga0\tg\nga1\tg\textra\n"],
+        ids=["not-utf8", "three-fields"],
+    )
+    def test_bad_labels_line(self, cli_store, tmp_path, capsys, content):
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_bytes(content)
+        code = run(
+            [
+                "evaluate",
+                "--labels", str(labels_path),
+                "--cutoffs", "1",
+                "--index", cli_store["index"],
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("IoFailure")
+        assert str(labels_path) in err and "line 2" in err
+
+
 class TestFindPatientVerb:
     def test_shared_patient_lists_both_images(self, cli_store, capsys):
         code = run(

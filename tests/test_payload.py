@@ -12,10 +12,13 @@ from lbpmarkdex.errors import (
     ChecksumMismatch,
     FieldTooLong,
     LengthMismatch,
+    MalformedStream,
     OutOfRange,
     TruncatedData,
     UnsupportedVersion,
 )
+
+from helpers import non_utf8_payload
 
 
 def sample_payload():
@@ -187,6 +190,12 @@ class TestDecoding:
         blob[10:14] = struct.pack(">I", zlib.crc32(body))
         with pytest.raises(LengthMismatch):
             decode_payload(bytes(blob))
+
+    def test_non_utf8_text_is_malformed(self):
+        """A CRC-valid body whose text is not UTF-8 is a domain error."""
+        with pytest.raises(MalformedStream) as exc:
+            decode_payload(non_utf8_payload())
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
     def test_flags_byte_not_validated(self):
         # Reserved for future ciphered bodies; current parser ignores it.

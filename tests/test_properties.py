@@ -1,0 +1,113 @@
+"""Property tests: untrusted bytes raise only domain errors, and embedding
+round-trips whenever the payload fits.
+
+Runs are derandomized so every run of the suite checks the same examples.
+"""
+
+import struct
+import zlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from lbpmarkdex import GrayImage, capacity, decode_payload, embed, extract, read_pgm
+from lbpmarkdex.errors import LbpmarkdexError, PayloadTooLarge
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+_TOKEN = st.one_of(
+    st.integers(0, 70000).map(lambda v: str(v).encode()),
+    st.binary(max_size=4),
+)
+_SEP = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b"", b"\r\n"])
+
+# PGM-shaped bytes: magic, three header tokens, separators, then pixels.
+_PGM_LIKE = st.tuples(_SEP, _TOKEN, _SEP, _TOKEN, _SEP, _TOKEN, _SEP, st.binary(max_size=80)).map(
+    lambda parts: b"P5" + b"".join(parts)
+)
+
+
+def _framed(body: bytes) -> bytes:
+    """A payload header that matches body in magic, version, length and CRC."""
+    return struct.pack(">4sBBIIH", b"LBPW", 1, 0, len(body), zlib.crc32(body), 0) + body
+
+
+_TEXT = st.binary(max_size=8).map(lambda raw: struct.pack(">H", len(raw)) + raw)
+
+# Bodies laid out like the real one (descriptor, three texts, birthday,
+# text) with arbitrary contents, so every field parser sees bad input.
+_BODY = st.tuples(
+    st.binary(min_size=1024, max_size=1024), _TEXT, _TEXT, _TEXT, st.binary(min_size=4, max_size=4), _TEXT
+).map(b"".join)
+
+_PIXELS = hnp.arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 40)))
+
+
+@st.composite
+def _smooth_images(draw):
+    """Mid-range or near-saturated images, mostly with room for a payload."""
+    height = draw(st.integers(8, 32))
+    width = draw(st.integers(24, 64))
+    base = draw(st.integers(0, 255))
+    spread = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    noise = np.random.default_rng(seed).integers(-spread, spread + 1, size=(height, width))
+    return GrayImage(np.clip(base + noise, 0, 255))
+
+
+def _only_domain_errors(call, *args):
+    try:
+        call(*args)
+    except LbpmarkdexError:
+        pass
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=64), _PGM_LIKE))
+def test_read_pgm_raises_only_domain_errors(data):
+    _only_domain_errors(read_pgm, data)
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=64), _BODY.map(_framed)))
+def test_decode_payload_raises_only_domain_errors(data):
+    _only_domain_errors(decode_payload, data)
+
+
+@PROPERTY
+@given(_PIXELS)
+def test_extract_of_arbitrary_pixels_raises_only_domain_errors(pixels):
+    _only_domain_errors(extract, GrayImage(pixels))
+
+
+@PROPERTY
+@given(_smooth_images(), st.data())
+def test_extract_of_damaged_marked_image_raises_only_domain_errors(img, data):
+    try:
+        marked = embed(img, b"")
+    except PayloadTooLarge:
+        return
+    pixels = marked.pixels.copy()
+    for _ in range(data.draw(st.integers(1, 4))):
+        row = data.draw(st.integers(0, img.height - 1))
+        col = data.draw(st.integers(0, img.width - 1))
+        pixels[row, col] = data.draw(st.integers(0, 255))
+    _only_domain_errors(extract, GrayImage(pixels))
+
+
+@PROPERTY
+@given(_smooth_images(), st.data())
+def test_embed_extract_identity_when_payload_fits(img, data):
+    bits = capacity(img)
+    payload = data.draw(st.binary(max_size=bits // 8))
+    try:
+        marked = embed(img, payload)
+    except PayloadTooLarge:
+        # Only an image whose bookkeeping alone overflows may refuse.
+        assert bits == 0
+        return
+    out, restored = extract(marked)
+    assert out[: len(payload)] == payload
+    assert restored == img

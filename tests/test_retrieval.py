@@ -28,7 +28,7 @@ from lbpmarkdex.errors import (
     PayloadTooLarge,
 )
 
-from helpers import sample_patient, smooth_noise_image
+from helpers import sample_patient, save_non_utf8_file, smooth_noise_image
 
 
 class TestIndexFile:
@@ -225,6 +225,21 @@ class TestQueryByPatientId:
         hits = query_by_patient_id("P0002", store["index"])
         assert [entry.image_id for entry, _ in hits] == ["img002", "img003"]
 
+    def test_non_utf8_payload_skipped_with_warning(self, store, tmp_path, caplog):
+        index_path = str(tmp_path / "idx.tsv")
+        shutil.copy(store["index"], index_path)
+        bad = tmp_path / "badtext.pgm"
+        save_non_utf8_file(bad, np.random.default_rng(12))
+        with open(index_path, "a", encoding="utf-8") as fh:
+            fh.write(f"badtext\t{bad}\t\n")
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            hits = query_by_patient_id("P0004", index_path)
+        assert [entry.image_id for entry, _ in hits] == ["img004"]
+        assert any(
+            "badtext" in rec.getMessage() and "MalformedStream" in rec.getMessage()
+            for rec in caplog.records
+        )
+
 
 class TestRelink:
     def _clone_store(self, store, tmp_path):
@@ -262,6 +277,14 @@ class TestRelink:
         rebuilt, report = relink(store_dir, index_path)
         assert report.unreadable == [os.path.join(store_dir, "stray.pgm")]
         assert "stray" not in rebuilt
+
+    def test_non_utf8_payload_listed_unreadable(self, store, tmp_path):
+        index_path, store_dir = self._clone_store(store, tmp_path)
+        bad = os.path.join(store_dir, "badtext.pgm")
+        save_non_utf8_file(bad, np.random.default_rng(13))
+        rebuilt, report = relink(store_dir, index_path)
+        assert report.unreadable == [bad]
+        assert len(rebuilt) == 6
 
     def test_renamed_file_is_repaired_under_its_embedded_id(self, store, tmp_path):
         index_path, store_dir = self._clone_store(store, tmp_path)
