@@ -22,6 +22,7 @@ from .payload import PatientRecord
 from .retrieval import (
     Index,
     _load_tsv,
+    _scan_payloads,
     index_add,
     query_by_image,
     query_by_patient_id,
@@ -254,12 +255,10 @@ def _cmd_evaluate(parser, args) -> int:
         labels = {
             e.image_id: e.class_label for e in index.entries if e.class_label
         }
-    descriptors = {}
-    for entry in index.entries:
-        if entry.image_id not in labels:
-            continue
-        payload, _ = read_stored(entry.locator)
-        descriptors[entry.image_id] = payload.descriptor_array()
+    labeled = ((e.image_id, e.locator) for e in index.entries if e.image_id in labels)
+    descriptors = {
+        image_id: payload.descriptor_array() for image_id, _, payload in _scan_payloads(labeled)
+    }
     rows = class_mean_pr(descriptors, labels, args.cutoffs)
     if args.out:
         write_pr_csv(args.out, rows)

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .descriptor import descriptor_distance
 from .errors import BadCutoff, EmptyAnswerSet, EmptyRelevantSet
+from .retrieval import rank_by_distance
 
 
 def _answer_id(item) -> str:
@@ -65,6 +65,17 @@ def precision_recall(sets: EvalSets) -> tuple[float, float]:
     return hits / len(set(sets.answers)), hits / len(sets.relevant)
 
 
+def _check_cutoffs(cutoffs: Sequence[int], n: int) -> None:
+    """Raise BadCutoff unless cutoffs are strictly ascending within [1, n]."""
+    previous = 0
+    for k in cutoffs:
+        if k < 1 or k > n:
+            raise BadCutoff(f"cutoff {k} outside [1, {n}]")
+        if k <= previous:
+            raise BadCutoff(f"cutoffs must be strictly ascending, got {k} after {previous}")
+        previous = k
+
+
 def pr_curve(
     ranked: Sequence, relevant: Iterable[str], cutoffs: Sequence[int]
 ) -> list[tuple[int, float, float]]:
@@ -75,13 +86,7 @@ def pr_curve(
     """
     ids = [_answer_id(item) for item in ranked]
     rel = frozenset(relevant)
-    previous = 0
-    for k in cutoffs:
-        if k < 1 or k > len(ids):
-            raise BadCutoff(f"cutoff {k} outside [1, {len(ids)}]")
-        if k <= previous:
-            raise BadCutoff(f"cutoffs must be strictly ascending, got {k} after {previous}")
-        previous = k
+    _check_cutoffs(cutoffs, len(ids))
     return [
         (k, *precision_recall(EvalSets(rel, ids[:k])))
         for k in cutoffs
@@ -105,18 +110,13 @@ def class_mean_pr(
     vectors = {i: np.asarray(descriptors[i], dtype=np.int64) for i in ids}
     # class -> one list of hit counts per query, one count per cutoff
     per_class: dict[str, list[list[int]]] = {}
-    max_k = max(cutoffs, default=0)
-    for k in cutoffs:
-        if k < 1 or k > len(ids) - 1:
-            raise BadCutoff(f"cutoff {k} outside [1, {len(ids) - 1}]")
+    _check_cutoffs(cutoffs, len(ids) - 1)
     for query_id in ids:
         relevant = {i for i in ids if i != query_id and labels[i] == labels[query_id]}
         if not relevant:
             continue
-        others = [i for i in ids if i != query_id]
-        ranked = sorted(
-            others, key=lambda i: (descriptor_distance(vectors[query_id], vectors[i]), i)
-        )[:max_k]
+        others = ((i, vectors[i]) for i in ids if i != query_id)
+        ranked = [i for _, i in rank_by_distance(vectors[query_id], others)]
         per_class.setdefault(labels[query_id], []).append(
             [_hits(relevant, ranked[:k]) for k in cutoffs]
         )

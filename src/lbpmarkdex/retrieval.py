@@ -21,6 +21,7 @@ import fcntl
 import logging
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .descriptor import compute_descriptor, descriptor_distance
 from .errors import (
@@ -70,7 +71,6 @@ class Index:
     """In-memory view of the index file; entries are unique by image_id."""
 
     def __init__(self, entries=()) -> None:
-        self._entries: list[IndexEntry] = []
         self._by_id: dict[str, IndexEntry] = {}
         for entry in entries:
             self.add(entry)
@@ -78,7 +78,6 @@ class Index:
     def add(self, entry: IndexEntry) -> None:
         if entry.image_id in self._by_id:
             raise DuplicateId(f"image_id {entry.image_id!r} already indexed")
-        self._entries.append(entry)
         self._by_id[entry.image_id] = entry
 
     def find(self, image_id: str) -> IndexEntry | None:
@@ -86,10 +85,10 @@ class Index:
 
     @property
     def entries(self) -> tuple[IndexEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self._by_id.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_id)
 
     def __contains__(self, image_id: str) -> bool:
         return image_id in self._by_id
@@ -97,16 +96,14 @@ class Index:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Index):
             return NotImplemented
-        return sorted(self._entries, key=lambda e: e.image_id) == sorted(
-            other._entries, key=lambda e: e.image_id
-        )
+        return self._by_id == other._by_id
 
     @classmethod
     def parse(cls, text: str) -> "Index":
         return cls(_parse_tsv(text, "index", (2, 3), IndexEntry))
 
     def render(self) -> str:
-        return "".join(_entry_line(e) for e in self._entries)
+        return "".join(_entry_line(e) for e in self._by_id.values())
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Index":
@@ -121,15 +118,26 @@ class Index:
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
         path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(self.render())
-            os.replace(tmp, path)
+            _publish(path, lambda tmp: Path(tmp).write_text(self.render(), encoding="utf-8"), replace=True)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
             raise IoFailure(f"cannot write index {path!r}: {exc}") from exc
+
+
+def _publish(path: str, write, replace: bool) -> None:
+    """Create path whole: write(tmp) a sibling temporary, then move it into
+    place. With replace=False an existing path stays and FileExistsError is
+    raised. The temporary, never left behind, does not end in '.pgm'."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        write(tmp)
+        if replace:
+            os.replace(tmp, path)
+        else:
+            os.link(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
@@ -140,7 +148,10 @@ def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
     ValueError, raises IoFailure naming source and the line number.
     """
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only the writer's "\n" (or "\r\n") ends a line: str.splitlines would
+    # also split inside fields at characters such as U+0085 or "\f".
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -188,12 +199,6 @@ def _index_lock(index_path: str | os.PathLike):
         os.close(fd)
 
 
-def _as_index(index) -> Index:
-    if isinstance(index, Index):
-        return index
-    return Index.load(index)
-
-
 def locator_for(store_dir: str | os.PathLike, image_id: str) -> str:
     """Where index_add stores (and embeds) the watermarked file for an id."""
     return os.path.join(os.fspath(store_dir), f"{image_id}.pgm")
@@ -211,10 +216,18 @@ def index_add(
     append the entry to the index file.
 
     The original image is not kept anywhere; extract() recovers it from the
-    stored file. Raises DuplicateId, PayloadTooLarge (image cannot carry
-    its own payload) and IoFailure.
+    stored file, which is therefore never overwritten: an id that is
+    indexed or already has a stored file raises DuplicateId. Also raises
+    PayloadTooLarge (image cannot carry its own payload) and IoFailure,
+    including for an id that is not a single path component or that the
+    index format cannot hold.
     """
-    entry = IndexEntry(image_id, locator_for(store_dir, image_id), class_label)
+    if image_id in (".", "..") or "/" in image_id or "\0" in image_id:
+        raise IoFailure(f"image_id {image_id!r} is not a single path component")
+    try:
+        entry = IndexEntry(image_id, locator_for(store_dir, image_id), class_label)
+    except ValueError as exc:
+        raise IoFailure(str(exc)) from exc
     descriptor = compute_descriptor(original)
     payload = Payload(
         descriptor=descriptor, locator=entry.locator, record=patient
@@ -227,7 +240,10 @@ def index_add(
         marked = embed(original, blob)
         try:
             os.makedirs(os.fspath(store_dir), exist_ok=True)
-            save_pgm(entry.locator, marked)
+            try:
+                _publish(entry.locator, lambda tmp: save_pgm(tmp, marked), replace=False)
+            except FileExistsError as exc:
+                raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
             with open(index_path, "a", encoding="utf-8") as fh:
                 fh.write(_entry_line(entry))
         except OSError as exc:
@@ -242,24 +258,36 @@ def read_stored(locator: str | os.PathLike) -> tuple[Payload, GrayImage]:
     return decode_payload(data), original
 
 
-def _scan_payloads(index: Index):
-    """Yield (entry, payload) pairs, skipping and logging broken entries."""
-    for entry in index.entries:
+def _scan_payloads(items, skipped: list[str] | None = None):
+    """Yield (name, locator, payload) for each (name, locator) item whose
+    file decodes to a payload with a non-empty descriptor.
+
+    Every other item (missing, damaged, not watermarked, or carrying a
+    descriptor that sums to zero, which index_add never writes) is logged
+    once as skipped and its locator appended to skipped, if given.
+    """
+    for name, locator in items:
         try:
-            payload, _ = read_stored(entry.locator)
+            payload, _ = read_stored(locator)
+            if not any(payload.descriptor):
+                raise EmptyDescriptor("stored descriptor has zero total count")
         except (LbpmarkdexError, OSError) as exc:
             logger.warning(
-                "skipping %s (%s): %s: %s",
-                entry.image_id,
-                entry.locator,
-                type(exc).__name__,
-                exc,
+                "skipping %s (%s): %s: %s", name, locator, type(exc).__name__, exc
             )
+            if skipped is not None:
+                skipped.append(locator)
             continue
-        yield entry, payload
+        yield name, locator, payload
 
 
-def query_by_image(query: GrayImage, index, k: int) -> list[RankedResult]:
+def rank_by_distance(query_desc, candidates) -> list[tuple[float, str]]:
+    """(distance, image_id) of (image_id, descriptor) candidates, ascending:
+    by distance to query_desc, ties broken by ascending image_id."""
+    return sorted((descriptor_distance(query_desc, d), i) for i, d in candidates)
+
+
+def query_by_image(query: GrayImage, index_path: str | os.PathLike, k: int) -> list[RankedResult]:
     """Rank stored images by descriptor distance to the query image.
 
     Returns the k nearest entries (fewer if the index is smaller), sorted
@@ -268,33 +296,23 @@ def query_by_image(query: GrayImage, index, k: int) -> list[RankedResult]:
     """
     if k < 1:
         raise OutOfRange(f"k must be at least 1, got {k}")
-    index = _as_index(index)
+    index = Index.load(index_path)
     if len(index) == 0:
         raise EmptyIndex("cannot query an empty index")
     query_desc = compute_descriptor(query)
-    if int(query_desc.sum()) == 0:
-        raise EmptyDescriptor("query image produced an empty descriptor")
-    scored = []
-    for entry, payload in _scan_payloads(index):
-        try:
-            dist = descriptor_distance(query_desc, payload.descriptor_array())
-        except LbpmarkdexError as exc:
-            logger.warning(
-                "skipping %s: %s: %s", entry.image_id, type(exc).__name__, exc
-            )
-            continue
-        scored.append(RankedResult(entry.image_id, dist))
-    scored.sort(key=lambda r: (r.distance, r.image_id))
-    return scored[:k]
+    scan = _scan_payloads((e.image_id, e.locator) for e in index.entries)
+    candidates = ((image_id, payload.descriptor_array()) for image_id, _, payload in scan)
+    return [RankedResult(i, d) for d, i in rank_by_distance(query_desc, candidates)[:k]]
 
 
-def query_by_patient_id(pid: str, index) -> list[tuple[IndexEntry, PatientRecord]]:
+def query_by_patient_id(pid: str, index_path: str | os.PathLike) -> list[tuple[IndexEntry, PatientRecord]]:
     """All indexed images whose embedded patient_id matches pid exactly,
     in ascending image_id order. Broken entries are skipped and logged."""
-    index = _as_index(index)
+    index = Index.load(index_path)
+    scan = _scan_payloads((e.image_id, e.locator) for e in index.entries)
     hits = [
-        (entry, payload.record)
-        for entry, payload in _scan_payloads(index)
+        (index.find(image_id), payload.record)
+        for image_id, _, payload in scan
         if payload.record.patient_id == pid
     ]
     hits.sort(key=lambda pair: pair[0].image_id)
@@ -318,36 +336,32 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     actual path. Class labels of ids already present in the old index are
     preserved. The rebuilt index replaces the file at index_path. The
     report lists files that changed or created their row (repaired), files
-    without a parseable payload (unreadable) and files whose id was already
-    claimed by an earlier file (conflicting).
+    the scan skips (unreadable: no parseable payload, or an empty
+    descriptor) and files whose id was already claimed by an earlier file
+    (conflicting).
     """
-    old = Index.load(index_path)
+    store = os.fspath(store_dir)
     report = RelinkReport()
-    try:
-        names = sorted(os.listdir(store_dir))
-    except OSError as exc:
-        raise IoFailure(f"cannot scan store {os.fspath(store_dir)!r}: {exc}") from exc
     rebuilt: dict[str, IndexEntry] = {}
-    for name in names:
-        if not name.endswith(".pgm"):
-            continue
-        path = os.path.join(os.fspath(store_dir), name)
-        try:
-            payload, _ = read_stored(path)
-        except (LbpmarkdexError, OSError) as exc:
-            logger.warning("unreadable %s: %s: %s", path, type(exc).__name__, exc)
-            report.unreadable.append(path)
-            continue
-        image_id = os.path.splitext(os.path.basename(payload.locator))[0]
-        if not image_id or image_id in rebuilt:
-            report.conflicting.append(path)
-            continue
-        previous = old.find(image_id)
-        label = previous.class_label if previous is not None else ""
-        rebuilt[image_id] = IndexEntry(image_id, path, label)
-        if previous is None or previous.locator != path:
-            report.repaired.append(path)
-    new_index = Index(rebuilt[i] for i in sorted(rebuilt))
+    # The whole rebuild holds the writers' lock: a row that index_add
+    # appended after the old index was read would be lost by the save.
     with _index_lock(index_path):
+        old = Index.load(index_path)
+        try:
+            names = sorted(os.listdir(store))
+        except OSError as exc:
+            raise IoFailure(f"cannot scan store {store!r}: {exc}") from exc
+        files = ((n, os.path.join(store, n)) for n in names if n.endswith(".pgm"))
+        for _, path, payload in _scan_payloads(files, report.unreadable):
+            image_id = os.path.splitext(os.path.basename(payload.locator))[0]
+            if not image_id or image_id in rebuilt:
+                report.conflicting.append(path)
+                continue
+            previous = old.find(image_id)
+            label = previous.class_label if previous is not None else ""
+            rebuilt[image_id] = IndexEntry(image_id, path, label)
+            if previous is None or previous.locator != path:
+                report.repaired.append(path)
+        new_index = Index(rebuilt[i] for i in sorted(rebuilt))
         new_index.save(index_path)
     return new_index, report

@@ -267,3 +267,15 @@ def save_non_utf8_file(path, rng: np.random.Generator) -> None:
     img = smooth_noise_image(rng, 160, 160)
     blob = non_utf8_payload(str(path), compute_descriptor(img))
     save_pgm(path, embed(img, blob))
+
+
+def save_empty_descriptor_file(path, rng: np.random.Generator, patient_id: str) -> None:
+    """Store a watermarked image at path whose CRC-valid payload carries an
+    all-zero descriptor, which index_add never writes."""
+    img = smooth_noise_image(rng, 160, 160)
+    payload = Payload(
+        descriptor=[0] * 256,
+        locator=str(path),
+        record=PatientRecord(patient_id=patient_id),
+    )
+    save_pgm(path, embed(img, encode_payload(payload)))

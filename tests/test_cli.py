@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, and output formats."""
 
+import logging
 import os
 import shutil
 import subprocess
@@ -10,10 +11,23 @@ import numpy as np
 import pytest
 
 import lbpmarkdex
-from lbpmarkdex import Index, capacity, class_mean_pr, load_pgm, read_stored, render_pr_csv, save_pgm
+from lbpmarkdex import (
+    Index,
+    IndexEntry,
+    capacity,
+    class_mean_pr,
+    load_pgm,
+    read_stored,
+    render_pr_csv,
+    save_pgm,
+)
 from lbpmarkdex.cli import INDEX_ENV, run
 
 from helpers import gradient_image, smooth_noise_image, stripe_image
+
+
+def _tree(root) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +110,27 @@ class TestIndexVerb:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("DuplicateId")
+
+    @pytest.mark.parametrize(
+        "image_id", ["../up", "a/b", ".", "..", "x\0y", "a\tb", "a\nb", ""]
+    )
+    def test_bad_id_exits_one_and_writes_nothing(self, cli_store, tmp_path, capsys, image_id):
+        image = tmp_path / "in.pgm"
+        shutil.copy(cli_store["inputs"] / "ga0.pgm", image)
+        before = _tree(tmp_path)
+        code = run(
+            [
+                "index",
+                "--id", image_id,
+                "--image", str(image),
+                "--store", str(tmp_path / "store"),
+                "--patient-id", "P1",
+                "--index", str(tmp_path / "index.tsv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("IoFailure")
+        assert _tree(tmp_path) == before
 
     def test_index_equal_store_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -411,6 +446,31 @@ class TestEvaluateVerb:
         text = out_path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "class,k,mean_precision,mean_recall"
         assert {line.split(",")[0] for line in text.splitlines()[1:]} == {"g", "s"}
+
+    def test_damaged_entry_skipped_and_rest_scored(self, cli_store, tmp_path, capsys, caplog):
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        index = Index.load(cli_store["index"])
+        index_path = tmp_path / "index.tsv"
+        Index(
+            IndexEntry(e.image_id, str(store_copy / f"{e.image_id}.pgm"), e.class_label)
+            for e in index.entries
+        ).save(index_path)
+        damaged = store_copy / "sb1.pgm"
+        damaged.write_bytes(damaged.read_bytes()[:-100])
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            code = run(["evaluate", "--cutoffs", "1,2", "--index", str(index_path)])
+        assert code == 0
+        intact = {
+            e.image_id: read_stored(e.locator)[0].descriptor_array()
+            for e in index.entries
+            if e.image_id != "sb1"
+        }
+        labels = {e.image_id: e.class_label for e in index.entries}
+        assert capsys.readouterr().out == render_pr_csv(class_mean_pr(intact, labels, [1, 2]))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping sb1 ({damaged}): TruncatedData: expected 25600 pixel bytes, found 25500"
+        ]
 
     def test_bad_cutoffs_are_usage_error(self, cli_store):
         with pytest.raises(SystemExit) as exc:

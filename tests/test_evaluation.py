@@ -139,6 +139,27 @@ class TestClassMeanPr:
         with pytest.raises(BadCutoff):
             class_mean_pr(descriptors, labels, [4])  # only 3 candidates per query
 
+    @pytest.mark.parametrize("cutoffs", [[3, 1, 1], [2, 1], [1, 1]])
+    def test_unsorted_or_repeated_cutoffs_rejected(self, cutoffs):
+        descriptors, labels = two_class_dataset()
+        with pytest.raises(BadCutoff, match="strictly ascending"):
+            class_mean_pr(descriptors, labels, cutoffs)
+
+    def test_tie_broken_by_smaller_id(self):
+        """For query q, m (other class) and z (same class) are equidistant;
+        k=1 must pick m, the smaller id, so q scores no hit."""
+        base = np.zeros(256, dtype=np.int64)
+
+        def vec(c0, c1):
+            v = base.copy()
+            v[0], v[1] = c0, c1
+            return v
+
+        descriptors = {"z": vec(1, 0), "q": vec(2, 2), "m": vec(0, 1)}
+        labels = {"z": "A", "q": "A", "m": "B"}
+        # q hits nothing (m wins the tie); z's nearest is q, a hit.
+        assert class_mean_pr(descriptors, labels, [1]) == [("A", 1, 0.5, 0.5)]
+
     def test_exact_fraction_averaging(self):
         """Means over queries must come out as exact rationals.
 

@@ -1,8 +1,12 @@
 """Index file handling, the store pipeline, querying, and link repair."""
 
+import fcntl
 import logging
 import os
 import shutil
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from lbpmarkdex import (
     relink,
     save_pgm,
 )
+from lbpmarkdex import retrieval
 from lbpmarkdex.errors import (
     DuplicateId,
     EmptyIndex,
@@ -28,7 +33,12 @@ from lbpmarkdex.errors import (
     PayloadTooLarge,
 )
 
-from helpers import sample_patient, save_non_utf8_file, smooth_noise_image
+from helpers import (
+    sample_patient,
+    save_empty_descriptor_file,
+    save_non_utf8_file,
+    smooth_noise_image,
+)
 
 
 class TestIndexFile:
@@ -68,6 +78,18 @@ class TestIndexFile:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             IndexEntry("", "x")
+
+    def test_crlf_lines_read(self):
+        index = Index.parse("a\tstore/a.pgm\tL\r\nb\tstore/b.pgm\r\n")
+        assert [e.image_id for e in index.entries] == ["a", "b"]
+        assert index.find("a").class_label == "L"
+        assert index.find("b").locator == "store/b.pgm"
+
+    def test_only_newline_ends_a_row(self):
+        # str.splitlines would also break at U+0085, U+2028, \x1c and \f
+        text = "a\x85b\ts/1.pgm\nc\u2028d\ts/2.pgm\ne\x1cf\fg\ts/3.pgm\n"
+        index = Index.parse(text)
+        assert [e.image_id for e in index.entries] == ["a\x85b", "c\u2028d", "e\x1cf\fg"]
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert len(Index.load(tmp_path / "absent.tsv")) == 0
@@ -142,6 +164,55 @@ class TestIndexAdd:
             )
 
 
+    def test_reindex_after_index_loss_keeps_stored_file(self, tmp_path):
+        rng = np.random.default_rng(14)
+        index_path = str(tmp_path / "i.tsv")
+        store_dir = str(tmp_path / "s")
+        entry = index_add(
+            index_path, smooth_noise_image(rng, 160, 160), "kept", sample_patient(1), store_dir
+        )
+        stored = Path(entry.locator).read_bytes()
+        os.unlink(index_path)
+        with pytest.raises(DuplicateId):
+            index_add(
+                index_path, smooth_noise_image(rng, 160, 160), "kept", sample_patient(2), store_dir
+            )
+        assert Path(entry.locator).read_bytes() == stored
+        assert os.listdir(store_dir) == ["kept.pgm"]
+        assert len(Index.load(index_path)) == 0
+
+    def test_failed_store_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def disk_full(path, img):
+            with open(path, "wb") as fh:
+                fh.write(b"P5\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(retrieval, "save_pgm", disk_full)
+        store_dir = tmp_path / "s"
+        with pytest.raises(IoFailure):
+            index_add(
+                str(tmp_path / "i.tsv"),
+                smooth_noise_image(np.random.default_rng(15), 160, 160),
+                "full",
+                sample_patient(0),
+                str(store_dir),
+            )
+        assert os.listdir(store_dir) == []
+        assert len(Index.load(tmp_path / "i.tsv")) == 0
+
+    def test_id_with_unicode_line_separator_round_trips(self, tmp_path):
+        index_path = str(tmp_path / "i.tsv")
+        store_dir = str(tmp_path / "s")
+        img = smooth_noise_image(np.random.default_rng(17), 160, 160)
+        entry = index_add(index_path, img, "a\x85b", sample_patient(0), store_dir)
+        assert Index.load(index_path).find("a\x85b") == entry
+        os.unlink(index_path)
+        rebuilt, report = relink(store_dir, index_path)
+        assert rebuilt.find("a\x85b").locator == entry.locator
+        assert report.repaired == [entry.locator]
+        assert Index.load(index_path) == rebuilt
+
+
 class TestQueryByImage:
     def test_self_query_ranks_first_with_zero_distance(self, store):
         for image_id, original in store["originals"].items():
@@ -203,6 +274,52 @@ class TestQueryByImage:
             fh.write(f"plain\t{plain}\t\n")
         results = query_by_image(store["originals"]["img000"], index_path, 10)
         assert all(r.image_id != "plain" for r in results)
+
+
+class TestScanSkipRule:
+    """query, find-patient and relink read the store through one scan that
+    skips, with one warning each, any file it cannot trust."""
+
+    @pytest.mark.parametrize("verb", ["query", "find-patient"])
+    def test_skip_warning_names_id_then_locator(self, store, tmp_path, caplog, verb):
+        index_path = str(tmp_path / "idx.tsv")
+        shutil.copy(store["index"], index_path)
+        missing = str(tmp_path / "missing.pgm")
+        with open(index_path, "a", encoding="utf-8") as fh:
+            fh.write(f"gone\t{missing}\t\n")
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            if verb == "query":
+                query_by_image(store["originals"]["img000"], index_path, 3)
+            else:
+                query_by_patient_id("P0004", index_path)
+        skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping ")]
+        assert len(skips) == 1
+        assert skips[0].startswith(f"skipping gone ({missing}): ")
+
+    def test_empty_descriptor_skipped_by_queries(self, store, tmp_path, caplog):
+        index_path = str(tmp_path / "idx.tsv")
+        shutil.copy(store["index"], index_path)
+        empty = tmp_path / "empty.pgm"
+        save_empty_descriptor_file(empty, np.random.default_rng(18), "P0004")
+        with open(index_path, "a", encoding="utf-8") as fh:
+            fh.write(f"empty\t{empty}\t\n")
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            hits = query_by_patient_id("P0004", index_path)
+            results = query_by_image(store["originals"]["img000"], index_path, 10)
+        assert [entry.image_id for entry, _ in hits] == ["img004"]
+        assert "empty" not in [r.image_id for r in results]
+        skips = [r.getMessage() for r in caplog.records]
+        assert len(skips) == 2
+        assert all(m.startswith(f"skipping empty ({empty}): EmptyDescriptor") for m in skips)
+
+    def test_empty_descriptor_listed_unreadable_by_relink(self, tmp_path):
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        empty = store_dir / "empty.pgm"
+        save_empty_descriptor_file(empty, np.random.default_rng(19), "P0004")
+        rebuilt, report = relink(store_dir, tmp_path / "i.tsv")
+        assert report.unreadable == [str(empty)]
+        assert len(rebuilt) == 0
 
 
 class TestQueryByPatientId:
@@ -318,6 +435,30 @@ class TestRelink:
         relabeled.save(index_path)
         rebuilt, _ = relink(store_dir, index_path)
         assert all(e.class_label == "kept" for e in rebuilt.entries)
+
+    def test_scan_waits_for_the_index_lock(self, store, tmp_path):
+        """A file stored while a writer holds the lock is in the rebuild."""
+        index_path, store_dir = self._clone_store(store, tmp_path)
+        parked = str(tmp_path / "parked.pgm")
+        os.rename(os.path.join(store_dir, "img005.pgm"), parked)
+        late = os.path.join(store_dir, "zz-late.pgm")
+        result = {}
+        fd = os.open(f"{index_path}.lock", os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            worker = threading.Thread(
+                target=lambda: result.update(out=relink(store_dir, index_path))
+            )
+            worker.start()
+            time.sleep(0.2)  # long enough for relink to reach the lock
+            os.rename(parked, late)
+        finally:
+            os.close(fd)
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        rebuilt, report = result["out"]
+        assert report.repaired == [late]
+        assert rebuilt.find("img005").locator == late
 
     def test_empty_directory_empty_index(self, tmp_path):
         os.makedirs(tmp_path / "empty")
