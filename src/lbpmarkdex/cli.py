@@ -9,13 +9,14 @@ variable LBPMARKDEX_INDEX supplies the default for --index.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import re
 import sys
 
 from . import watermark
-from .errors import LbpmarkdexError
+from .errors import IoFailure, LbpmarkdexError
 from .evaluation import class_mean_pr, render_pr_csv, write_pr_csv
 from .image_io import load_pgm, save_pgm
 from .payload import PatientRecord
@@ -215,7 +216,7 @@ def _cmd_find_patient(parser, args) -> int:
 
 
 def _cmd_extract(parser, args) -> int:
-    payload, _ = read_stored(_entry_for(parser, args))
+    payload, _ = read_stored(_entry_for(parser, args), restore=False)
     record = payload.record
     print(f"locator\t{payload.locator}")
     print(f"patient_id\t{record.patient_id}")
@@ -229,7 +230,13 @@ def _cmd_extract(parser, args) -> int:
 
 
 def _cmd_restore(parser, args) -> int:
-    _, original = read_stored(_entry_for(parser, args))
+    source = _entry_for(parser, args)
+    # Writing the original over its own marked file would erase the only
+    # copy of the payload (descriptor, record and locator).
+    with contextlib.suppress(FileNotFoundError):
+        if os.path.samefile(source, args.out):
+            raise IoFailure(f"--out {args.out!r} is the marked file itself; refusing to overwrite it")
+    _, original = read_stored(source)
     save_pgm(args.out, original)
     print(args.out)
     return 0

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .image_io import GrayImage, load_pgm, save_pgm
 from .payload import PatientRecord, Payload, decode_payload, encode_payload
-from .watermark import embed, extract
+from .watermark import embed, extract, extract_data
 
 logger = logging.getLogger(__name__)
 
@@ -251,9 +251,17 @@ def index_add(
     return entry
 
 
-def read_stored(locator: str | os.PathLike) -> tuple[Payload, GrayImage]:
-    """Load a watermarked file and return its payload and restored original."""
+def read_stored(
+    locator: str | os.PathLike, *, restore: bool = True
+) -> tuple[Payload, GrayImage | None]:
+    """Load a watermarked file and return its payload and restored original.
+
+    With restore=False the original is not rebuilt and None stands in for
+    it; the payload and every error are the same.
+    """
     marked = load_pgm(locator)
+    if not restore:
+        return decode_payload(extract_data(marked)), None
     data, original = extract(marked)
     return decode_payload(data), original
 
@@ -268,7 +276,7 @@ def _scan_payloads(items, skipped: list[str] | None = None):
     """
     for name, locator in items:
         try:
-            payload, _ = read_stored(locator)
+            payload, _ = read_stored(locator, restore=False)
             if not any(payload.descriptor):
                 raise EmptyDescriptor("stored descriptor has zero total count")
         except (LbpmarkdexError, OSError) as exc:

@@ -199,7 +199,9 @@ def encode_location_map(bits: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _pair_arrays(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """(l, h) arrays of shape (height, floor(width/2))."""
-    p = img.pixels.astype(np.int64)
+    # Every value the pair arithmetic reaches (2h + b with |h| <= 255)
+    # stays within +-511, so int16 holds it without overflow.
+    p = img.pixels.astype(np.int16)
     n = img.width // 2
     x = p[:, 0 : 2 * n : 2]
     y = p[:, 1 : 2 * n : 2]
@@ -232,9 +234,9 @@ def _layout(img: GrayImage):
     expandable, changeable = _zone_masks(l, h)
     flag, body = encode_location_map(expandable.ravel())
     length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
-    saved = (h[changeable & ~expandable] % 2).astype(np.uint8)
+    saved = (h & 1).astype(np.uint8)[changeable & ~expandable]
     head = np.concatenate([np.array([flag], dtype=np.uint8), length_field, body, saved])
-    return l, h, expandable, changeable, head, max(0, int(changeable.sum()) - head.size)
+    return l, h, expandable, changeable, head, max(0, int(np.count_nonzero(changeable)) - head.size)
 
 
 def capacity(img: GrayImage) -> int:
@@ -257,7 +259,7 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
     if img.width < 2:
         raise ImageTooNarrow(f"width {img.width} offers no pixel pairs")
     l, h, expandable, changeable, head, room = _layout(img)
-    slots = int(changeable.sum())
+    slots = np.count_nonzero(changeable)
     need = head.size + 8 * len(data)
     if need > slots:
         raise PayloadTooLarge(
@@ -265,7 +267,7 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
             f"({8 * len(data)} payload bits vs capacity {room})"
         )
     data_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    carried = np.zeros(l.shape, dtype=np.int64)
+    carried = np.zeros(l.shape, dtype=np.int16)
     padding = np.zeros(slots - need, dtype=np.uint8)
     carried[changeable] = np.concatenate([head, data_bits, padding])
     h_new = np.where(
@@ -276,22 +278,22 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
     )
 
 
-def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
-    """Read back the data region and restore the original image.
+def _parse_stream(img: GrayImage):
+    """(data, l, h_marked, expanded, change_only, saved_bits) of a marked image.
 
-    The image must come from embed(); anything else raises MalformedStream
-    (or yields garbage data that downstream framing rejects). The returned
-    bytes include the zero padding after the payload, so callers delimit
-    the real content themselves.
+    Makes every check on the stream: header, map length, raw or RLE map,
+    map within the changeable pairs, and room for the saved LSBs; any
+    failure raises MalformedStream. Restoring needs only the arrays it
+    returns.
     """
     l, h_marked = _pair_arrays(img)
     _, changeable = _zone_masks(l, h_marked)
-    slots = int(changeable.sum())
+    slots = np.count_nonzero(changeable)
     if slots < _HEADER_BITS:
         raise MalformedStream(
             f"{slots} writable slots cannot hold a {_HEADER_BITS}-bit stream header"
         )
-    stream = (h_marked[changeable] % 2).astype(np.uint8)
+    stream = (h_marked & 1).astype(np.uint8)[changeable]
     flag = int(stream[0])
     (map_len,) = struct.unpack(">I", np.packbits(stream[1:33]).tobytes())
     n_pairs = l.size
@@ -314,16 +316,39 @@ def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
     if np.any(expanded & ~changeable):
         raise MalformedStream("location map marks a pair that holds no stream bit")
     change_only = changeable & ~expanded
-    n_saved = int(change_only.sum())
+    n_saved = np.count_nonzero(change_only)
     saved_start = _HEADER_BITS + map_len
     if saved_start + n_saved > slots:
         raise MalformedStream(
             f"stream too short for {n_saved} saved LSBs after the location map"
         )
-    saved = np.zeros(l.shape, dtype=np.int64)
-    saved[change_only] = stream[saved_start : saved_start + n_saved]
     data_bits = stream[saved_start + n_saved :]
     data = np.packbits(data_bits[: 8 * (data_bits.size // 8)]).tobytes()
+    return data, l, h_marked, expanded, change_only, stream[saved_start : saved_start + n_saved]
+
+
+def extract_data(img: GrayImage) -> bytes:
+    """The data region extract() returns, without restoring the original.
+
+    Raises what extract() raises, except the check on restored pixels,
+    which cannot fail once the stream checks pass: a marked pair is in
+    range, halving an expanded difference keeps it in range, and a
+    changeable pair stays in range with either LSB.
+    """
+    return _parse_stream(img)[0]
+
+
+def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
+    """Read back the data region and restore the original image.
+
+    The image must come from embed(); anything else raises MalformedStream
+    (or yields garbage data that downstream framing rejects). The returned
+    bytes include the zero padding after the payload, so callers delimit
+    the real content themselves.
+    """
+    data, l, h_marked, expanded, change_only, saved_bits = _parse_stream(img)
+    saved = np.zeros(l.shape, dtype=np.int16)
+    saved[change_only] = saved_bits
     h = np.where(
         expanded,
         h_marked // 2,

@@ -377,6 +377,63 @@ class TestRestoreVerb:
         assert run(["restore", "--image", locator, "--out", str(out_path)]) == 0
         assert load_pgm(out_path) == cli_store["images"]["ga0"][0]
 
+    @pytest.mark.parametrize("flag", ["--id", "--image"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "hard-link"])
+    def test_refuses_to_overwrite_its_own_source(self, cli_store, tmp_path, capsys, flag, spelling):
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        source = store_copy / "sb0.pgm"
+        index_path = tmp_path / "index.tsv"
+        Index([IndexEntry("sb0", str(source))]).save(index_path)
+        out_path = {
+            "same": source,
+            "dotted": store_copy / "." / ".." / "store" / "sb0.pgm",
+            "hard-link": tmp_path / "alias.pgm",
+        }[spelling]
+        if spelling == "hard-link":
+            os.link(source, out_path)
+        target = ["--id", "sb0"] if flag == "--id" else ["--image", str(source)]
+        stored = source.read_bytes()
+        code = run(["restore", *target, "--out", str(out_path), "--index", str(index_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("IoFailure: ")
+        assert source.read_bytes() == stored
+
+
+class TestScansNeverRestore:
+    def test_reads_succeed_without_extract(self, cli_store, tmp_path, capsys, monkeypatch):
+        # Every verb that only reads payloads must give the same output when
+        # the restoring extract() fails; restore itself still needs it.
+        index = cli_store["index"]
+        reads = [
+            ["query", "--image", str(cli_store["inputs"] / "ga0.pgm"), "--k", "4", "--index", index],
+            ["find-patient", "--patient-id", "PSHARED", "--index", index],
+            ["extract", "--id", "sb1", "--descriptor", "--index", index],
+            ["evaluate", "--cutoffs", "1,3", "--index", index],
+        ]
+
+        def outputs(relink_index):
+            results = []
+            for argv in reads + [["relink", "--store", cli_store["store"], "--index", str(relink_index)]]:
+                code = run(argv)
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        expected = outputs(tmp_path / "relinked_a.tsv")
+        assert all(code == 0 for code, _ in expected)
+
+        def no_restore(img):
+            raise AssertionError("a store read restored pixels")
+
+        monkeypatch.setattr("lbpmarkdex.retrieval.extract", no_restore)
+        assert outputs(tmp_path / "relinked_b.tsv") == expected
+        out_path = tmp_path / "back.pgm"
+        with pytest.raises(AssertionError):
+            run(["restore", "--id", "sb0", "--out", str(out_path), "--index", index])
+        monkeypatch.undo()
+        assert run(["restore", "--id", "sb0", "--out", str(out_path), "--index", index]) == 0
+        assert out_path.read_bytes() == (cli_store["inputs"] / "sb0.pgm").read_bytes()
+
 
 class TestRelinkVerb:
     def test_rebuild_after_index_loss(self, cli_store, tmp_path, capsys):

@@ -75,6 +75,21 @@ def stripes_256():
     return img, _payload(rng, img, 0.9)
 
 
+def range_ends():
+    # Bands of black, white and black-beside-white pairs (l = 0, l = 255,
+    # |h| = 255) across mid-gray rows: every zone at the ends of the pair
+    # arithmetic's range, where a narrow integer type would first overflow.
+    rng = np.random.default_rng(108)
+    pixels = 128 + rng.integers(-10, 11, size=(64, 96))
+    extremes = [(0, 0), (1, 0), (0, 1), (255, 255), (254, 255), (255, 254), (255, 0), (0, 255)]
+    for row, (x, y) in enumerate(extremes, start=24):
+        start = 2 * int(rng.integers(0, 16))
+        pixels[row, start : start + 64 : 2] = x
+        pixels[row, start + 1 : start + 64 : 2] = y
+    img = GrayImage(pixels)
+    return img, _payload(rng, img, 1.0)
+
+
 def too_large():
     # Full-swing noise leaves no net capacity: embed must refuse one byte.
     rng = np.random.default_rng(107)
@@ -89,6 +104,7 @@ CASES = {
     "changeable_only": changeable_only,
     "negative_differences": negative_differences,
     "stripes_256": stripes_256,
+    "range_ends": range_ends,
     "too_large": too_large,
 }
 
@@ -124,6 +140,11 @@ GOLDEN = {
         32703,
         "1a2f8e03de409183b7b00a29ced0248ed69ed19a2838f0c3690409a1676482b2",
         "083fa0fcf9fde6d7c1ef6a79266b0d6f2cde157dd3fccb2129e387c6ebde93e4",
+    ),
+    "range_ends": (
+        2623,
+        "c239734a4fc52589d46182334af45915b680e6571c86664557f0c36f90230fc0",
+        "9e00148f602b11c916e08f131f6d66fd593ab91ecb196e094335e11ab5906eee",
     ),
     "too_large": (
         0,

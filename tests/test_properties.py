@@ -1,5 +1,6 @@
-"""Property tests: untrusted bytes raise only domain errors, and embedding
-round-trips whenever the payload fits.
+"""Property tests: untrusted bytes raise only domain errors, the data-only
+read agrees with extract(), and embedding round-trips whenever the payload
+fits.
 
 Runs are derandomized so every run of the suite checks the same examples.
 """
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from lbpmarkdex import GrayImage, capacity, decode_payload, embed, extract, read_pgm
 from lbpmarkdex.errors import LbpmarkdexError, PayloadTooLarge
+from lbpmarkdex.watermark import extract_data
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -95,6 +97,39 @@ def test_extract_of_damaged_marked_image_raises_only_domain_errors(img, data):
         col = data.draw(st.integers(0, img.width - 1))
         pixels[row, col] = data.draw(st.integers(0, 255))
     _only_domain_errors(extract, GrayImage(pixels))
+
+
+def _data_read(call, img):
+    """What call(img) returns, or the class and message of the domain error it raised."""
+    try:
+        return call(img)
+    except LbpmarkdexError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reads_agree(img):
+    assert _data_read(extract_data, img) == _data_read(lambda i: extract(i)[0], img)
+
+
+@PROPERTY
+@given(_PIXELS)
+def test_data_only_read_agrees_with_extract_on_arbitrary_pixels(pixels):
+    _assert_reads_agree(GrayImage(pixels))
+
+
+@PROPERTY
+@given(_smooth_images(), st.data())
+def test_data_only_read_agrees_with_extract_on_bit_flipped_images(img, data):
+    try:
+        marked = embed(img, data.draw(st.binary(max_size=capacity(img) // 8)))
+    except PayloadTooLarge:
+        return
+    pixels = marked.pixels.copy()
+    for _ in range(data.draw(st.integers(1, 4))):
+        row = data.draw(st.integers(0, img.height - 1))
+        col = data.draw(st.integers(0, img.width - 1))
+        pixels[row, col] ^= data.draw(st.integers(1, 255))
+    _assert_reads_agree(GrayImage(pixels))
 
 
 @PROPERTY
