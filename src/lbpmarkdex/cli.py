@@ -264,7 +264,7 @@ def _cmd_evaluate(parser, args) -> int:
         }
     labeled = ((e.image_id, e.locator) for e in index.entries if e.image_id in labels)
     descriptors = {
-        image_id: payload.descriptor_array() for image_id, _, payload in _scan_payloads(labeled)
+        image_id: payload.descriptor for image_id, _, payload in _scan_payloads(labeled)
     }
     rows = class_mean_pr(descriptors, labels, args.cutoffs)
     if args.out:

@@ -9,8 +9,6 @@ Keeping raw counts makes descriptors exact, mergeable and cheap to store.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import EmptyDescriptor
@@ -43,23 +41,24 @@ def compute_descriptor(img: GrayImage) -> np.ndarray:
 
 
 def _normalize(vec: np.ndarray, which: str) -> np.ndarray:
-    mass = int(vec.sum())
-    if mass <= 0:
+    mass = vec.sum(axis=-1, keepdims=True)
+    if (mass <= 0).any():
         raise EmptyDescriptor(f"{which} descriptor has zero total count")
-    return vec.astype(np.float64) / mass
+    return vec / mass
 
 
-def descriptor_distance(a, b) -> float:
-    """Euclidean distance between two descriptors after L1 normalization.
+def descriptor_distance(a, b) -> float | np.ndarray:
+    """Euclidean distance between descriptors after L1 normalization.
 
-    Accepts any 256-long integer sequences. Raises EmptyDescriptor when
-    either vector sums to zero, OutOfRange-free otherwise: identical
-    vectors give exactly 0.0.
+    a is one 256-long integer sequence. b is either one such sequence,
+    giving a float, or an (N, 256) matrix, giving a float64 array of the
+    N distances from a to its rows; both forms do the same arithmetic, so
+    they agree bit for bit. Raises EmptyDescriptor when a or any row of b
+    sums to zero. Identical vectors give exactly 0.0.
     """
     va = np.asarray(a, dtype=np.int64)
     vb = np.asarray(b, dtype=np.int64)
-    if va.shape != (BINS,) or vb.shape != (BINS,):
+    if va.shape != (BINS,) or vb.ndim not in (1, 2) or vb.shape[-1] != BINS:
         raise ValueError(f"descriptors must have {BINS} bins, got {va.shape} and {vb.shape}")
-    na = _normalize(va, "first")
-    nb = _normalize(vb, "second")
-    return float(math.sqrt(np.sum((na - nb) ** 2)))
+    d = np.sqrt(np.sum((_normalize(va, "first") - _normalize(vb, "second")) ** 2, axis=-1))
+    return float(d) if vb.ndim == 1 else d

@@ -107,16 +107,17 @@ def class_mean_pr(
     other member are skipped; a class with no evaluable queries is omitted.
     """
     ids = sorted(set(descriptors) & set(labels))
-    vectors = {i: np.asarray(descriptors[i], dtype=np.int64) for i in ids}
+    matrix = np.array([descriptors[i] for i in ids], dtype=np.int64)
     # class -> one list of hit counts per query, one count per cutoff
     per_class: dict[str, list[list[int]]] = {}
     _check_cutoffs(cutoffs, len(ids) - 1)
-    for query_id in ids:
+    for row, query_id in enumerate(ids):
         relevant = {i for i in ids if i != query_id and labels[i] == labels[query_id]}
         if not relevant:
             continue
-        others = ((i, vectors[i]) for i in ids if i != query_id)
-        ranked = [i for _, i in rank_by_distance(vectors[query_id], others)]
+        # Ranking every row and then dropping the query's own id leaves the
+        # others in the order a ranking without it would give.
+        ranked = [i for _, i in rank_by_distance(matrix[row], ids, matrix) if i != query_id]
         per_class.setdefault(labels[query_id], []).append(
             [_hits(relevant, ranked[:k]) for k in cutoffs]
         )

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import (
     BadMagic,
@@ -110,9 +108,6 @@ class Payload:
                 raise OutOfRange(f"descriptor bin value {v} outside [0, {_MAX_BIN}]")
         object.__setattr__(self, "descriptor", desc)
         _check_text(self.locator, "locator")
-
-    def descriptor_array(self) -> np.ndarray:
-        return np.array(self.descriptor, dtype=np.int64)
 
 
 def _pack_text(value: str, name: str) -> bytes:

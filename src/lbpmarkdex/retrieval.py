@@ -10,8 +10,9 @@ the whole index from the files alone.
 Index file format: UTF-8 text, one entry per line,
 ``image_id <TAB> locator <TAB> class_label`` (class_label may be empty),
 ``#`` starts a comment line. Tabs and newlines are forbidden inside
-fields. Writers serialize through an exclusive lock on ``<index>.lock``;
-readers never lock.
+fields, and no entry may render as a blank or comment line. Writers
+serialize through an exclusive lock on ``<index>.lock``; readers never
+lock.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .descriptor import compute_descriptor, descriptor_distance
+import numpy as np
+
+from .descriptor import BINS, compute_descriptor, descriptor_distance
 from .errors import (
     DuplicateId,
     EmptyDescriptor,
@@ -57,6 +60,8 @@ class IndexEntry:
                 raise ValueError(f"{name} may not contain tabs or newlines: {value!r}")
         if not self.image_id:
             raise ValueError("image_id may not be empty")
+        if _skipped_line(_entry_line(self)):
+            raise ValueError(f"row of image_id {self.image_id!r} would read as a blank or comment line")
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,12 @@ def _publish(path: str, write, replace: bool) -> None:
             os.unlink(tmp)
 
 
+def _skipped_line(line: str) -> bool:
+    """True for a blank line or a comment: what _parse_tsv skips."""
+    stripped = line.strip()
+    return not stripped or stripped.startswith("#")
+
+
 def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
     """make(*fields) for every data line of a tab-separated text.
 
@@ -152,8 +163,7 @@ def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
     # also split inside fields at characters such as U+0085 or "\f".
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.removesuffix("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if _skipped_line(line):
             continue
         fields = line.split("\t")
         where = f"{source} line {lineno}"
@@ -289,10 +299,11 @@ def _scan_payloads(items, skipped: list[str] | None = None):
         yield name, locator, payload
 
 
-def rank_by_distance(query_desc, candidates) -> list[tuple[float, str]]:
-    """(distance, image_id) of (image_id, descriptor) candidates, ascending:
-    by distance to query_desc, ties broken by ascending image_id."""
-    return sorted((descriptor_distance(query_desc, d), i) for i, d in candidates)
+def rank_by_distance(query_desc, ids, rows) -> list[tuple[float, str]]:
+    """(distance, image_id) for each ids[j] with descriptor rows[j],
+    ascending: by distance to query_desc, ties broken by ascending id."""
+    matrix = np.asarray(rows, dtype=np.int64).reshape(len(ids), BINS)
+    return sorted(zip(descriptor_distance(query_desc, matrix).tolist(), ids))
 
 
 def query_by_image(query: GrayImage, index_path: str | os.PathLike, k: int) -> list[RankedResult]:
@@ -309,8 +320,9 @@ def query_by_image(query: GrayImage, index_path: str | os.PathLike, k: int) -> l
         raise EmptyIndex("cannot query an empty index")
     query_desc = compute_descriptor(query)
     scan = _scan_payloads((e.image_id, e.locator) for e in index.entries)
-    candidates = ((image_id, payload.descriptor_array()) for image_id, _, payload in scan)
-    return [RankedResult(i, d) for d, i in rank_by_distance(query_desc, candidates)[:k]]
+    found = [(image_id, payload.descriptor) for image_id, _, payload in scan]
+    ranked = rank_by_distance(query_desc, [i for i, _ in found], [d for _, d in found])
+    return [RankedResult(i, d) for d, i in ranked[:k]]
 
 
 def query_by_patient_id(pid: str, index_path: str | os.PathLike) -> list[tuple[IndexEntry, PatientRecord]]:
@@ -346,7 +358,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     report lists files that changed or created their row (repaired), files
     the scan skips (unreadable: no parseable payload, or an empty
     descriptor) and files whose id was already claimed by an earlier file
-    (conflicting).
+    or whose id or path the index cannot hold (conflicting).
     """
     store = os.fspath(store_dir)
     report = RelinkReport()
@@ -362,12 +374,15 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
         files = ((n, os.path.join(store, n)) for n in names if n.endswith(".pgm"))
         for _, path, payload in _scan_payloads(files, report.unreadable):
             image_id = os.path.splitext(os.path.basename(payload.locator))[0]
-            if not image_id or image_id in rebuilt:
+            previous = old.find(image_id)
+            try:
+                entry = IndexEntry(image_id, path, previous.class_label if previous else "")
+            except ValueError:
+                entry = None
+            if entry is None or image_id in rebuilt:
                 report.conflicting.append(path)
                 continue
-            previous = old.find(image_id)
-            label = previous.class_label if previous is not None else ""
-            rebuilt[image_id] = IndexEntry(image_id, path, label)
+            rebuilt[image_id] = entry
             if previous is None or previous.locator != path:
                 report.repaired.append(path)
         new_index = Index(rebuilt[i] for i in sorted(rebuilt))

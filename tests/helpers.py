@@ -279,3 +279,15 @@ def save_empty_descriptor_file(path, rng: np.random.Generator, patient_id: str) 
         record=PatientRecord(patient_id=patient_id),
     )
     save_pgm(path, embed(img, encode_payload(payload)))
+
+
+def save_locator_file(path, rng: np.random.Generator, locator: str) -> None:
+    """Store a watermarked image at path whose payload names locator, which
+    need not be path or any locator index_add would write."""
+    img = smooth_noise_image(rng, 160, 160)
+    payload = Payload(
+        descriptor=compute_descriptor(img),
+        locator=locator,
+        record=PatientRecord(patient_id="P-LOC"),
+    )
+    save_pgm(path, embed(img, encode_payload(payload)))

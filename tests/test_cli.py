@@ -23,7 +23,7 @@ from lbpmarkdex import (
 )
 from lbpmarkdex.cli import INDEX_ENV, run
 
-from helpers import gradient_image, smooth_noise_image, stripe_image
+from helpers import gradient_image, save_locator_file, smooth_noise_image, stripe_image
 
 
 def _tree(root) -> list[str]:
@@ -112,7 +112,7 @@ class TestIndexVerb:
         assert err.startswith("DuplicateId")
 
     @pytest.mark.parametrize(
-        "image_id", ["../up", "a/b", ".", "..", "x\0y", "a\tb", "a\nb", ""]
+        "image_id", ["../up", "a/b", ".", "..", "x\0y", "a\tb", "a\nb", "", "#a", "\x85#a"]
     )
     def test_bad_id_exits_one_and_writes_nothing(self, cli_store, tmp_path, capsys, image_id):
         image = tmp_path / "in.pgm"
@@ -458,6 +458,28 @@ class TestRelinkVerb:
             "sb1",
         ]
 
+    @pytest.mark.parametrize(
+        "name, locator",
+        [
+            ("odd.pgm", "store/a\tb.pgm"),
+            ("odd.pgm", "store/#scan.pgm"),
+            ("odd.pgm", "store/\x85#x.pgm"),
+            ("a\tb.pgm", "store/fine.pgm"),
+        ],
+    )
+    def test_row_the_index_cannot_hold_conflicts(self, cli_store, tmp_path, capsys, name, locator):
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        odd = store_copy / name
+        save_locator_file(odd, np.random.default_rng(41), locator)
+        new_index = tmp_path / "rebuilt.tsv"
+        code = run(["relink", "--store", str(store_copy), "--index", str(new_index)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:4] == ["indexed\t4", "repaired\t4", "unreadable\t0", "conflicting\t1"]
+        assert f"conflicting\t{odd}" in lines
+        assert [e.image_id for e in Index.load(new_index).entries] == ["ga0", "ga1", "sb0", "sb1"]
+
 
 class TestEvaluateVerb:
     def test_matches_library_result(self, cli_store, capsys):
@@ -472,7 +494,7 @@ class TestEvaluateVerb:
         assert code == 0
         index = Index.load(cli_store["index"])
         descriptors = {
-            e.image_id: read_stored(e.locator)[0].descriptor_array()
+            e.image_id: read_stored(e.locator)[0].descriptor
             for e in index.entries
         }
         labels = {e.image_id: e.class_label for e in index.entries}
@@ -519,7 +541,7 @@ class TestEvaluateVerb:
             code = run(["evaluate", "--cutoffs", "1,2", "--index", str(index_path)])
         assert code == 0
         intact = {
-            e.image_id: read_stored(e.locator)[0].descriptor_array()
+            e.image_id: read_stored(e.locator)[0].descriptor
             for e in index.entries
             if e.image_id != "sb1"
         }

@@ -137,3 +137,56 @@ class TestDistance:
             bc = descriptor_distance(b, c)
             ac = descriptor_distance(a, c)
             assert ac <= ab + bc + 1e-12
+
+
+def per_pair_distance(a, b):
+    """The one-pair formula the package used before the matrix form: each
+    vector scaled by its int total, then sqrt of the summed squares."""
+    na = np.asarray(a, dtype=np.int64).astype(np.float64) / int(np.sum(a))
+    nb = np.asarray(b, dtype=np.int64).astype(np.float64) / int(np.sum(b))
+    return float(math.sqrt(np.sum((na - nb) ** 2)))
+
+
+class TestMatrixDistance:
+    """descriptor_distance(a, rows) gives one distance per row, equal (not
+    approximately) to the one-pair formula."""
+
+    @staticmethod
+    def _rows(seed):
+        rng = np.random.default_rng(seed)
+        # Descriptor-sized masses, some sparse rows, and repeated rows so
+        # that rankings over them contain exact ties.
+        rows = rng.integers(0, 400, size=(60, 256))
+        rows[::7, rng.integers(0, 256, size=200)] = 0
+        rows[10] = rows[3]
+        rows[20] = rows[3]
+        rows[41] = rows[17]
+        return rows
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_rows_equal_the_per_pair_formula(self, seed):
+        rows = self._rows(seed)
+        for q in (0, 3, 17, 59):
+            got = descriptor_distance(rows[q], rows)
+            assert got.dtype == np.float64 and got.shape == (len(rows),)
+            assert got.tolist() == [per_pair_distance(rows[q], r) for r in rows]
+            assert [descriptor_distance(rows[q], r) for r in rows] == got.tolist()
+
+    def test_repeated_rows_tie_exactly(self):
+        rows = self._rows(44)
+        got = descriptor_distance(rows[0], rows)
+        assert got[3] == got[10] == got[20]
+        assert got[17] == got[41]
+        assert descriptor_distance(rows[3], rows)[[3, 10, 20]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_zero_row_rejected(self):
+        rows = self._rows(45)
+        rows[5] = 0
+        with pytest.raises(EmptyDescriptor):
+            descriptor_distance(rows[0], rows)
+        with pytest.raises(EmptyDescriptor):
+            descriptor_distance(rows[5], rows[:5])
+
+    def test_no_rows_no_distances(self):
+        got = descriptor_distance(np.ones(256, dtype=np.int64), np.zeros((0, 256), dtype=np.int64))
+        assert got.shape == (0,)

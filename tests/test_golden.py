@@ -1,11 +1,16 @@
-"""Bit-identity of the watermark against recorded digests.
+"""Bit-identity of the watermark and of retrieval against recorded values.
 
-Each case is a seeded image and payload. The test pins the sha256 of the
-stored PGM bytes of embed(), the sha256 of the data extract() reads back,
-and capacity(). The constants were recorded from an earlier build of the
-package, so any change to the on-pixel stream layout, the zone rules or
-the bit budget shows up here as a changed digest, even when embed and
-extract still agree with each other.
+Each watermark case is a seeded image and payload. The test pins the
+sha256 of the stored PGM bytes of embed(), the sha256 of the data
+extract() reads back, and capacity(). The constants were recorded from an
+earlier build of the package, so any change to the on-pixel stream
+layout, the zone rules or the bit budget shows up here as a changed
+digest, even when embed and extract still agree with each other.
+
+The retrieval case pins the repr of every query distance and every
+leave-one-out precision/recall row of a seeded labeled store, so a change
+to the distance arithmetic or to the (distance, id) order shows up as a
+changed constant.
 """
 
 import hashlib
@@ -13,8 +18,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from lbpmarkdex import GrayImage, capacity, embed, extract, write_pgm
+from lbpmarkdex import (
+    GrayImage,
+    Index,
+    capacity,
+    class_mean_pr,
+    embed,
+    extract,
+    index_add,
+    query_by_image,
+    read_stored,
+    write_pgm,
+)
 from lbpmarkdex.errors import PayloadTooLarge
+
+from helpers import TEXTURE_CLASSES, sample_patient
 
 
 def _payload(rng, img, share):
@@ -174,3 +192,62 @@ def test_watermark_matches_recorded_digests(name):
     assert _sha(out) == expected[2]
     assert out[: len(data)] == data
     assert restored == img
+
+
+def labeled_store(root):
+    """Three seeded 160x160 images per texture class, plus a copy of
+    stripe1 under a second id so two distances tie; returns the index path
+    and a fresh stripe query image."""
+    rng = np.random.default_rng(109)
+    index_path = str(root / "index.tsv")
+    store_dir = str(root / "files")
+    images = {}
+    for label in sorted(TEXTURE_CLASSES):
+        for j in range(3):
+            img = TEXTURE_CLASSES[label](rng, 160)
+            images[f"{label}{j}"] = img
+            index_add(index_path, img, f"{label}{j}", sample_patient(len(images)), store_dir, label)
+    index_add(index_path, images["stripe1"], "stripe1_copy", sample_patient(0), store_dir, "stripe")
+    return index_path, TEXTURE_CLASSES["stripe"](rng, 160)
+
+
+# (image_id, repr(distance)) of query_by_image(query, index, 10).
+GOLDEN_QUERY = [
+    ("stripe1", "0.6671539812290771"),
+    ("stripe1_copy", "0.6671539812290771"),
+    ("stripe2", "0.6763841227692873"),
+    ("stripe0", "0.7246748800038174"),
+    ("gradient1", "0.779966705438853"),
+    ("impulse0", "0.8053018423382895"),
+    ("impulse2", "0.8383206054425593"),
+    ("impulse1", "0.8592412000622047"),
+    ("gradient0", "0.9369947511176152"),
+    ("gradient2", "1.041199786343562"),
+]
+
+# (class, k, repr(mean precision), repr(mean recall)) at cutoffs 1, 2, 5, 9.
+GOLDEN_CLASS_MEAN_PR = [
+    ("gradient", 1, "0.6666666666666666", "0.3333333333333333"),
+    ("gradient", 2, "0.3333333333333333", "0.3333333333333333"),
+    ("gradient", 5, "0.13333333333333333", "0.3333333333333333"),
+    ("gradient", 9, "0.2222222222222222", "1.0"),
+    ("impulse", 1, "1.0", "0.5"),
+    ("impulse", 2, "1.0", "1.0"),
+    ("impulse", 5, "0.4", "1.0"),
+    ("impulse", 9, "0.2222222222222222", "1.0"),
+    ("stripe", 1, "1.0", "0.3333333333333333"),
+    ("stripe", 2, "1.0", "0.6666666666666666"),
+    ("stripe", 5, "0.6", "1.0"),
+    ("stripe", 9, "0.3333333333333333", "1.0"),
+]
+
+
+def test_retrieval_matches_recorded_values(tmp_path):
+    index_path, query = labeled_store(tmp_path)
+    results = query_by_image(query, index_path, 10)
+    assert [(r.image_id, repr(r.distance)) for r in results] == GOLDEN_QUERY
+    index = Index.load(index_path)
+    descriptors = {e.image_id: read_stored(e.locator)[0].descriptor for e in index.entries}
+    labels = {e.image_id: e.class_label for e in index.entries}
+    rows = class_mean_pr(descriptors, labels, [1, 2, 5, 9])
+    assert [(c, k, repr(p), repr(r)) for c, k, p, r in rows] == GOLDEN_CLASS_MEAN_PR

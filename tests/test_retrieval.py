@@ -79,6 +79,15 @@ class TestIndexFile:
         with pytest.raises(ValueError):
             IndexEntry("", "x")
 
+    @pytest.mark.parametrize(
+        "fields", [("#a", "x"), ("\x85#x", "x"), (" #a", "x"), (" ", "#x"), (" ", " ")]
+    )
+    def test_row_read_as_comment_or_blank_rejected(self, fields):
+        # Such a row would be written but skipped by every later load.
+        assert Index.parse(f"{fields[0]}\t{fields[1]}\t\n") == Index()
+        with pytest.raises(ValueError):
+            IndexEntry(*fields)
+
     def test_crlf_lines_read(self):
         index = Index.parse("a\tstore/a.pgm\tL\r\nb\tstore/b.pgm\r\n")
         assert [e.image_id for e in index.entries] == ["a", "b"]
@@ -131,7 +140,7 @@ class TestIndexAdd:
         payload, restored = read_stored(entry.locator)
         original = store["originals"]["img004"]
         assert np.array_equal(
-            payload.descriptor_array(), compute_descriptor(original)
+            payload.descriptor, compute_descriptor(original)
         )
         assert restored == original
         assert payload.locator == entry.locator
@@ -263,6 +272,16 @@ class TestQueryByImage:
         assert len(results) == 6
         assert all(r.image_id != "broken" for r in results)
         assert any("broken" in rec.getMessage() for rec in caplog.records)
+
+    def test_every_entry_skipped_gives_no_results(self, store, tmp_path, caplog):
+        index_path = tmp_path / "idx.tsv"
+        index_path.write_text(
+            f"gone\t{tmp_path / 'missing.pgm'}\t\nalso\t{tmp_path / 'absent.pgm'}\t\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            assert query_by_image(store["originals"]["img000"], str(index_path), 3) == []
+        assert len(caplog.records) == 2
 
     def test_non_watermarked_file_skipped(self, store, tmp_path):
         rng = np.random.default_rng(8)
