@@ -1,12 +1,13 @@
 """Three-level Gaussian pyramid for grayscale images.
 
 Level 0 is the input. Each further level halves both dimensions (ceil
-division) by smoothing with the separable binomial kernel
-(1, 4, 6, 4, 1) / 16 and keeping every second sample. Rows and columns
-beyond the image are handled by replicating the nearest edge pixel. The
-two 1-D passes are fused into one 5x5 integer convolution with weight sum
-256 and a single final round-half-up, so results carry no intermediate
-rounding bias.
+division) with the separable binomial kernel (1, 4, 6, 4, 1) / 16 and
+keeps every second sample (Burt & Adelson's REDUCE). Rows and columns
+beyond the image are handled by replicating the nearest edge pixel. A row
+pass over the even rows of the padded image is followed by a column pass
+over the even columns of its result, so only the kept samples are
+computed. Both passes sum raw int32 products (weight sum 256) and round
+half up once at the end, so results carry no intermediate rounding bias.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from .errors import ImageTooSmall
 from .image_io import GrayImage
 
-_KERNEL_1D = np.array([1, 4, 6, 4, 1], dtype=np.int64)
+# Plain ints: an int64 kernel element would promote the int32 passes.
+_KERNEL_1D = (1, 4, 6, 4, 1)
 LEVELS = 3
 
 
@@ -28,16 +30,11 @@ def reduce_once(img: GrayImage) -> GrayImage:
     """
     if img.width < 2 or img.height < 2:
         raise ImageTooSmall(f"cannot halve a {img.width}x{img.height} image")
-    p = img.pixels.astype(np.int64)
-    padded = np.pad(p, 2, mode="edge")
-    h, w = p.shape
-    acc = np.zeros((h, w), dtype=np.int64)
-    for ky in range(5):
-        row_slice = padded[ky : ky + h]
-        for kx in range(5):
-            acc += _KERNEL_1D[ky] * _KERNEL_1D[kx] * row_slice[:, kx : kx + w]
-    smoothed = (acc + 128) // 256
-    return GrayImage(smoothed[::2, ::2].astype(np.uint8))
+    h, w = img.pixels.shape
+    padded = np.pad(img.pixels.astype(np.int32), 2, mode="edge")
+    rows = sum(k * padded[i : i + h : 2] for i, k in enumerate(_KERNEL_1D))
+    acc = sum(k * rows[:, i : i + w : 2] for i, k in enumerate(_KERNEL_1D))
+    return GrayImage(((acc + 128) // 256).astype(np.uint8))
 
 
 def build_pyramid(img: GrayImage) -> list[GrayImage]:

@@ -11,8 +11,8 @@ Index file format: UTF-8 text, one entry per line,
 ``image_id <TAB> locator <TAB> class_label`` (class_label may be empty),
 ``#`` starts a comment line. Tabs and newlines are forbidden inside
 fields, and no entry may render as a blank or comment line. Writers
-serialize through an exclusive lock on ``<index>.lock``; readers never
-lock.
+serialize through an exclusive lock on ``<index>.lock`` and rewrite the
+whole file atomically, so comments are not kept; readers never lock.
 """
 
 from __future__ import annotations
@@ -209,6 +209,16 @@ def _index_lock(index_path: str | os.PathLike):
         os.close(fd)
 
 
+def _new_entry(image_id: str, locator: str, class_label: str) -> IndexEntry:
+    """The IndexEntry a writer may add: its id must also be a single path
+    component (not '.' or '..', no '/' or NUL), since it names a stored
+    file. Raises ValueError otherwise. Loading an index does not apply
+    this rule, so relink can still repair an old index with such a row."""
+    if image_id in (".", "..") or "/" in image_id or "\0" in image_id:
+        raise ValueError(f"image_id {image_id!r} is not a single path component")
+    return IndexEntry(image_id, locator, class_label)
+
+
 def locator_for(store_dir: str | os.PathLike, image_id: str) -> str:
     """Where index_add stores (and embeds) the watermarked file for an id."""
     return os.path.join(os.fspath(store_dir), f"{image_id}.pgm")
@@ -223,7 +233,8 @@ def index_add(
     class_label: str = "",
 ) -> IndexEntry:
     """Watermark an image with its own descriptor and record, store it, and
-    append the entry to the index file.
+    add the entry to the index file, which is rewritten atomically (comment
+    and blank lines are not kept).
 
     The original image is not kept anywhere; extract() recovers it from the
     stored file, which is therefore never overwritten: an id that is
@@ -232,10 +243,8 @@ def index_add(
     including for an id that is not a single path component or that the
     index format cannot hold.
     """
-    if image_id in (".", "..") or "/" in image_id or "\0" in image_id:
-        raise IoFailure(f"image_id {image_id!r} is not a single path component")
     try:
-        entry = IndexEntry(image_id, locator_for(store_dir, image_id), class_label)
+        entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
     except ValueError as exc:
         raise IoFailure(str(exc)) from exc
     descriptor = compute_descriptor(original)
@@ -245,8 +254,7 @@ def index_add(
     blob = encode_payload(payload)
     with _index_lock(index_path):
         index = Index.load(index_path)
-        if image_id in index:
-            raise DuplicateId(f"image_id {image_id!r} already indexed")
+        index.add(entry)
         marked = embed(original, blob)
         try:
             os.makedirs(os.fspath(store_dir), exist_ok=True)
@@ -254,10 +262,9 @@ def index_add(
                 _publish(entry.locator, lambda tmp: save_pgm(tmp, marked), replace=False)
             except FileExistsError as exc:
                 raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
-            with open(index_path, "a", encoding="utf-8") as fh:
-                fh.write(_entry_line(entry))
         except OSError as exc:
             raise IoFailure(f"cannot store {entry.locator!r}: {exc}") from exc
+        index.save(index_path)
     return entry
 
 
@@ -358,7 +365,8 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     report lists files that changed or created their row (repaired), files
     the scan skips (unreadable: no parseable payload, or an empty
     descriptor) and files whose id was already claimed by an earlier file
-    or whose id or path the index cannot hold (conflicting).
+    or whose id index_add would refuse or whose path the index cannot hold
+    (conflicting).
     """
     store = os.fspath(store_dir)
     report = RelinkReport()
@@ -376,7 +384,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
             image_id = os.path.splitext(os.path.basename(payload.locator))[0]
             previous = old.find(image_id)
             try:
-                entry = IndexEntry(image_id, path, previous.class_label if previous else "")
+                entry = _new_entry(image_id, path, previous.class_label if previous else "")
             except ValueError:
                 entry = None
             if entry is None or image_id in rebuilt:

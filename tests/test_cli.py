@@ -465,6 +465,8 @@ class TestRelinkVerb:
             ("odd.pgm", "store/#scan.pgm"),
             ("odd.pgm", "store/\x85#x.pgm"),
             ("a\tb.pgm", "store/fine.pgm"),
+            ("odd.pgm", "store/.."),
+            ("odd.pgm", "store/a\x00b.pgm"),
         ],
     )
     def test_row_the_index_cannot_hold_conflicts(self, cli_store, tmp_path, capsys, name, locator):

@@ -7,6 +7,10 @@ earlier build of the package, so any change to the on-pixel stream
 layout, the zone rules or the bit budget shows up here as a changed
 digest, even when embed and extract still agree with each other.
 
+The descriptor cases pin the sha256 of compute_descriptor for a large
+image with even sides and one with odd sides, so a change to the pyramid
+arithmetic or its edge handling shows up as a changed digest.
+
 The retrieval case pins the repr of every query distance and every
 leave-one-out precision/recall row of a seeded labeled store, so a change
 to the distance arithmetic or to the (distance, id) order shows up as a
@@ -23,6 +27,7 @@ from lbpmarkdex import (
     Index,
     capacity,
     class_mean_pr,
+    compute_descriptor,
     embed,
     extract,
     index_add,
@@ -192,6 +197,35 @@ def test_watermark_matches_recorded_digests(name):
     assert _sha(out) == expected[2]
     assert out[: len(data)] == data
     assert restored == img
+
+
+def noise_1024():
+    rng = np.random.default_rng(110)
+    return GrayImage(rng.integers(0, 256, size=(1024, 1024)))
+
+
+def wave_1023x517():
+    # Smooth waves with a little noise: many equal LBP neighbours, so a
+    # pyramid pixel off by one flips codes.
+    rng = np.random.default_rng(111)
+    yy, xx = np.mgrid[0:517, 0:1023]
+    wave = np.sin(2 * np.pi * (0.7 * xx + 0.4 * yy) / 23.0)
+    noise = rng.integers(-3, 4, size=(517, 1023))
+    return GrayImage(np.rint(128 + 60 * wave).astype(np.int64) + noise)
+
+
+# name -> sha256 of compute_descriptor(image) as little-endian int64 bytes.
+GOLDEN_DESCRIPTOR = {
+    "noise_1024": (noise_1024, "36e4500cb84271da7f6170ae4fdc8cfea316036b0287f25225401a5fa3f4612d"),
+    "wave_1023x517": (wave_1023x517, "d4d716a6eb29ca28054acfc268d593e2a6b2db1f88b7b3be02ffdd5ca47c1231"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DESCRIPTOR))
+def test_descriptor_matches_recorded_digest(name):
+    make, expected = GOLDEN_DESCRIPTOR[name]
+    desc = compute_descriptor(make())
+    assert _sha(desc.astype("<i8").tobytes()) == expected
 
 
 def labeled_store(root):

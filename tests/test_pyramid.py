@@ -54,9 +54,8 @@ class TestReduce:
 
     def test_random_images_match_dense_oracle(self):
         rng = np.random.default_rng(20)
-        for _ in range(12):
-            w = int(rng.integers(2, 18))
-            h = int(rng.integers(2, 18))
+        shapes = [(int(rng.integers(2, 42)), int(rng.integers(2, 42))) for _ in range(40)]
+        for w, h in shapes + [(40, 40), (40, 41), (41, 40), (41, 41)]:
             pixels = rng.integers(0, 256, size=(h, w))
             assert np.array_equal(
                 reduce_once(GrayImage(pixels)).pixels, oracle_reduce(pixels)

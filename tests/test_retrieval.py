@@ -221,6 +221,17 @@ class TestIndexAdd:
         assert report.repaired == [entry.locator]
         assert Index.load(index_path) == rebuilt
 
+    def test_index_without_final_newline_takes_a_new_row(self, tmp_path):
+        # The format lets the last row end without "\n"; a new row must not
+        # be glued onto it.
+        index_path = tmp_path / "i.tsv"
+        index_path.write_text("a\tstore/a.pgm", encoding="utf-8")
+        img = smooth_noise_image(np.random.default_rng(18), 160, 160)
+        entry = index_add(str(index_path), img, "b", sample_patient(0), str(tmp_path / "s"))
+        index = Index.load(index_path)
+        assert [e.image_id for e in index.entries] == ["a", "b"]
+        assert index.find("b") == entry
+
 
 class TestQueryByImage:
     def test_self_query_ranks_first_with_zero_distance(self, store):
@@ -405,6 +416,15 @@ class TestRelink:
         rebuilt, report = relink(store_dir, index_path)
         assert rebuilt == before
         assert report.repaired == []
+
+    def test_old_row_with_an_id_index_add_refuses_loads_and_is_dropped(self, store, tmp_path):
+        index_path, store_dir = self._clone_store(store, tmp_path)
+        with open(index_path, "a", encoding="utf-8") as fh:
+            fh.write(f"..\t{os.path.join(store_dir, 'x.pgm')}\t\n")
+        assert ".." in Index.load(index_path)
+        rebuilt, report = relink(store_dir, index_path)
+        assert ".." not in rebuilt and len(rebuilt) == 6
+        assert report.conflicting == []
 
     def test_non_watermarked_file_listed_unreadable(self, store, tmp_path):
         rng = np.random.default_rng(9)
