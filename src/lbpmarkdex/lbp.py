@@ -55,7 +55,7 @@ def lbp_map(img: GrayImage) -> np.ndarray:
         raise ImageTooSmall(
             f"{img.width}x{img.height} image has no interior pixels for LBP"
         )
-    p = img.pixels.astype(np.int16)
+    p = img.pixels  # >= on uint8 is exact, so no widening
     center = p[1:-1, 1:-1]
     codes = np.zeros(center.shape, dtype=np.uint8)
     for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):

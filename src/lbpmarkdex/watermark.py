@@ -23,12 +23,15 @@ from the watermarked image alone.
 On-pixels bitstream (the interoperability surface between embed and
 extract), written MSB-first into the LSBs of writable pairs in scan order:
 
-    [1 bit]   location-map flag: 0 = raw bitmap, 1 = run-length encoded
+    [1 bit]   location-map flag, 1 (run-length encoded) in every stored
+              file; 0 would mean a raw bitmap of one bit per pair, which by
+              itself exceeds the writable slots, so embed refuses before
+              writing and the reader rejects it
     [32 bits] big-endian length of the encoded map body, in bits
-    [map]     raw: one bit per pair, 1 = expanded;
-              RLE: alternating big-endian 16-bit run lengths, first run
-              counts zeros; a run longer than 65535 is split by emitting
-              65535 followed by a zero-length run of the other symbol
+    [map]     alternating big-endian 16-bit run lengths of the map
+              (1 = expanded pair), first run counts zeros; a run longer
+              than 65535 is split by emitting 65535 followed by a
+              zero-length run of the other symbol
     [C bits]  original LSBs of the changeable-only pairs, scan order
     [data]    payload bytes, MSB-first
     [pad]     zero bits to fill the remaining writable slots
@@ -93,18 +96,15 @@ def _substitute(h, bit):
     return 2 * (h // 2) + bit
 
 
-def _zone_masks(l, h):
-    """(expandable, changeable) for ints or arrays; changeable includes expandable.
+def _fits(write, l, h):
+    """Whether write (_expand or _substitute), with either bit, keeps the
+    new difference within the reconstruction bound; for ints or arrays.
 
-    A pair is in a zone when that zone's write, with either bit, keeps the
-    new difference within the reconstruction bound.
+    _fits(_expand, ...) is the expandable zone and _fits(_substitute, ...)
+    the changeable one, which includes it.
     """
     bound = reconstruction_bound(l)
-
-    def fits(write):
-        return (np.abs(write(h, 0)) <= bound) & (np.abs(write(h, 1)) <= bound)
-
-    return fits(_expand), fits(_substitute)
+    return (np.abs(write(h, 0)) <= bound) & (np.abs(write(h, 1)) <= bound)
 
 
 def inverse_transform(p: DiffPair) -> tuple[int, int]:
@@ -121,10 +121,9 @@ def inverse_transform(p: DiffPair) -> tuple[int, int]:
 
 def classify(p: DiffPair) -> ZoneClass:
     """Zone of a pair: can it be expanded, only LSB-written, or neither."""
-    expandable, changeable = _zone_masks(p.l, p.h)
-    if expandable:
+    if _fits(_expand, p.l, p.h):
         return ZoneClass.EXPANDABLE
-    if changeable:
+    if _fits(_substitute, p.l, p.h):
         return ZoneClass.CHANGEABLE_ONLY
     return ZoneClass.UNCHANGEABLE
 
@@ -141,23 +140,15 @@ def rle_encode_map(bits: np.ndarray) -> bytes:
     continuation rule.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    words: list[int] = []
-    expected = 0
-    if bits.size:
-        changes = np.flatnonzero(np.diff(bits)) + 1
-        starts = np.concatenate(([0], changes))
-        ends = np.concatenate((changes, [bits.size]))
-        for value, start, end in zip(bits[starts], starts, ends):
-            if int(value) != expected:
-                words.append(0)
-                expected ^= 1
-            length = int(end - start)
-            while length > 0xFFFF:
-                words.append(0xFFFF)
-                words.append(0)
-                length -= 0xFFFF
-            words.append(length)
-            expected ^= 1
+    if not bits.size:
+        return b""
+    changes = np.flatnonzero(np.diff(bits)) + 1
+    lengths = np.diff(np.concatenate(([0], changes, [bits.size])))
+    # Runs alternate by construction; a map opening with ones gets an empty zero run.
+    words = [0] * int(bits[0])
+    for length in lengths.tolist():
+        splits = (length - 1) // 0xFFFF
+        words += [0xFFFF, 0] * splits + [length - 0xFFFF * splits]
     return struct.pack(f">{len(words)}H", *words)
 
 
@@ -165,26 +156,25 @@ def rle_decode_map(body: bytes, n_bits: int) -> np.ndarray:
     """Inverse of rle_encode_map; raises MalformedStream on bad input."""
     if len(body) % 2 != 0:
         raise MalformedStream(f"RLE map body of {len(body)} bytes is not word-aligned")
-    bits = np.zeros(n_bits, dtype=np.uint8)
-    pos = 0
-    symbol = 0
-    for (run,) in struct.iter_unpack(">H", body):
-        if pos + run > n_bits:
-            raise MalformedStream(f"RLE runs cover more than the {n_bits} map bits")
-        if symbol:
-            bits[pos : pos + run] = 1
-        pos += run
-        symbol ^= 1
-    if pos != n_bits:
-        raise MalformedStream(f"RLE runs cover {pos} of {n_bits} map bits")
-    return bits
+    runs = np.frombuffer(body, dtype=">u2")
+    covered = int(runs.sum(dtype=np.int64))
+    if covered > n_bits:
+        raise MalformedStream(f"RLE runs cover more than the {n_bits} map bits")
+    if covered != n_bits:
+        raise MalformedStream(f"RLE runs cover {covered} of {n_bits} map bits")
+    # Odd-numbered runs are ones; the parity comes from int64 indices, so
+    # any number of runs alternates correctly.
+    return np.repeat((np.arange(runs.size) & 1).astype(np.uint8), runs)
 
 
 def encode_location_map(bits: np.ndarray) -> tuple[int, np.ndarray]:
     """Pick the smaller of raw and RLE encodings.
 
     Returns (flag, body_bits) where flag is 0 for raw and 1 for RLE and
-    body_bits is a 0/1 uint8 array.
+    body_bits is a 0/1 uint8 array. Only RLE ever reaches a file: a raw
+    map is one bit per pair, which by itself exceeds the writable slots,
+    so embed refuses it; the raw choice survives only to size the
+    PayloadTooLarge message.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     rle = rle_encode_map(bits)
@@ -231,7 +221,7 @@ def _layout(img: GrayImage):
     left after it are the capacity, clamped at zero.
     """
     l, h = _pair_arrays(img)
-    expandable, changeable = _zone_masks(l, h)
+    expandable, changeable = _fits(_expand, l, h), _fits(_substitute, l, h)
     flag, body = encode_location_map(expandable.ravel())
     length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
     saved = (h & 1).astype(np.uint8)[changeable & ~expandable]
@@ -281,13 +271,13 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
 def _parse_stream(img: GrayImage):
     """(data, l, h_marked, expanded, change_only, saved_bits) of a marked image.
 
-    Makes every check on the stream: header, map length, raw or RLE map,
-    map within the changeable pairs, and room for the saved LSBs; any
+    Makes every check on the stream: header, map length, map flag, RLE
+    map, map within the changeable pairs, and room for the saved LSBs; any
     failure raises MalformedStream. Restoring needs only the arrays it
     returns.
     """
     l, h_marked = _pair_arrays(img)
-    _, changeable = _zone_masks(l, h_marked)
+    changeable = _fits(_substitute, l, h_marked)
     slots = np.count_nonzero(changeable)
     if slots < _HEADER_BITS:
         raise MalformedStream(
@@ -301,17 +291,14 @@ def _parse_stream(img: GrayImage):
         raise MalformedStream(
             f"declared map body of {map_len} bits exceeds the {slots}-slot stream"
         )
-    body = stream[_HEADER_BITS : _HEADER_BITS + map_len]
+    # A raw map (flag 0) is n_pairs bits and slots <= n_pairs, so the check
+    # above already rejects every raw map whose length would match.
     if flag == 0:
-        if map_len != n_pairs:
-            raise MalformedStream(
-                f"raw map is {map_len} bits for {n_pairs} pairs"
-            )
-        map_bits = body
-    else:
-        if map_len % 16 != 0:
-            raise MalformedStream(f"RLE map body of {map_len} bits is not word-aligned")
-        map_bits = rle_decode_map(np.packbits(body).tobytes(), n_pairs)
+        raise MalformedStream(f"raw map is {map_len} bits for {n_pairs} pairs")
+    if map_len % 16 != 0:
+        raise MalformedStream(f"RLE map body of {map_len} bits is not word-aligned")
+    body = stream[_HEADER_BITS : _HEADER_BITS + map_len]
+    map_bits = rle_decode_map(np.packbits(body).tobytes(), n_pairs)
     expanded = map_bits.astype(bool).reshape(l.shape)
     if np.any(expanded & ~changeable):
         raise MalformedStream("location map marks a pair that holds no stream bit")

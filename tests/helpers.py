@@ -221,23 +221,36 @@ def parse_wire(pixels: np.ndarray) -> dict:
     }
 
 
-def flip_stream_bit(img: GrayImage, bit_index: int) -> GrayImage:
-    """Complement the LSB carried at one stream position of a marked image.
+def write_stream_bits(img: GrayImage, start: int, bits: list[int]) -> GrayImage:
+    """Set the LSBs carried at stream positions start, start + 1, ... of a
+    marked image to bits.
 
-    The write keeps the pair changeable (it is a legal LSB substitution),
-    so extraction still reads the slot, now carrying the flipped bit.
+    Each write is a legal LSB substitution, which keeps the pair
+    changeable, so extraction still reads the same slots, now carrying
+    the new bits.
     """
     pixels = img.pixels.astype(np.int64)
     positions, _ = changeable_pair_scan(pixels)
-    row, j = positions[bit_index]
-    a = int(pixels[row, 2 * j])
-    b = int(pixels[row, 2 * j + 1])
-    l = (a + b) // 2
-    h = a - b
-    flipped = 2 * (h // 2) + (1 - h % 2)
-    pixels[row, 2 * j] = l + (flipped + 1) // 2
-    pixels[row, 2 * j + 1] = l - flipped // 2
+    assert start + len(bits) <= len(positions), "stream has too few slots"
+    for (row, j), bit in zip(positions[start:], bits):
+        a = int(pixels[row, 2 * j])
+        b = int(pixels[row, 2 * j + 1])
+        l = (a + b) // 2
+        written = 2 * ((a - b) // 2) + bit
+        pixels[row, 2 * j] = l + (written + 1) // 2
+        pixels[row, 2 * j + 1] = l - written // 2
     return GrayImage(pixels)
+
+
+def flip_stream_bit(img: GrayImage, bit_index: int) -> GrayImage:
+    """Complement the LSB carried at one stream position of a marked image."""
+    _, bits = changeable_pair_scan(img.pixels)
+    return write_stream_bits(img, bit_index, [1 - bits[bit_index]])
+
+
+def int_bits(value: int, width: int) -> list[int]:
+    """value as width bits, most significant first (the stream's bit order)."""
+    return [(value >> shift) & 1 for shift in reversed(range(width))]
 
 
 # ---------------------------------------------------------------------------

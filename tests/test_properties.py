@@ -1,6 +1,6 @@
 """Property tests: untrusted bytes raise only domain errors, the data-only
-read agrees with extract(), and embedding round-trips whenever the payload
-fits.
+read agrees with extract(), embedding round-trips whenever the payload
+fits, and only a run-length coded location map can reach a file.
 
 Runs are derandomized so every run of the suite checks the same examples.
 """
@@ -9,13 +9,16 @@ import struct
 import zlib
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lbpmarkdex import GrayImage, capacity, decode_payload, embed, extract, read_pgm
-from lbpmarkdex.errors import LbpmarkdexError, PayloadTooLarge
-from lbpmarkdex.watermark import extract_data
+from lbpmarkdex.errors import LbpmarkdexError, MalformedStream, PayloadTooLarge
+from lbpmarkdex.watermark import encode_location_map, extract_data
+
+from helpers import flip_stream_bit, reference_zone
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -57,6 +60,25 @@ def _smooth_images(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     noise = np.random.default_rng(seed).integers(-spread, spread + 1, size=(height, width))
     return GrayImage(np.clip(base + noise, 0, 255))
+
+
+# Pairs of each zone: expandable (mid-gray, small difference),
+# changeable-only, and two unchangeable ones.
+_PAIR_KINDS = np.array([[120, 121], [251, 255], [255, 255], [0, 255]])
+
+
+@st.composite
+def _scattered_images(draw):
+    """Images whose expandable pairs are scattered among the others, so a
+    raw location map is usually smaller than its run-length form."""
+    height = draw(st.integers(1, 24))
+    n_pairs = draw(st.integers(1, 24))
+    odd_column = draw(st.integers(0, 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, len(_PAIR_KINDS), size=(height, n_pairs))
+    pixels = _PAIR_KINDS[kinds].reshape(height, 2 * n_pairs)
+    return GrayImage(np.hstack([pixels, np.full((height, odd_column), 7)]))
 
 
 def _only_domain_errors(call, *args):
@@ -146,3 +168,32 @@ def test_embed_extract_identity_when_payload_fits(img, data):
     out, restored = extract(marked)
     assert out[: len(payload)] == payload
     assert restored == img
+
+
+@PROPERTY
+@given(_scattered_images())
+def test_an_image_needing_a_raw_map_has_no_capacity(img):
+    """A raw map is one bit per pair and there are never more writable
+    slots than pairs, so the map alone overflows the stream."""
+    n = img.width // 2
+    xs = img.pixels[:, 0 : 2 * n : 2].ravel().tolist()
+    ys = img.pixels[:, 1 : 2 * n : 2].ravel().tolist()
+    expandable = [reference_zone((x + y) // 2, x - y) == "expandable" for x, y in zip(xs, ys)]
+    flag, _ = encode_location_map(np.array(expandable))
+    assume(flag == 0)
+    assert capacity(img) == 0
+    with pytest.raises(PayloadTooLarge):
+        embed(img, b"")
+
+
+@PROPERTY
+@given(_smooth_images(), st.data())
+def test_a_cleared_map_flag_is_rejected_by_both_readers(img, data):
+    try:
+        marked = embed(img, data.draw(st.binary(max_size=capacity(img) // 8)))
+    except PayloadTooLarge:
+        return
+    tampered = flip_stream_bit(marked, 0)  # stream bit 0 is the map flag
+    for read in (extract_data, lambda i: extract(i)[0]):
+        with pytest.raises(MalformedStream, match="^raw map is "):
+            read(tampered)

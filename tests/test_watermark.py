@@ -23,15 +23,18 @@ from lbpmarkdex.errors import (
     OutOfRange,
     PayloadTooLarge,
 )
-from lbpmarkdex.watermark import rle_decode_map, rle_encode_map
+from lbpmarkdex.watermark import extract_data, rle_decode_map, rle_encode_map
 
 from helpers import (
     banded_noise_image,
+    changeable_pair_scan,
     flip_stream_bit,
+    int_bits,
     max_feasible_bytes,
     parse_wire,
     reference_zone,
     smooth_noise_image,
+    write_stream_bits,
 )
 
 
@@ -116,12 +119,28 @@ class TestLocationMapRle:
     def test_all_ones_leading_empty_zero_run(self):
         body = rle_encode_map(np.ones(128, dtype=np.uint8))
         assert body == struct.pack(">HH", 0, 128)
+        bits = np.array([1, 1, 0, 1], dtype=np.uint8)
+        body = rle_encode_map(bits)
+        assert body == struct.pack(">4H", 0, 2, 1, 1)
+        assert np.array_equal(rle_decode_map(body, 4), bits)
 
     def test_alternating_runs(self):
         bits = np.array([0, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
         body = rle_encode_map(bits)
         assert body == struct.pack(">4H", 2, 3, 1, 1)
         assert np.array_equal(rle_decode_map(body, 7), bits)
+        # Any word sequence, with empty and 65535 runs and more than 256
+        # runs, decodes to alternating runs starting with zeros.
+        rng = np.random.default_rng(68)
+        for n_runs in (1, 255, 256, 257, 700):
+            runs = rng.integers(0, 40, size=n_runs)
+            runs[rng.random(n_runs) < 0.05] = 0
+            runs[rng.integers(0, n_runs)] = 0xFFFF
+            expected = []
+            for i, run in enumerate(runs.tolist()):
+                expected += [i % 2] * run
+            body = struct.pack(f">{n_runs}H", *runs.tolist())
+            assert rle_decode_map(body, len(expected)).tolist() == expected
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(55)
@@ -132,6 +151,12 @@ class TestLocationMapRle:
             if rng.random() < 0.5:
                 bits = 1 - bits
             assert np.array_equal(rle_decode_map(rle_encode_map(bits), n), bits)
+        # more than 256 runs, none longer than 8
+        lengths = rng.integers(1, 9, size=600)
+        bits = np.repeat(np.arange(600) % 2, lengths).astype(np.uint8)
+        body = rle_encode_map(bits)
+        assert struct.unpack(f">{len(body) // 2}H", body) == tuple(lengths.tolist())
+        assert np.array_equal(rle_decode_map(body, bits.size), bits)
 
     def test_long_run_split(self):
         """A run beyond 65535 is split with a zero-length opposite run so a
@@ -143,6 +168,20 @@ class TestLocationMapRle:
         words = struct.unpack(f">{len(body) // 2}H", body)
         assert words == (0xFFFF, 0, n - 1 - 0xFFFF, 1)
         assert np.array_equal(rle_decode_map(body, n), bits)
+        # (zeros, ones) run lengths at and around the split points
+        cases = {
+            (0xFFFF, 1): (0xFFFF, 1),
+            (0x10000, 1): (0xFFFF, 0, 1, 1),
+            (131070, 1): (0xFFFF, 0, 0xFFFF, 1),
+            (131071, 1): (0xFFFF, 0, 0xFFFF, 0, 1, 1),
+            (0, 131070): (0, 0xFFFF, 0, 0xFFFF),
+            (3, 0x10000): (3, 0xFFFF, 0, 1),
+        }
+        for (zeros, ones), expected in cases.items():
+            bits = np.concatenate([np.zeros(zeros, np.uint8), np.ones(ones, np.uint8)])
+            body = rle_encode_map(bits)
+            assert struct.unpack(f">{len(body) // 2}H", body) == expected
+            assert np.array_equal(rle_decode_map(body, bits.size), bits)
 
     def test_decode_rejects_odd_byte_count(self):
         with pytest.raises(MalformedStream):
@@ -331,6 +370,45 @@ class TestExtract:
         tampered = flip_stream_bit(marked, 0)
         with pytest.raises(MalformedStream):
             extract(tampered)
+
+
+class TestStreamRejections:
+    """Stream heads that only a damaged or forged file carries, written into
+    the changeable pairs of a real marked image. The data-only read and the
+    restoring read refuse each one with the same message."""
+
+    @staticmethod
+    def _assert_rejected(img, message):
+        for read in (extract, extract_data):
+            with pytest.raises(MalformedStream) as info:
+                read(img)
+            assert str(info.value) == message
+
+    def test_map_length_not_word_aligned(self):
+        marked = embed(smooth_noise_image(np.random.default_rng(69), 24, 24), b"xyz")
+        tampered = write_stream_bits(marked, 1, int_bits(17, 32))
+        self._assert_rejected(tampered, "RLE map body of 17 bits is not word-aligned")
+
+    def test_map_marks_a_pair_without_a_stream_bit(self):
+        pixels = smooth_noise_image(np.random.default_rng(70), 24, 24).pixels.copy()
+        pixels[0, :2] = 255  # one saturated, unchangeable pair
+        marked = embed(GrayImage(pixels), b"xyz")
+        n_pairs = 12 * 24
+        all_expanded = [1] + int_bits(32, 32) + int_bits(0, 16) + int_bits(n_pairs, 16)
+        tampered = write_stream_bits(marked, 0, all_expanded)
+        self._assert_rejected(tampered, "location map marks a pair that holds no stream bit")
+
+    def test_stream_too_short_for_saved_lsbs(self):
+        marked = embed(smooth_noise_image(np.random.default_rng(71), 24, 24), b"xyz")
+        n_pairs = 12 * 24
+        # An all-zero map makes every writable pair changeable-only, so the
+        # saved LSBs alone need as many bits as the stream has slots.
+        none_expanded = [1] + int_bits(16, 32) + int_bits(n_pairs, 16)
+        tampered = write_stream_bits(marked, 0, none_expanded)
+        slots = len(changeable_pair_scan(tampered.pixels)[0])
+        self._assert_rejected(
+            tampered, f"stream too short for {slots} saved LSBs after the location map"
+        )
 
 
 class TestChangeabilityInvariance:
