@@ -9,7 +9,6 @@ variable LBPMARKDEX_INDEX supplies the default for --index.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import os
 import re
@@ -23,6 +22,7 @@ from .payload import PatientRecord
 from .retrieval import (
     Index,
     _load_tsv,
+    _publish,
     _scan_payloads,
     index_add,
     query_by_image,
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", help="indexed image id")
     group.add_argument("--image", help="watermarked PGM file")
-    p.add_argument("--out", required=True, help="output PGM path")
+    p.add_argument("--out", required=True, help="output PGM path; must not exist")
     _add_index_flag(p)
 
     p = sub.add_parser("relink", help="rebuild the index from stored watermarks")
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated ranking cutoffs, e.g. 1,5,10",
     )
-    p.add_argument("--out", help="CSV output path (default: standard output)")
+    p.add_argument("--out", help="CSV output path, must not exist (default: standard output)")
     _add_index_flag(p)
 
     p = sub.add_parser("capacity", help="print how many bits an image can carry")
@@ -229,15 +229,20 @@ def _cmd_extract(parser, args) -> int:
     return 0
 
 
+def _create_out(path: str, write) -> None:
+    """Create the --out file whole. An existing file is never replaced: it
+    may be a stored original (the restore source itself, under any name)."""
+    try:
+        _publish(path, write, replace=False)
+    except FileExistsError:
+        raise IoFailure(f"--out {path!r} already exists; refusing to replace it") from None
+    except OSError as exc:
+        raise IoFailure(f"cannot write --out {path!r}: {exc}") from exc
+
+
 def _cmd_restore(parser, args) -> int:
-    source = _entry_for(parser, args)
-    # Writing the original over its own marked file would erase the only
-    # copy of the payload (descriptor, record and locator).
-    with contextlib.suppress(FileNotFoundError):
-        if os.path.samefile(source, args.out):
-            raise IoFailure(f"--out {args.out!r} is the marked file itself; refusing to overwrite it")
-    _, original = read_stored(source)
-    save_pgm(args.out, original)
+    _, original = read_stored(_entry_for(parser, args))
+    _create_out(args.out, lambda tmp: save_pgm(tmp, original))
     print(args.out)
     return 0
 
@@ -268,7 +273,7 @@ def _cmd_evaluate(parser, args) -> int:
     }
     rows = class_mean_pr(descriptors, labels, args.cutoffs)
     if args.out:
-        write_pr_csv(args.out, rows)
+        _create_out(args.out, lambda tmp: write_pr_csv(tmp, rows))
     else:
         sys.stdout.write(render_pr_csv(rows))
     return 0

@@ -1,21 +1,27 @@
 """8-bit grayscale rasters and binary PGM (P5) reading/writing.
 
-Only the binary Netpbm grayscale flavor is supported: magic ``P5``,
-whitespace-separated width/height/maxval tokens with ``#`` comments allowed
-up to the maxval token, a single whitespace byte, then raw pixel rows.
-Files are always written in the canonical form ``P5\\n<w> <h>\\n255\\n`` so
-that identical images produce identical bytes.
+Only the binary grayscale flavor is read. One regular expression over
+bytes (``_HEADER``) reads its header: ``P5``, then three times a gap and a
+token, then one separator byte. A gap is any run of whitespace (space, \\t,
+\\n, \\r, \\v, \\f) and ``#`` comments, each running through the next ``\\n`` or
+to the end of the data. A token (width, height, maxval) is non-whitespace
+and must be ASCII digits; pixel rows follow the one whitespace separator,
+and later bytes are ignored. So ``P5`` needs no whitespace after it, and a
+``#`` inside a token belongs to the token. Writes are always canonical,
+``P5\\n<w> <h>\\n255\\n``, so identical images produce identical bytes.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .errors import BadHeader, BadMagic, TruncatedData
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Bytes-mode \s is exactly the PGM whitespace set.
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n?)*(\S*)" * 3 + rb"(\s?)")
 
 
 class GrayImage:
@@ -84,32 +90,6 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next header token, skipping whitespace and '#' comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
-        raise BadHeader("PGM header ended before all fields were read")
-    return data[start:pos], pos
-
-
-def _int_field(token: bytes, name: str) -> int:
-    if not token.isdigit():
-        raise BadHeader(f"non-numeric {name} field {token!r}")
-    return int(token)
-
-
 def read_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (P5) byte string into a GrayImage.
 
@@ -117,24 +97,24 @@ def read_pgm(data: bytes) -> GrayImage:
     dimension/maxval fields, TruncatedData if pixel bytes are missing.
     Trailing bytes after the pixel data are ignored.
     """
-    if data[:2] != b"P5":
+    header = _HEADER.match(data)
+    if header is None:
         raise BadMagic(f"expected PGM magic 'P5', got {data[:2]!r}")
-    pos = 2
-    width_tok, pos = _next_token(data, pos)
-    height_tok, pos = _next_token(data, pos)
-    maxval_tok, pos = _next_token(data, pos)
-    width = _int_field(width_tok, "width")
-    height = _int_field(height_tok, "height")
-    maxval = _int_field(maxval_tok, "maxval")
+    *tokens, sep = header.groups()
+    if not tokens[2]:
+        raise BadHeader("PGM header ended before all fields were read")
+    for token, name in zip(tokens, ("width", "height", "maxval")):
+        if not token.isdigit():
+            raise BadHeader(f"non-numeric {name} field {token!r}")
+    width, height, maxval = map(int, tokens)
     if width < 1 or height < 1:
         raise BadHeader(f"image dimensions must be positive, got {width}x{height}")
     if not 0 < maxval <= 255:
         raise BadHeader(f"maxval must be in [1, 255], got {maxval}")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not sep:
         raise BadHeader("missing whitespace between maxval and pixel data")
-    pos += 1
     count = width * height
-    raw = data[pos : pos + count]
+    raw = data[header.end() : header.end() + count]
     if len(raw) < count:
         raise TruncatedData(f"expected {count} pixel bytes, found {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)

@@ -32,6 +32,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+from .descriptor import BINS
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -46,11 +47,11 @@ from .errors import (
 MAGIC = b"LBPW"
 VERSION = 1
 HEADER_LEN = 16
-DESCRIPTOR_BINS = 256
 _MAX_TEXT = 0xFFFF
 _MAX_BIN = 0xFFFFFFFF
 
 _HEADER_STRUCT = struct.Struct(">4sBBIIH")
+_DESCRIPTOR_STRUCT = struct.Struct(f">{BINS}I")
 
 
 def _check_text(value: str, name: str) -> bytes:
@@ -99,9 +100,9 @@ class Payload:
 
     def __post_init__(self) -> None:
         desc = tuple(int(v) for v in self.descriptor)
-        if len(desc) != DESCRIPTOR_BINS:
+        if len(desc) != BINS:
             raise ValueError(
-                f"descriptor must have {DESCRIPTOR_BINS} bins, got {len(desc)}"
+                f"descriptor must have {BINS} bins, got {len(desc)}"
             )
         for v in desc:
             if not 0 <= v <= _MAX_BIN:
@@ -119,7 +120,7 @@ def encode_payload(payload: Payload) -> bytes:
     """Serialize a payload to its wire bytes."""
     rec = payload.record
     parts = [
-        struct.pack(">256I", *payload.descriptor),
+        _DESCRIPTOR_STRUCT.pack(*payload.descriptor),
         _pack_text(payload.locator, "locator"),
         _pack_text(rec.patient_id, "patient_id"),
         _pack_text(rec.name, "name"),
@@ -183,7 +184,7 @@ def decode_payload(data: bytes) -> Payload:
             f"payload body checksum 0x{actual_crc:08x} != declared 0x{crc:08x}"
         )
     reader = _BodyReader(body)
-    descriptor = struct.unpack(">256I", reader.take(4 * DESCRIPTOR_BINS, "descriptor"))
+    descriptor = _DESCRIPTOR_STRUCT.unpack(reader.take(_DESCRIPTOR_STRUCT.size, "descriptor"))
     locator = reader.take_text("locator")
     patient_id = reader.take_text("patient_id")
     name = reader.take_text("name")

@@ -101,10 +101,13 @@ def _fits(write, l, h):
     new difference within the reconstruction bound; for ints or arrays.
 
     _fits(_expand, ...) is the expandable zone and _fits(_substitute, ...)
-    the changeable one, which includes it.
+    the changeable one, which includes it. Both writes set the LSB, so
+    write(h, 1) == write(h, 0) + 1, and |w| <= B with |w + 1| <= B is
+    exactly -B <= w < B.
     """
     bound = reconstruction_bound(l)
-    return (np.abs(write(h, 0)) <= bound) & (np.abs(write(h, 1)) <= bound)
+    low = write(h, 0)
+    return (-bound <= low) & (low < bound)
 
 
 def inverse_transform(p: DiffPair) -> tuple[int, int]:

@@ -223,6 +223,12 @@ class TestQueryVerb:
             )
         assert exc.value.code == 2
 
+    def test_non_integer_k_is_usage_error(self, cli_store, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["query", "--image", "q.pgm", "--k", "abc", "--index", cli_store["index"]])
+        assert exc.value.code == 2
+        assert "expected an integer, got 'abc'" in capsys.readouterr().err
+
     def test_missing_query_file_exits_one(self, cli_store, capsys):
         code = run(
             [
@@ -399,6 +405,24 @@ class TestRestoreVerb:
         assert capsys.readouterr().err.startswith("IoFailure: ")
         assert source.read_bytes() == stored
 
+    def test_refuses_to_replace_another_stored_file(self, cli_store, tmp_path, capsys):
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        target = store_copy / "sb1.pgm"
+        stored = target.read_bytes()
+        code = run(["restore", "--id", "sb0", "--out", str(target), "--index", cli_store["index"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"IoFailure: --out {str(target)!r} already exists; refusing to replace it\n"
+        assert target.read_bytes() == stored
+        assert _tree(store_copy) == _tree(cli_store["store"])
+
+    def test_out_in_a_missing_directory_names_out(self, cli_store, tmp_path, capsys):
+        out_path = tmp_path / "absent" / "back.pgm"
+        code = run(["restore", "--id", "sb0", "--out", str(out_path), "--index", cli_store["index"]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"IoFailure: cannot write --out {str(out_path)!r}: ")
+        assert _tree(tmp_path) == []
+
 
 class TestScansNeverRestore:
     def test_reads_succeed_without_extract(self, cli_store, tmp_path, capsys, monkeypatch):
@@ -557,6 +581,23 @@ class TestEvaluateVerb:
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--cutoffs", "a,b", "--index", cli_store["index"]])
         assert exc.value.code == 2
+
+    def test_no_cutoffs_is_usage_error(self, cli_store, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--cutoffs", ",", "--index", cli_store["index"]])
+        assert exc.value.code == 2
+        assert "at least one cutoff is required" in capsys.readouterr().err
+
+    def test_refuses_to_replace_an_existing_file(self, cli_store, tmp_path, capsys):
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        target = store_copy / "ga1.pgm"
+        stored = target.read_bytes()
+        code = run(["evaluate", "--cutoffs", "1", "--out", str(target), "--index", cli_store["index"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"IoFailure: --out {str(target)!r} already exists; refusing to replace it\n"
+        assert target.read_bytes() == stored
+        assert _tree(store_copy) == _tree(cli_store["store"])
 
     def test_oversized_cutoff_is_domain_error(self, cli_store, capsys):
         code = run(["evaluate", "--cutoffs", "99", "--index", cli_store["index"]])

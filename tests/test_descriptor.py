@@ -119,6 +119,14 @@ class TestDistance:
         with pytest.raises(EmptyDescriptor):
             descriptor_distance(zero, zero)
 
+    @pytest.mark.parametrize(
+        "shapes", [((255,), (256,)), ((256,), (3, 255)), ((1, 256), (256,)), ((256,), (2, 2, 256))]
+    )
+    def test_wrong_shapes_rejected(self, shapes):
+        a, b = (np.ones(shape, dtype=np.int64) for shape in shapes)
+        with pytest.raises(ValueError, match="descriptors must have 256 bins"):
+            descriptor_distance(a, b)
+
     def test_matches_rational_oracle(self):
         rng = np.random.default_rng(39)
         for _ in range(30):

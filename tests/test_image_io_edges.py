@@ -1,0 +1,41 @@
+"""Edges of image_io that the main PGM tests leave out: the header
+grammar's quirks, the separator byte after maxval, and the GrayImage
+constructors' rejections."""
+
+import numpy as np
+import pytest
+
+from lbpmarkdex import GrayImage, read_pgm
+from lbpmarkdex.errors import BadHeader
+
+
+def test_no_whitespace_needed_after_magic():
+    assert read_pgm(b"P51 1 255 \x07").pixels.tolist() == [[7]]
+
+
+def test_hash_inside_a_token_belongs_to_it():
+    with pytest.raises(BadHeader, match=r"^non-numeric height field b'1#2'$"):
+        read_pgm(b"P5 1 1#2\n255 \x07")
+
+
+@pytest.mark.parametrize("data", [b"P5 1 1 #255 \x07", b"P5#", b"P5 1 # 1 255\r"])
+def test_comment_without_newline_runs_to_the_end(data):
+    with pytest.raises(BadHeader, match="^PGM header ended before all fields were read$"):
+        read_pgm(data)
+
+
+@pytest.mark.parametrize("data", [b"P5\n2 2\n255", b"P5 1 1 1", b"P5#c\n1 1 7"])
+def test_data_ending_at_maxval_has_no_separator(data):
+    with pytest.raises(BadHeader, match="^missing whitespace between maxval and pixel data$"):
+        read_pgm(data)
+
+
+def test_float_pixels_rejected():
+    with pytest.raises(ValueError, match="pixels must be integers"):
+        GrayImage(np.zeros((2, 2), dtype=np.float64))
+
+
+@pytest.mark.parametrize("count", [5, 7])
+def test_from_flat_wrong_size_rejected(count):
+    with pytest.raises(ValueError, match=f"expected 6 pixels for 3x2, got {count}"):
+        GrayImage.from_flat(3, 2, range(count))

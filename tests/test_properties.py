@@ -1,6 +1,7 @@
-"""Property tests: untrusted bytes raise only domain errors, the data-only
-read agrees with extract(), embedding round-trips whenever the payload
-fits, and only a run-length coded location map can reach a file.
+"""Property tests: untrusted bytes raise only domain errors, any PGM header
+gap of whitespace and comments reads the same, the data-only read agrees
+with extract(), embedding round-trips whenever the payload fits, and only
+a run-length coded location map can reach a file.
 
 Runs are derandomized so every run of the suite checks the same examples.
 """
@@ -32,6 +33,14 @@ _SEP = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b"", b"\r\n"])
 _PGM_LIKE = st.tuples(_SEP, _TOKEN, _SEP, _TOKEN, _SEP, _TOKEN, _SEP, st.binary(max_size=80)).map(
     lambda parts: b"P5" + b"".join(parts)
 )
+
+
+_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.binary(max_size=12).map(lambda raw: b"#" + raw.replace(b"\n", b"") + b"\n")
+# A header gap: whitespace runs and comments in any order, possibly none.
+_GAP = st.lists(
+    st.one_of(st.lists(_WHITESPACE, min_size=1, max_size=3).map(b"".join), _COMMENT), max_size=4
+).map(b"".join)
 
 
 def _framed(body: bytes) -> bytes:
@@ -92,6 +101,18 @@ def _only_domain_errors(call, *args):
 @given(st.one_of(st.binary(max_size=64), _PGM_LIKE))
 def test_read_pgm_raises_only_domain_errors(data):
     _only_domain_errors(read_pgm, data)
+
+
+@PROPERTY
+@given(_PIXELS, _GAP, st.lists(st.tuples(_WHITESPACE, _GAP), min_size=2, max_size=2), _WHITESPACE)
+def test_any_header_gaps_decode_to_the_written_image(pixels, first, gaps, separator):
+    # Between two tokens a gap must start with whitespace: a '#' right
+    # after a token would belong to it.
+    img = GrayImage(pixels)
+    data = b"P5" + first + str(img.width).encode()
+    data += gaps[0][0] + gaps[0][1] + str(img.height).encode()
+    data += gaps[1][0] + gaps[1][1] + b"255" + separator + img.tobytes()
+    assert read_pgm(data) == img
 
 
 @PROPERTY

@@ -109,6 +109,14 @@ class TestIndexFile:
         index.save(path)
         assert Index.load(path) == index
 
+    def test_load_of_a_directory_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot read index"):
+            Index.load(tmp_path)
+
+    def test_save_into_a_missing_directory_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot write index"):
+            Index([IndexEntry("a", "s/a.pgm")]).save(tmp_path / "absent" / "idx.tsv")
+
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
@@ -208,6 +216,13 @@ class TestIndexAdd:
             )
         assert os.listdir(store_dir) == []
         assert len(Index.load(tmp_path / "i.tsv")) == 0
+
+    def test_unopenable_lock_file_is_io_failure(self, tmp_path):
+        index_path = tmp_path / "absent" / "i.tsv"
+        img = smooth_noise_image(np.random.default_rng(16), 160, 160)
+        with pytest.raises(IoFailure, match="cannot open lock file"):
+            index_add(str(index_path), img, "a", sample_patient(0), str(tmp_path / "s"))
+        assert not (tmp_path / "s").exists()
 
     def test_id_with_unicode_line_separator_round_trips(self, tmp_path):
         index_path = str(tmp_path / "i.tsv")
