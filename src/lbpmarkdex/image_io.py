@@ -106,7 +106,12 @@ def read_pgm(data: bytes) -> GrayImage:
     for token, name in zip(tokens, ("width", "height", "maxval")):
         if not token.isdigit():
             raise BadHeader(f"non-numeric {name} field {token!r}")
-    width, height, maxval = map(int, tokens)
+    try:
+        # Leading zeros count toward the interpreter's limit on the digits
+        # int() converts; a field that overflows it without them is too long.
+        width, height, maxval = (int(t.lstrip(b"0") or b"0") for t in tokens)
+    except ValueError:
+        raise BadHeader("a PGM header field has too many digits") from None
     if width < 1 or height < 1:
         raise BadHeader(f"image dimensions must be positive, got {width}x{height}")
     if not 0 < maxval <= 255:
@@ -116,7 +121,11 @@ def read_pgm(data: bytes) -> GrayImage:
     count = width * height
     raw = data[header.end() : header.end() + count]
     if len(raw) < count:
-        raise TruncatedData(f"expected {count} pixel bytes, found {len(raw)}")
+        try:
+            expected = str(count)
+        except ValueError:  # more digits than str() converts
+            expected = f"{width}x{height}"
+        raise TruncatedData(f"expected {expected} pixel bytes, found {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels)
 

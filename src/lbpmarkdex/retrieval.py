@@ -132,8 +132,12 @@ class Index:
 def _publish(path: str, write, replace: bool) -> None:
     """Create path whole: write(tmp) a sibling temporary, then move it into
     place. With replace=False an existing path stays and FileExistsError is
-    raised. The temporary, never left behind, does not end in '.pgm'."""
+    raised. The temporary does not end in '.pgm' and is always a new file:
+    a writer killed before its cleanup may have left the name behind as a
+    link to the file it stored, so that name is removed first."""
     tmp = f"{path}.tmp.{os.getpid()}"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)
     try:
         write(tmp)
         if replace:

@@ -23,10 +23,10 @@ from the watermarked image alone.
 On-pixels bitstream (the interoperability surface between embed and
 extract), written MSB-first into the LSBs of writable pairs in scan order:
 
-    [1 bit]   location-map flag, 1 (run-length encoded) in every stored
-              file; 0 would mean a raw bitmap of one bit per pair, which by
-              itself exceeds the writable slots, so embed refuses before
-              writing and the reader rejects it
+    [1 bit]   location-map flag: embed always writes 1 (run-length coded)
+              and the reader rejects 0 (a raw map, one bit per pair, which
+              alone exceeds the writable slots); PayloadTooLarge counts the
+              bits of this run-length stream
     [32 bits] big-endian length of the encoded map body, in bits
     [map]     alternating big-endian 16-bit run lengths of the map
               (1 = expanded pair), first run counts zeros; a run longer
@@ -161,29 +161,11 @@ def rle_decode_map(body: bytes, n_bits: int) -> np.ndarray:
         raise MalformedStream(f"RLE map body of {len(body)} bytes is not word-aligned")
     runs = np.frombuffer(body, dtype=">u2")
     covered = int(runs.sum(dtype=np.int64))
-    if covered > n_bits:
-        raise MalformedStream(f"RLE runs cover more than the {n_bits} map bits")
     if covered != n_bits:
         raise MalformedStream(f"RLE runs cover {covered} of {n_bits} map bits")
     # Odd-numbered runs are ones; the parity comes from int64 indices, so
     # any number of runs alternates correctly.
     return np.repeat((np.arange(runs.size) & 1).astype(np.uint8), runs)
-
-
-def encode_location_map(bits: np.ndarray) -> tuple[int, np.ndarray]:
-    """Pick the smaller of raw and RLE encodings.
-
-    Returns (flag, body_bits) where flag is 0 for raw and 1 for RLE and
-    body_bits is a 0/1 uint8 array. Only RLE ever reaches a file: a raw
-    map is one bit per pair, which by itself exceeds the writable slots,
-    so embed refuses it; the raw choice survives only to size the
-    PayloadTooLarge message.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    rle = rle_encode_map(bits)
-    if 8 * len(rle) < bits.size:
-        return 1, np.unpackbits(np.frombuffer(rle, dtype=np.uint8))
-    return 0, bits
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +207,10 @@ def _layout(img: GrayImage):
     """
     l, h = _pair_arrays(img)
     expandable, changeable = _fits(_expand, l, h), _fits(_substitute, l, h)
-    flag, body = encode_location_map(expandable.ravel())
+    body = np.unpackbits(np.frombuffer(rle_encode_map(expandable.ravel()), dtype=np.uint8))
     length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
     saved = (h & 1).astype(np.uint8)[changeable & ~expandable]
-    head = np.concatenate([np.array([flag], dtype=np.uint8), length_field, body, saved])
+    head = np.concatenate([np.ones(1, dtype=np.uint8), length_field, body, saved])
     return l, h, expandable, changeable, head, max(0, int(np.count_nonzero(changeable)) - head.size)
 
 

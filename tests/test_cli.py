@@ -416,6 +416,20 @@ class TestRestoreVerb:
         assert target.read_bytes() == stored
         assert _tree(store_copy) == _tree(cli_store["store"])
 
+    def test_stale_temporary_linked_to_a_stored_file_is_not_written_through(self, cli_store, tmp_path):
+        # A writer killed between linking its output and removing its
+        # temporary leaves that name behind as a link to the file.
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        victim = store_copy / "sb1.pgm"
+        stored = victim.read_bytes()
+        out_path = tmp_path / "out.pgm"
+        os.link(victim, f"{out_path}.tmp.{os.getpid()}")
+        code = run(["restore", "--id", "sb0", "--out", str(out_path), "--index", cli_store["index"]])
+        assert code == 0
+        assert victim.read_bytes() == stored
+        assert out_path.read_bytes() == (cli_store["inputs"] / "sb0.pgm").read_bytes()
+
     def test_out_in_a_missing_directory_names_out(self, cli_store, tmp_path, capsys):
         out_path = tmp_path / "absent" / "back.pgm"
         code = run(["restore", "--id", "sb0", "--out", str(out_path), "--index", cli_store["index"]])

@@ -171,7 +171,7 @@ GOLDEN = {
     ),
     "too_large": (
         0,
-        "stream needs 242 bits but the image offers 127 writable slots "
+        "stream needs 1218 bits but the image offers 127 writable slots "
         "(8 payload bits vs capacity 0)",
     ),
 }

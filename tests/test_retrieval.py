@@ -4,6 +4,8 @@ import fcntl
 import logging
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lbpmarkdex
 from lbpmarkdex import (
     GrayImage,
     Index,
@@ -198,6 +201,25 @@ class TestIndexAdd:
         assert os.listdir(store_dir) == ["kept.pgm"]
         assert len(Index.load(index_path)) == 0
 
+    def test_stale_temporary_linked_to_the_stored_file_leaves_it_alone(self, tmp_path):
+        # A writer killed between linking the stored file and removing its
+        # temporary leaves that name behind as a link to the stored file.
+        rng = np.random.default_rng(19)
+        index_path = str(tmp_path / "i.tsv")
+        store_dir = tmp_path / "s"
+        entry = index_add(
+            index_path, smooth_noise_image(rng, 160, 160), "a", sample_patient(1), str(store_dir)
+        )
+        stored = Path(entry.locator).read_bytes()
+        Index().save(index_path)
+        os.link(entry.locator, f"{entry.locator}.tmp.{os.getpid()}")
+        with pytest.raises(DuplicateId):
+            index_add(
+                index_path, smooth_noise_image(rng, 160, 160), "a", sample_patient(2), str(store_dir)
+            )
+        assert Path(entry.locator).read_bytes() == stored
+        assert os.listdir(store_dir) == ["a.pgm"]
+
     def test_failed_store_write_leaves_no_file(self, tmp_path, monkeypatch):
         def disk_full(path, img):
             with open(path, "wb") as fh:
@@ -246,6 +268,45 @@ class TestIndexAdd:
         index = Index.load(index_path)
         assert [e.image_id for e in index.entries] == ["a", "b"]
         assert index.find("b") == entry
+
+
+_WRITER = """
+import os, sys, time
+import numpy as np
+from lbpmarkdex import index_add
+from helpers import sample_patient, smooth_noise_image
+index_path, store_dir, go, worker = sys.argv[1:]
+images = [smooth_noise_image(np.random.default_rng(300 + 3 * int(worker) + j), 160, 160) for j in range(3)]
+while not os.path.exists(go):
+    time.sleep(0.005)
+for j, img in enumerate(images):
+    index_add(index_path, img, f"w{worker}-{j}", sample_patient(j), store_dir)
+"""
+
+
+def test_concurrent_writers_keep_every_row(tmp_path):
+    """Four processes each index three images into one index and store,
+    starting together; the writers' lock must keep all twelve rows."""
+    index_path, store_dir, go = tmp_path / "i.tsv", tmp_path / "s", tmp_path / "go"
+    paths = [str(Path(lbpmarkdex.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    args = [sys.executable, "-c", _WRITER, str(index_path), str(store_dir), str(go)]
+    procs = [subprocess.Popen([*args, str(w)], env=env) for w in range(4)]
+    try:
+        go.touch()
+        assert [p.wait(timeout=120) for p in procs] == [0] * 4
+    finally:
+        for p in procs:
+            p.kill()
+    index = Index.load(index_path)
+    ids = [f"w{w}-{j}" for w in range(4) for j in range(3)]
+    assert sorted(e.image_id for e in index.entries) == ids
+    for image_id in ids:
+        payload, restored = read_stored(index.find(image_id).locator)
+        w, j = map(int, image_id[1:].split("-"))
+        assert restored == smooth_noise_image(np.random.default_rng(300 + 3 * w + j), 160, 160)
+        assert payload.locator == index.find(image_id).locator
+    assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
 
 class TestQueryByImage:

@@ -293,7 +293,7 @@ class TestEmbed:
         data = rng.integers(0, 256, size=capacity(img) // 8, dtype=np.uint8).tobytes()
         marked = embed(img, data)
         wire = parse_wire(marked.pixels)
-        assert wire["flag"] == 1  # raw can never fit; RLE always wins
+        assert wire["flag"] == 1  # embed writes only the RLE map
         # the decoded map must match zone classification of the original
         for row in range(img.height):
             for j in range(img.width // 2):
