@@ -259,10 +259,25 @@ def _cmd_relink(parser, args) -> int:
     return 0
 
 
+def _load_labels(path: str) -> dict[str, str]:
+    """image_id -> class from a --labels file. A repeated id raises
+    IoFailure naming the file and line; an empty class, as in the index,
+    leaves the image unlabeled."""
+    labels: dict[str, str] = {}
+
+    def label(image_id: str, class_label: str) -> None:
+        if image_id in labels:
+            raise ValueError(f"image_id {image_id!r} is already labeled on an earlier line")
+        labels[image_id] = class_label
+
+    _load_tsv(path, "labels", (2,), label)
+    return {i: c for i, c in labels.items() if c}
+
+
 def _cmd_evaluate(parser, args) -> int:
     index = Index.load(_need_index(parser, args))
     if args.labels:
-        labels = dict(_load_tsv(args.labels, "labels", (2,), lambda *fields: fields))
+        labels = _load_labels(args.labels)
     else:
         labels = {
             e.image_id: e.class_label for e in index.entries if e.class_label

@@ -47,6 +47,12 @@ def _normalize(vec: np.ndarray, which: str) -> np.ndarray:
     return vec / mass
 
 
+def _row_distances(unit_a: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances from one L1-normalized vector to each normalized
+    row (or to one normalized vector): the one distance formula."""
+    return np.sqrt(np.sum((unit_a - unit_rows) ** 2, axis=-1))
+
+
 def descriptor_distance(a, b) -> float | np.ndarray:
     """Euclidean distance between descriptors after L1 normalization.
 
@@ -60,5 +66,5 @@ def descriptor_distance(a, b) -> float | np.ndarray:
     vb = np.asarray(b, dtype=np.int64)
     if va.shape != (BINS,) or vb.ndim not in (1, 2) or vb.shape[-1] != BINS:
         raise ValueError(f"descriptors must have {BINS} bins, got {va.shape} and {vb.shape}")
-    d = np.sqrt(np.sum((_normalize(va, "first") - _normalize(vb, "second")) ** 2, axis=-1))
+    d = _row_distances(_normalize(va, "first"), _normalize(vb, "second"))
     return float(d) if vb.ndim == 1 else d

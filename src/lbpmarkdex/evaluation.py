@@ -9,8 +9,14 @@ classic ratios are
 Both are kept as integer hit counts and divided once, at the edge.
 Python's int/int division is correctly rounded, so every value is the
 float nearest the exact ratio. Curves evaluate the top-k prefixes of a
-ranking for a list of cutoffs; class means average per-query values at
-each fixed cutoff.
+ranking for a list of cutoffs, reading every count from one running sum
+over the ranking; class means average per-query values at each fixed
+cutoff.
+
+Leave-one-out evaluation normalizes the labeled descriptors once, as one
+matrix. Each query ranks all labeled images by descriptor_distance's
+formula in (distance, id) order, and only the query's own position is
+removed, so a duplicate of the query still ranks first at distance 0.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .descriptor import BINS, _normalize, _row_distances
 from .errors import BadCutoff, EmptyAnswerSet, EmptyRelevantSet
-from .retrieval import rank_by_distance
 
 
 def _answer_id(item) -> str:
@@ -50,18 +56,13 @@ class EvalSets:
         return self.relevant & frozenset(self.answers)
 
 
-def _hits(relevant: set[str] | frozenset[str], answers: Iterable[str]) -> int:
-    """|A intersect R|, the numerator of both precision and recall."""
-    return len(relevant.intersection(answers))
-
-
 def precision_recall(sets: EvalSets) -> tuple[float, float]:
     """(precision, recall) of one answer list against one relevant set."""
     if not sets.relevant:
         raise EmptyRelevantSet("relevant set R is empty; recall is undefined")
     if not sets.answers:
         raise EmptyAnswerSet("answer list A is empty; precision is undefined")
-    hits = _hits(sets.relevant, sets.answers)
+    hits = len(sets.relevant_answers)
     return hits / len(set(sets.answers)), hits / len(sets.relevant)
 
 
@@ -76,21 +77,37 @@ def _check_cutoffs(cutoffs: Sequence[int], n: int) -> None:
         previous = k
 
 
+def _prefix_counts(mask: np.ndarray, cutoffs: Sequence[int]) -> np.ndarray:
+    """How many entries of a ranking's boolean mask are true within each
+    top-k prefix, k in cutoffs: the one way hits are counted."""
+    return np.cumsum(mask, dtype=np.int64)[np.asarray(cutoffs, dtype=np.intp) - 1]
+
+
 def pr_curve(
     ranked: Sequence, relevant: Iterable[str], cutoffs: Sequence[int]
 ) -> list[tuple[int, float, float]]:
     """Evaluate (precision, recall) at each top-k prefix of a ranking.
 
     Cutoffs must be ascending and within [1, len(ranked)]; recall is
-    non-decreasing along the returned list.
+    non-decreasing along the returned list. Each value equals
+    precision_recall of that prefix: a repeated id counts once, in both
+    the hits and the size of the answer set.
     """
     ids = [_answer_id(item) for item in ranked]
     rel = frozenset(relevant)
     _check_cutoffs(cutoffs, len(ids))
-    return [
-        (k, *precision_recall(EvalSets(rel, ids[:k])))
-        for k in cutoffs
-    ]
+    if cutoffs and not rel:
+        raise EmptyRelevantSet("relevant set R is empty; recall is undefined")
+    first: dict[str, int] = {}
+    for position, image_id in enumerate(ids):
+        first.setdefault(image_id, position)
+    # Only an id's first position counts, as an answer and as a hit.
+    new = np.zeros(len(ids), dtype=bool)
+    new[list(first.values())] = True
+    hit = new & np.array([i in rel for i in ids], dtype=bool)
+    answered = _prefix_counts(new, cutoffs).tolist()
+    hits = _prefix_counts(hit, cutoffs).tolist()
+    return [(k, h / a, h / len(rel)) for k, h, a in zip(cutoffs, hits, answered)]
 
 
 def class_mean_pr(
@@ -108,26 +125,33 @@ def class_mean_pr(
     """
     ids = sorted(set(descriptors) & set(labels))
     matrix = np.array([descriptors[i] for i in ids], dtype=np.int64)
-    # class -> one list of hit counts per query, one count per cutoff
-    per_class: dict[str, list[list[int]]] = {}
     _check_cutoffs(cutoffs, len(ids) - 1)
-    for row, query_id in enumerate(ids):
-        relevant = {i for i in ids if i != query_id and labels[i] == labels[query_id]}
-        if not relevant:
-            continue
-        # Ranking every row and then dropping the query's own id leaves the
-        # others in the order a ranking without it would give.
-        ranked = [i for _, i in rank_by_distance(matrix[row], ids, matrix) if i != query_id]
-        per_class.setdefault(labels[query_id], []).append(
-            [_hits(relevant, ranked[:k]) for k in cutoffs]
-        )
+    classes = sorted({labels[i] for i in ids})
+    number = {label: c for c, label in enumerate(classes)}
+    class_of = np.array([number[labels[i]] for i in ids], dtype=np.intp)
+    sizes = np.bincount(class_of, minlength=len(classes))
+    queries = np.flatnonzero(sizes[class_of] > 1)
+    # class -> summed hit counts of its queries, one per cutoff
+    totals = np.zeros((len(classes), len(cutoffs)), dtype=np.int64)
+    if len(queries):
+        unit = _normalize(matrix.reshape(len(ids), BINS), "labeled")
+        # x - y is exactly -(y - x), so d(i, j) and d(j, i) are the same
+        # float: each pair is computed once, into an N x N matrix.
+        distances = np.zeros((len(ids), len(ids)))
+        for row in range(len(ids) - 1):
+            distances[row, row + 1 :] = distances[row + 1 :, row] = _row_distances(unit[row], unit[row + 1 :])
+        for row in queries.tolist():
+            # ids are sorted, so a stable sort breaks distance ties by id.
+            order = np.argsort(distances[row], kind="stable")
+            order = order[order != row]
+            totals[class_of[row]] += _prefix_counts(class_of[order] == class_of[row], cutoffs)
     rows: list[tuple[str, int, float, float]] = []
-    for label in sorted(per_class):
-        n = len(per_class[label])
+    for label, n, counts in zip(classes, sizes.tolist(), totals.tolist()):
+        if n < 2:
+            continue
         # Every query of a class has the same |R|: the rest of its class.
-        n_relevant = sum(1 for i in ids if labels[i] == label) - 1
-        for k, total in zip(cutoffs, map(sum, zip(*per_class[label]))):
-            rows.append((label, k, total / (k * n), total / (n_relevant * n)))
+        for k, total in zip(cutoffs, counts):
+            rows.append((label, k, total / (k * n), total / ((n - 1) * n)))
     return rows
 
 

@@ -566,6 +566,32 @@ class TestEvaluateVerb:
         assert text.splitlines()[0] == "class,k,mean_precision,mean_recall"
         assert {line.split(",")[0] for line in text.splitlines()[1:]} == {"g", "s"}
 
+    def test_repeated_labels_id_is_io_failure(self, cli_store, tmp_path, capsys):
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_text("ga0\tg\nga1\tg\n# comment\nga0\ts\n", encoding="utf-8")
+        code = run(["evaluate", "--labels", str(labels_path), "--cutoffs", "1", "--index", cli_store["index"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"IoFailure: labels {str(labels_path)!r} line 4: image_id 'ga0' is already labeled on an earlier line\n"
+        )
+
+    def test_empty_labels_class_is_unlabeled(self, cli_store, tmp_path, capsys):
+        """As in the index, an empty class leaves the image out of the
+        evaluation instead of scoring a class named ''."""
+        with_empty = tmp_path / "with_empty.tsv"
+        with_empty.write_text("ga0\tg\nga1\tg\nsb0\t\nsb1\t\n", encoding="utf-8")
+        without = tmp_path / "without.tsv"
+        without.write_text("ga0\tg\nga1\tg\n", encoding="utf-8")
+        outputs = []
+        for labels_path in (with_empty, without):
+            code = run(["evaluate", "--labels", str(labels_path), "--cutoffs", "1", "--index", cli_store["index"]])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1:] == ["g,1,1.000000,1.000000"]
+
     def test_damaged_entry_skipped_and_rest_scored(self, cli_store, tmp_path, capsys, caplog):
         store_copy = tmp_path / "store"
         shutil.copytree(cli_store["store"], store_copy)

@@ -1,7 +1,8 @@
 """Property tests: untrusted bytes raise only domain errors, any PGM header
 gap of whitespace and comments reads the same, the data-only read agrees
-with extract(), embedding round-trips whenever the payload fits, and only
-a run-length coded location map can reach a file.
+with extract(), embedding round-trips whenever the payload fits, only
+a run-length coded location map can reach a file, and the matrix
+leave-one-out evaluation scores exactly like one ranking per query.
 
 Runs are derandomized so every run of the suite checks the same examples.
 """
@@ -15,8 +16,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lbpmarkdex import GrayImage, capacity, decode_payload, embed, extract, read_pgm
-from lbpmarkdex.errors import LbpmarkdexError, MalformedStream, PayloadTooLarge
+from lbpmarkdex import (
+    EvalSets,
+    GrayImage,
+    capacity,
+    class_mean_pr,
+    decode_payload,
+    embed,
+    extract,
+    pr_curve,
+    precision_recall,
+    read_pgm,
+)
+from lbpmarkdex.errors import BadCutoff, LbpmarkdexError, MalformedStream, PayloadTooLarge
+from lbpmarkdex.retrieval import rank_by_distance
 from lbpmarkdex.watermark import extract_data, rle_encode_map
 
 from helpers import flip_stream_bit, reference_zone
@@ -217,3 +230,109 @@ def test_a_cleared_map_flag_is_rejected_by_both_readers(img, data):
     for read in (extract_data, lambda i: extract(i)[0]):
         with pytest.raises(MalformedStream, match="^raw map is "):
             read(tampered)
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the class of the domain error it raised."""
+    try:
+        return call(*args)
+    except LbpmarkdexError as exc:
+        return type(exc)
+
+
+def _reference_check_cutoffs(cutoffs, n):
+    if list(cutoffs) != sorted(set(cutoffs)) or (cutoffs and not 1 <= cutoffs[0] <= cutoffs[-1] <= n):
+        raise BadCutoff(f"cutoffs {cutoffs} are not strictly ascending within [1, {n}]")
+
+
+def _reference_class_mean_pr(descriptors, labels, cutoffs):
+    """Leave-one-out as one rank_by_distance per query, scored by pr_curve."""
+    ids = sorted(set(descriptors) & set(labels))
+    _reference_check_cutoffs(cutoffs, len(ids) - 1)
+    rows = [descriptors[i] for i in ids]
+    hits_per_class = {}
+    for query in ids:
+        relevant = {i for i in ids if i != query and labels[i] == labels[query]}
+        if not relevant:
+            continue
+        ranked = [i for _, i in rank_by_distance(descriptors[query], ids, rows) if i != query]
+        # precision = hits / k, correctly rounded, so rounding back is exact
+        hits = [round(p * k) for k, p, _ in pr_curve(ranked, relevant, cutoffs)]
+        hits_per_class.setdefault(labels[query], []).append(hits)
+    result = []
+    for label in sorted(hits_per_class):
+        n = len(hits_per_class[label])
+        for k, total in zip(cutoffs, map(sum, zip(*hits_per_class[label]))):
+            result.append((label, k, total / (k * n), total / ((n - 1) * n)))
+    return result
+
+
+def _sparse_descriptor(counts):
+    vec = np.zeros(256, dtype=np.int64)
+    for bin_, count in counts:
+        vec[bin_] += count
+    return vec
+
+
+def _cutoffs(draw, n):
+    """Mostly strictly ascending cutoffs within [1, n]; sometimes any list."""
+    if n >= 1 and draw(st.integers(0, 3)):
+        return sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
+    return draw(st.lists(st.integers(0, n + 2), max_size=3))
+
+
+@st.composite
+def _labeled_corpora(draw):
+    """(descriptors, labels, cutoffs) for leave-one-out evaluation.
+
+    Each image takes one of a few shared vectors over four bins, so
+    duplicates tie with their query at distance 0, scaled copies
+    normalize to the same point, and distinct vectors tie often. Some
+    corpora hold the zero vector. A few ids have only a descriptor or
+    only a label, and labels come from a small alphabet, so singleton
+    classes are common.
+    """
+    shared = draw(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=3), min_size=1, max_size=4))
+    vectors = [_sparse_descriptor(counts) for counts in shared]
+    if draw(st.integers(0, 7)) == 0:
+        vectors.append(np.zeros(256, dtype=np.int64))
+    descriptors, labels = {}, {}
+    for j in range(draw(st.integers(2, 12))):
+        image_id = f"i{j:02d}"
+        kind = draw(st.sampled_from(["both", "both", "both", "both", "descriptor", "label"]))
+        if kind != "label":
+            descriptors[image_id] = vectors[draw(st.integers(0, len(vectors) - 1))]
+        if kind != "descriptor":
+            labels[image_id] = draw(st.sampled_from("aabc"))
+    return descriptors, labels, _cutoffs(draw, len(set(descriptors) & set(labels)) - 1)
+
+
+@PROPERTY
+@given(_labeled_corpora())
+def test_class_mean_pr_scores_like_one_ranking_per_query(corpus):
+    descriptors, labels, cutoffs = corpus
+    assert _outcome(class_mean_pr, descriptors, labels, cutoffs) == _outcome(
+        _reference_class_mean_pr, descriptors, labels, cutoffs
+    )
+
+
+def _reference_pr_curve(ranked, relevant, cutoffs):
+    _reference_check_cutoffs(cutoffs, len(ranked))
+    return [(k, *precision_recall(EvalSets(relevant, ranked[:k]))) for k in cutoffs]
+
+
+@st.composite
+def _rankings(draw):
+    """(ranked, relevant, cutoffs): rankings that repeat ids, relevant sets
+    that may be empty or name ids never ranked."""
+    ranked = draw(st.lists(st.sampled_from("abcde"), max_size=10))
+    relevant = draw(st.sets(st.sampled_from("abcdef"), max_size=3))
+    return ranked, relevant, _cutoffs(draw, len(ranked))
+
+
+@PROPERTY
+@given(_rankings())
+def test_pr_curve_is_precision_recall_of_each_prefix(case):
+    """A repeated id counts once, in both the hits and the size of the
+    answer set."""
+    assert _outcome(pr_curve, *case) == _outcome(_reference_pr_curve, *case)
