@@ -292,8 +292,8 @@ def _labeled_corpora(draw):
     only a label, and labels come from a small alphabet, so singleton
     classes are common.
     """
-    shared = draw(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=3), min_size=1, max_size=4))
-    vectors = [_sparse_descriptor(counts) for counts in shared]
+    bin_counts = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=3)
+    vectors = [_sparse_descriptor(counts) for counts in draw(st.lists(bin_counts, min_size=1, max_size=4))]
     if draw(st.integers(0, 7)) == 0:
         vectors.append(np.zeros(256, dtype=np.int64))
     descriptors, labels = {}, {}
