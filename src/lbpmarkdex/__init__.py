@@ -7,7 +7,7 @@ searched by example or by patient id and every original restored exactly.
 """
 
 from . import errors
-from .descriptor import accumulate_histograms, compute_descriptor, descriptor_distance
+from .descriptor import compute_descriptor, descriptor_distance
 from .errors import LbpmarkdexError
 from .evaluation import (
     EvalSets,
@@ -57,7 +57,6 @@ __all__ = [
     "RankedResult",
     "RelinkReport",
     "ZoneClass",
-    "accumulate_histograms",
     "build_pyramid",
     "capacity",
     "class_mean_pr",

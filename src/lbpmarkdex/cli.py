@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", action="store_true", help="also dump the 256 bins")
     _add_index_flag(p)
 
-    p = sub.add_parser("restore", help="write the exact original image back out")
+    p = sub.add_parser("restore", help="write the original's exact pixels back out, always with maxval 255")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", help="indexed image id")
     group.add_argument("--image", help="watermarked PGM file")
@@ -223,7 +223,7 @@ def _cmd_extract(parser, args) -> int:
     print(f"name\t{record.name}")
     print(f"birthday\t{_format_birthday(record)}")
     print(f"diagnostic\t{record.diagnostic}")
-    print(f"descriptor_total\t{sum(payload.descriptor)}")
+    print(f"descriptor_total\t{payload.descriptor.sum()}")
     if args.descriptor:
         print("descriptor\t" + " ".join(str(v) for v in payload.descriptor))
     return 0

@@ -19,25 +19,13 @@ from .pyramid import build_pyramid
 BINS = 256
 
 
-def accumulate_histograms(a, b) -> np.ndarray:
-    """Bin-wise sum of two 256-bin histograms."""
-    va = np.asarray(a, dtype=np.int64)
-    vb = np.asarray(b, dtype=np.int64)
-    if va.shape != (BINS,) or vb.shape != (BINS,):
-        raise ValueError(f"histograms must have {BINS} bins, got {va.shape} and {vb.shape}")
-    return va + vb
-
-
 def compute_descriptor(img: GrayImage) -> np.ndarray:
     """256-bin descriptor of an image: summed LBP histograms of all levels.
 
     Returns an int64 vector. Raises ImageTooSmall (from the pyramid) when
     the image cannot support three levels.
     """
-    total = np.zeros(BINS, dtype=np.int64)
-    for level in build_pyramid(img):
-        total = accumulate_histograms(total, lbp_histogram(level))
-    return total
+    return sum(lbp_histogram(level) for level in build_pyramid(img))
 
 
 def _normalize(vec: np.ndarray, which: str) -> np.ndarray:

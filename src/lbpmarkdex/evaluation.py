@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .descriptor import BINS, _normalize, _row_distances
+from .descriptor import _normalize, _row_distances
 from .errors import BadCutoff, EmptyAnswerSet, EmptyRelevantSet
 
 
@@ -122,8 +122,11 @@ def class_mean_pr(
     class label. Returns (class, k, mean_precision, mean_recall) rows,
     classes and cutoffs in ascending order. Queries whose class has no
     other member are skipped; a class with no evaluable queries is omitted.
+    Cutoffs need at least 2 ids that have both a label and a descriptor.
     """
     ids = sorted(set(descriptors) & set(labels))
+    if cutoffs and len(ids) < 2:
+        raise BadCutoff(f"cutoffs need at least 2 labeled images with a descriptor, found {len(ids)}")
     matrix = np.array([descriptors[i] for i in ids], dtype=np.int64)
     _check_cutoffs(cutoffs, len(ids) - 1)
     classes = sorted({labels[i] for i in ids})
@@ -134,7 +137,7 @@ def class_mean_pr(
     # class -> summed hit counts of its queries, one per cutoff
     totals = np.zeros((len(classes), len(cutoffs)), dtype=np.int64)
     if len(queries):
-        unit = _normalize(matrix.reshape(len(ids), BINS), "labeled")
+        unit = _normalize(matrix, "labeled")
         # x - y is exactly -(y - x), so d(i, j) and d(j, i) are the same
         # float: each pair is computed once, into an N x N matrix.
         distances = np.zeros((len(ids), len(ids)))

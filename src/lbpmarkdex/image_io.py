@@ -93,8 +93,8 @@ class GrayImage:
 def read_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (P5) byte string into a GrayImage.
 
-    Raises BadMagic for anything that is not P5, BadHeader for malformed
-    dimension/maxval fields, TruncatedData if pixel bytes are missing.
+    Raises BadMagic for anything that is not P5, BadHeader for a malformed
+    header or a pixel above maxval, TruncatedData for missing pixel bytes.
     Trailing bytes after the pixel data are ignored.
     """
     header = _HEADER.match(data)
@@ -127,6 +127,8 @@ def read_pgm(data: bytes) -> GrayImage:
             expected = f"{width}x{height}"
         raise TruncatedData(f"expected {expected} pixel bytes, found {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and pixels.max() > maxval:
+        raise BadHeader(f"pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels)
 
 

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .descriptor import BINS
 from .errors import (
@@ -51,7 +53,6 @@ _MAX_TEXT = 0xFFFF
 _MAX_BIN = 0xFFFFFFFF
 
 _HEADER_STRUCT = struct.Struct(">4sBBIIH")
-_DESCRIPTOR_STRUCT = struct.Struct(f">{BINS}I")
 
 
 def _check_text(value: str, name: str) -> bytes:
@@ -91,23 +92,33 @@ class PatientRecord:
 
 @dataclass(frozen=True)
 class Payload:
-    """Everything a watermarked image carries about its original."""
+    """Everything a watermarked image carries about its original; the
+    descriptor is a read-only int64 array of 256 bins in [0, 2**32 - 1]."""
 
-    descriptor: tuple[int, ...]
+    # descriptor: the same vector compute_descriptor returns, held as a
+    # read-only int64 array. Any integer or bool sequence of 256 bins is
+    # accepted and copied; floats and strings are not.
+    descriptor: np.ndarray = field(compare=False)
     locator: str
     record: PatientRecord
-    # Normalized in __post_init__ so callers may pass lists or numpy arrays.
+    # The descriptor's wire bytes: what == and hash() compare, since an
+    # array can do neither, and what encode_payload writes.
+    _wire: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        desc = tuple(int(v) for v in self.descriptor)
-        if len(desc) != BINS:
-            raise ValueError(
-                f"descriptor must have {BINS} bins, got {len(desc)}"
-            )
-        for v in desc:
-            if not 0 <= v <= _MAX_BIN:
-                raise OutOfRange(f"descriptor bin value {v} outside [0, {_MAX_BIN}]")
+        desc = np.asarray(self.descriptor)
+        if desc.dtype.kind not in "iub":  # Python ints past 2**63 give float64 or object
+            desc = np.asarray(self.descriptor, dtype=object)
+            if not all(isinstance(v, int) for v in desc.flat):
+                raise ValueError("descriptor bins must be integers")
+        if desc.shape != (BINS,):
+            raise ValueError(f"descriptor must have shape ({BINS},), got {desc.shape}")
+        if desc.min() < 0 or desc.max() > _MAX_BIN:
+            raise OutOfRange(f"descriptor bins run from {desc.min()} to {desc.max()}, outside [0, {_MAX_BIN}]")
+        desc = desc.astype(np.int64)
+        desc.flags.writeable = False
         object.__setattr__(self, "descriptor", desc)
+        object.__setattr__(self, "_wire", desc.astype(">u4").tobytes())
         _check_text(self.locator, "locator")
 
 
@@ -120,7 +131,7 @@ def encode_payload(payload: Payload) -> bytes:
     """Serialize a payload to its wire bytes."""
     rec = payload.record
     parts = [
-        _DESCRIPTOR_STRUCT.pack(*payload.descriptor),
+        payload._wire,
         _pack_text(payload.locator, "locator"),
         _pack_text(rec.patient_id, "patient_id"),
         _pack_text(rec.name, "name"),
@@ -184,7 +195,7 @@ def decode_payload(data: bytes) -> Payload:
             f"payload body checksum 0x{actual_crc:08x} != declared 0x{crc:08x}"
         )
     reader = _BodyReader(body)
-    descriptor = _DESCRIPTOR_STRUCT.unpack(reader.take(_DESCRIPTOR_STRUCT.size, "descriptor"))
+    descriptor = np.frombuffer(reader.take(4 * BINS, "descriptor"), ">u4")
     locator = reader.take_text("locator")
     patient_id = reader.take_text("patient_id")
     name = reader.take_text("name")

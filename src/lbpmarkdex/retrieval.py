@@ -298,7 +298,7 @@ def _scan_payloads(items, skipped: list[str] | None = None):
     for name, locator in items:
         try:
             payload, _ = read_stored(locator, restore=False)
-            if not any(payload.descriptor):
+            if not payload.descriptor.any():
                 raise EmptyDescriptor("stored descriptor has zero total count")
         except (LbpmarkdexError, OSError) as exc:
             logger.warning(

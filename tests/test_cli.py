@@ -592,6 +592,26 @@ class TestEvaluateVerb:
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1:] == ["g,1,1.000000,1.000000"]
 
+    def test_after_a_fresh_relink_no_image_is_labeled(self, cli_store, tmp_path, capsys):
+        """Labels do not survive a relink, so evaluate has no labeled id to
+        score unless --labels names them."""
+        store_copy = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store_copy)
+        index_path = str(tmp_path / "rebuilt.tsv")
+        assert run(["relink", "--store", str(store_copy), "--index", index_path]) == 0
+        capsys.readouterr()
+        code = run(["evaluate", "--cutoffs", "1", "--index", index_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "BadCutoff: cutoffs need at least 2 labeled images with a descriptor, found 0\n"
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_text("ga0\tg\nga1\tg\nsb0\ts\nsb1\ts\n", encoding="utf-8")
+        code = run(["evaluate", "--labels", str(labels_path), "--cutoffs", "1", "--index", index_path])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["g", "1"], ["s", "1"]]
+
     def test_damaged_entry_skipped_and_rest_scored(self, cli_store, tmp_path, capsys, caplog):
         store_copy = tmp_path / "store"
         shutil.copytree(cli_store["store"], store_copy)

@@ -8,7 +8,6 @@ import pytest
 
 from lbpmarkdex import (
     GrayImage,
-    accumulate_histograms,
     build_pyramid,
     compute_descriptor,
     descriptor_distance,
@@ -22,34 +21,6 @@ def oracle_distance(a, b):
     fa = [Fraction(int(v), int(sum(a))) for v in a]
     fb = [Fraction(int(v), int(sum(b))) for v in b]
     return math.sqrt(math.fsum(float((x - y) ** 2) for x, y in zip(fa, fb)))
-
-
-class TestAccumulate:
-    def test_binwise_addition(self):
-        a = np.zeros(256, dtype=np.int64)
-        b = np.zeros(256, dtype=np.int64)
-        a[0], a[1] = 1, 2
-        b[0], b[1] = 3, 4
-        out = accumulate_histograms(a, b)
-        assert out[0] == 4 and out[1] == 6 and out[2:].sum() == 0
-
-    def test_zero_is_identity(self):
-        rng = np.random.default_rng(31)
-        h = rng.integers(0, 50, size=256)
-        assert np.array_equal(accumulate_histograms(h, np.zeros(256, int)), h)
-
-    def test_commutative(self):
-        rng = np.random.default_rng(32)
-        for _ in range(5):
-            a = rng.integers(0, 100, size=256)
-            b = rng.integers(0, 100, size=256)
-            assert np.array_equal(
-                accumulate_histograms(a, b), accumulate_histograms(b, a)
-            )
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate_histograms(np.zeros(255, int), np.zeros(256, int))
 
 
 class TestComputeDescriptor:

@@ -1,6 +1,7 @@
 """Edges of image_io that the main PGM tests leave out: the header
 grammar's quirks, the separator byte after maxval, header numbers longer
-than int() and str() convert, and the GrayImage constructors' rejections."""
+than int() and str() convert, pixels above maxval, and the GrayImage
+constructors' rejections."""
 
 import numpy as np
 import pytest
@@ -55,3 +56,12 @@ def test_float_pixels_rejected():
 def test_from_flat_wrong_size_rejected(count):
     with pytest.raises(ValueError, match=f"expected 6 pixels for 3x2, got {count}"):
         GrayImage.from_flat(3, 2, range(count))
+
+
+def test_a_pixel_above_maxval_is_bad_header():
+    with pytest.raises(BadHeader, match="^pixel value 200 exceeds maxval 15$"):
+        read_pgm(b"P5 2 2 15 " + bytes([200, 1, 2, 3]))
+
+
+def test_a_pixel_equal_to_maxval_is_kept():
+    assert read_pgm(b"P5 2 2 15 " + bytes([15, 1, 2, 0])).pixels.tolist() == [[15, 1], [2, 0]]

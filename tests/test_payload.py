@@ -91,6 +91,62 @@ class TestPayloadValidation:
         assert payload.descriptor[255] == 255
 
 
+class TestDescriptorContract:
+    """Payload.descriptor is the read-only int64 vector compute_descriptor
+    returns: integer bins in [0, 2**32 - 1], and payloads that compare
+    equal hash equal."""
+
+    def test_descriptor_is_read_only_int64(self):
+        payload = sample_payload()
+        assert payload.descriptor.dtype == np.int64
+        assert payload.descriptor.shape == (256,)
+        with pytest.raises(ValueError):
+            payload.descriptor[0] = 5
+
+    def test_caller_array_is_copied(self):
+        source = np.arange(256, dtype=np.int64)
+        payload = Payload(descriptor=source, locator="a", record=PatientRecord("p"))
+        source[0] = 99
+        assert payload.descriptor[0] == 0
+
+    def test_hash_agrees_with_equality(self):
+        base = sample_payload()
+        same = Payload(np.arange(256, dtype=np.uint32), base.locator, base.record)
+        assert same == base and hash(same) == hash(base)
+        bumped = np.arange(256)
+        bumped[255] += 1
+        other = Payload(bumped, base.locator, base.record)
+        assert other != base
+        assert len({base, same, other}) == 2
+
+    def test_bool_bins_accepted(self):
+        payload = Payload(descriptor=[True] * 256, locator="", record=PatientRecord("p"))
+        assert payload.descriptor.tolist() == [1] * 256
+
+    @pytest.mark.parametrize("value", [-1, 2**32, 2**63, 2**64, -(2**70)])
+    def test_bin_outside_u32_is_out_of_range(self, value):
+        with pytest.raises(OutOfRange):
+            Payload(descriptor=[0] * 255 + [value], locator="", record=PatientRecord("p"))
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            [0] * 255,
+            np.zeros((1, 256), dtype=np.int64),
+            [[0] * 256],
+            [1.5] * 256,
+            [0.0] * 256,
+            [float("nan")] + [0] * 255,
+            ["1"] * 256,
+            ["1"] + [0] * 255,
+        ],
+        ids=["255-bins", "2-D-array", "2-D-list", "floats", "integral-floats", "nan", "strings", "one-string"],
+    )
+    def test_non_integer_or_misshapen_descriptor_is_value_error(self, descriptor):
+        with pytest.raises(ValueError):
+            Payload(descriptor=descriptor, locator="", record=PatientRecord("p"))
+
+
 class TestEncoding:
     def test_minimal_payload_is_1052_bytes(self):
         # 16 header + 1024 descriptor + 4 empty texts at 2 length bytes

@@ -1,8 +1,9 @@
 """Property tests: untrusted bytes raise only domain errors, any PGM header
 gap of whitespace and comments reads the same, the data-only read agrees
-with extract(), embedding round-trips whenever the payload fits, only
-a run-length coded location map can reach a file, and the matrix
-leave-one-out evaluation scores exactly like one ranking per query.
+with extract(), a payload survives its wire bytes, embedding round-trips
+whenever the payload fits, only a run-length coded location map can reach
+a file, and the matrix leave-one-out evaluation scores exactly like one
+ranking per query.
 
 Runs are derandomized so every run of the suite checks the same examples.
 """
@@ -19,10 +20,13 @@ from hypothesis.extra import numpy as hnp
 from lbpmarkdex import (
     EvalSets,
     GrayImage,
+    PatientRecord,
+    Payload,
     capacity,
     class_mean_pr,
     decode_payload,
     embed,
+    encode_payload,
     extract,
     pr_curve,
     precision_recall,
@@ -132,6 +136,20 @@ def test_any_header_gaps_decode_to_the_written_image(pixels, first, gaps, separa
 @given(st.one_of(st.binary(max_size=64), _BODY.map(_framed)))
 def test_decode_payload_raises_only_domain_errors(data):
     _only_domain_errors(decode_payload, data)
+
+
+# Full-range u32 bins, with the two extremes drawn often.
+_BINS = hnp.arrays(np.uint32, 256, elements=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(_BINS, st.text(max_size=8), st.text(max_size=8))
+def test_payload_wire_round_trip(bins, locator, patient_id):
+    payload = Payload(descriptor=bins, locator=locator, record=PatientRecord(patient_id))
+    decoded = decode_payload(encode_payload(payload))
+    assert decoded == payload
+    assert hash(decoded) == hash(payload)
+    assert decoded.descriptor.tolist() == bins.tolist()
 
 
 @PROPERTY
