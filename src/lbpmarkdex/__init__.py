@@ -31,6 +31,7 @@ from .retrieval import (
     query_by_patient_id,
     read_stored,
     relink,
+    restore_stored,
 )
 from .watermark import (
     DiffPair,
@@ -84,6 +85,7 @@ __all__ = [
     "reduce_once",
     "relink",
     "render_pr_csv",
+    "restore_stored",
     "save_pgm",
     "write_pgm",
     "write_pr_csv",

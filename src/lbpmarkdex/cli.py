@@ -23,12 +23,13 @@ from .retrieval import (
     Index,
     _load_tsv,
     _publish,
-    _scan_payloads,
     index_add,
     query_by_image,
     query_by_patient_id,
     read_stored,
     relink,
+    restore_stored,
+    stored_descriptors,
 )
 
 INDEX_ENV = "LBPMARKDEX_INDEX"
@@ -216,7 +217,7 @@ def _cmd_find_patient(parser, args) -> int:
 
 
 def _cmd_extract(parser, args) -> int:
-    payload, _ = read_stored(_entry_for(parser, args), restore=False)
+    payload = read_stored(_entry_for(parser, args))
     record = payload.record
     print(f"locator\t{payload.locator}")
     print(f"patient_id\t{record.patient_id}")
@@ -241,7 +242,7 @@ def _create_out(path: str, write) -> None:
 
 
 def _cmd_restore(parser, args) -> int:
-    _, original = read_stored(_entry_for(parser, args))
+    original = restore_stored(_entry_for(parser, args))
     _create_out(args.out, lambda tmp: save_pgm(tmp, original))
     print(args.out)
     return 0
@@ -282,11 +283,8 @@ def _cmd_evaluate(parser, args) -> int:
         labels = {
             e.image_id: e.class_label for e in index.entries if e.class_label
         }
-    labeled = ((e.image_id, e.locator) for e in index.entries if e.image_id in labels)
-    descriptors = {
-        image_id: payload.descriptor for image_id, _, payload in _scan_payloads(labeled)
-    }
-    rows = class_mean_pr(descriptors, labels, args.cutoffs)
+    labeled = [e for e in index.entries if e.image_id in labels]
+    rows = class_mean_pr(stored_descriptors(labeled), labels, args.cutoffs)
     if args.out:
         _create_out(args.out, lambda tmp: write_pr_csv(tmp, rows))
     else:
@@ -314,8 +312,14 @@ _COMMANDS = {
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = [logging.WARNING, logging.INFO, logging.DEBUG][min(args.verbose, 2)]
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(message)s")
+    # This call's messages go to this call's stderr at this call's level.
+    # The package logger still propagates, so handlers the host program put
+    # on the root logger see them too; the root logger is left alone.
+    log = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    saved_level = log.level
+    log.addHandler(handler)
+    log.setLevel([logging.WARNING, logging.INFO, logging.DEBUG][min(args.verbose, 2)])
     try:
         return _COMMANDS[args.command](parser, args)
     except LbpmarkdexError as exc:
@@ -324,6 +328,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"IoFailure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 def main() -> None:

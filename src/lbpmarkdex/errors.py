@@ -42,7 +42,9 @@ class FieldTooLong(LbpmarkdexError):
 
 
 class UnsupportedVersion(LbpmarkdexError):
-    """Payload version or flags byte is not supported by this decoder."""
+    """Payload version is not 1, or its flags byte or reserved bytes are not
+    zero: version 1 defines no flags, and a nonzero byte outside the body
+    checksum is taken as damage."""
 
 
 class LengthMismatch(LbpmarkdexError):

@@ -7,10 +7,10 @@ belongs to. Serialized form, all integers big-endian:
     header, 16 bytes:
         magic   b"LBPW"          4 bytes
         version 0x01             1 byte
-        flags   0x00             1 byte
+        flags   0x00             1 byte, must be zero
         body_len                 u32
         body_crc32 (zlib.crc32)  u32
-        reserved 0x0000          2 bytes
+        reserved 0x0000          2 bytes, must be zero
     body:
         descriptor               256 x u32
         locator                  u16 length + UTF-8 bytes
@@ -169,20 +169,26 @@ class _BodyReader:
 def decode_payload(data: bytes) -> Payload:
     """Parse wire bytes back into a Payload.
 
-    Raises TruncatedData (short header), BadMagic, UnsupportedVersion,
+    Raises TruncatedData (short header), BadMagic, UnsupportedVersion (a
+    version other than 1, or a nonzero flags or reserved byte),
     LengthMismatch (declared body longer than the data, or inner fields
     overrunning the declared body), ChecksumMismatch and MalformedStream (a
     text field that is not UTF-8). Bytes after the declared body are ignored.
     """
     if len(data) < HEADER_LEN:
         raise TruncatedData(f"payload header needs {HEADER_LEN} bytes, got {len(data)}")
-    magic, version, _flags, body_len, crc, _reserved = _HEADER_STRUCT.unpack(
+    magic, version, flags, body_len, crc, reserved = _HEADER_STRUCT.unpack(
         data[:HEADER_LEN]
     )
     if magic != MAGIC:
         raise BadMagic(f"expected payload magic {MAGIC!r}, got {magic!r}")
     if version != VERSION:
         raise UnsupportedVersion(f"payload version {version} not supported")
+    if flags or reserved:
+        # Outside the checksum, so a flipped bit here must not go unseen.
+        raise UnsupportedVersion(
+            f"payload flags 0x{flags:02x} and reserved 0x{reserved:04x} must be zero"
+        )
     if HEADER_LEN + body_len > len(data):
         raise LengthMismatch(
             f"header declares a {body_len}-byte body but only "

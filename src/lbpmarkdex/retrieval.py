@@ -240,9 +240,9 @@ def index_add(
     add the entry to the index file, which is rewritten atomically (comment
     and blank lines are not kept).
 
-    The original image is not kept anywhere; extract() recovers it from the
-    stored file, which is therefore never overwritten: an id that is
-    indexed or already has a stored file raises DuplicateId. Also raises
+    The original image is not kept anywhere; restore_stored() recovers it
+    from the stored file, which is therefore never overwritten: an id that
+    is indexed or already has a stored file raises DuplicateId. Also raises
     PayloadTooLarge (image cannot carry its own payload) and IoFailure,
     including for an id that is not a single path component or that the
     index format cannot hold.
@@ -272,19 +272,17 @@ def index_add(
     return entry
 
 
-def read_stored(
-    locator: str | os.PathLike, *, restore: bool = True
-) -> tuple[Payload, GrayImage | None]:
-    """Load a watermarked file and return its payload and restored original.
+def read_stored(locator: str | os.PathLike) -> Payload:
+    """The payload a watermarked file carries; its original is not rebuilt."""
+    return decode_payload(extract_data(load_pgm(locator)))
 
-    With restore=False the original is not rebuilt and None stands in for
-    it; the payload and every error are the same.
-    """
-    marked = load_pgm(locator)
-    if not restore:
-        return decode_payload(extract_data(marked)), None
-    data, original = extract(marked)
-    return decode_payload(data), original
+
+def restore_stored(locator: str | os.PathLike) -> GrayImage:
+    """The original image of a watermarked file, returned only once the
+    payload decodes: a file read_stored would reject is not restored."""
+    data, original = extract(load_pgm(locator))
+    decode_payload(data)
+    return original
 
 
 def _scan_payloads(items, skipped: list[str] | None = None):
@@ -297,7 +295,7 @@ def _scan_payloads(items, skipped: list[str] | None = None):
     """
     for name, locator in items:
         try:
-            payload, _ = read_stored(locator, restore=False)
+            payload = read_stored(locator)
             if not payload.descriptor.any():
                 raise EmptyDescriptor("stored descriptor has zero total count")
         except (LbpmarkdexError, OSError) as exc:
@@ -310,11 +308,17 @@ def _scan_payloads(items, skipped: list[str] | None = None):
         yield name, locator, payload
 
 
-def rank_by_distance(query_desc, ids, rows) -> list[tuple[float, str]]:
-    """(distance, image_id) for each ids[j] with descriptor rows[j],
+def stored_descriptors(entries) -> dict[str, np.ndarray]:
+    """image_id -> stored descriptor of each entry; the scan logs and drops the rest."""
+    scan = _scan_payloads((e.image_id, e.locator) for e in entries)
+    return {image_id: payload.descriptor for image_id, _, payload in scan}
+
+
+def rank_by_distance(query_desc, descriptors) -> list[tuple[float, str]]:
+    """(distance, image_id) for each image_id -> descriptor of the mapping,
     ascending: by distance to query_desc, ties broken by ascending id."""
-    matrix = np.asarray(rows, dtype=np.int64).reshape(len(ids), BINS)
-    return sorted(zip(descriptor_distance(query_desc, matrix).tolist(), ids))
+    matrix = np.asarray(list(descriptors.values()), dtype=np.int64).reshape(len(descriptors), BINS)
+    return sorted(zip(descriptor_distance(query_desc, matrix).tolist(), descriptors))
 
 
 def query_by_image(query: GrayImage, index_path: str | os.PathLike, k: int) -> list[RankedResult]:
@@ -330,9 +334,7 @@ def query_by_image(query: GrayImage, index_path: str | os.PathLike, k: int) -> l
     if len(index) == 0:
         raise EmptyIndex("cannot query an empty index")
     query_desc = compute_descriptor(query)
-    scan = _scan_payloads((e.image_id, e.locator) for e in index.entries)
-    found = [(image_id, payload.descriptor) for image_id, _, payload in scan]
-    ranked = rank_by_distance(query_desc, [i for i, _ in found], [d for _, d in found])
+    ranked = rank_by_distance(query_desc, stored_descriptors(index.entries))
     return [RankedResult(i, d) for d, i in ranked[:k]]
 
 

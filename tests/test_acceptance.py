@@ -324,7 +324,7 @@ class TestAcceptance:
                 serial += 1
         index = Index.load(index_path)
         descriptors = {
-            e.image_id: read_stored(e.locator)[0].descriptor
+            e.image_id: read_stored(e.locator).descriptor
             for e in index.entries
         }
         labels = {e.image_id: e.class_label for e in index.entries}

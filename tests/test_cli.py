@@ -1,5 +1,7 @@
 """Command-line verbs, exit codes, and output formats."""
 
+import contextlib
+import io
 import logging
 import os
 import shutil
@@ -16,6 +18,7 @@ from lbpmarkdex import (
     IndexEntry,
     capacity,
     class_mean_pr,
+    extract,
     load_pgm,
     read_stored,
     render_pr_csv,
@@ -23,7 +26,14 @@ from lbpmarkdex import (
 )
 from lbpmarkdex.cli import INDEX_ENV, run
 
-from helpers import gradient_image, save_locator_file, smooth_noise_image, stripe_image
+from helpers import (
+    flip_stream_bit,
+    gradient_image,
+    parse_wire,
+    save_locator_file,
+    smooth_noise_image,
+    stripe_image,
+)
 
 
 def _tree(root) -> list[str]:
@@ -430,6 +440,22 @@ class TestRestoreVerb:
         assert victim.read_bytes() == stored
         assert out_path.read_bytes() == (cli_store["inputs"] / "sb0.pgm").read_bytes()
 
+    def test_refuses_a_damaged_payload(self, cli_store, tmp_path, capsys):
+        # One flipped bit in the payload body: extract() alone still rebuilds
+        # the original pixels, but a file whose payload fails its checksum
+        # is rejected, not restored.
+        marked = load_pgm(Index.load(cli_store["index"]).find("sb0").locator)
+        body_start = parse_wire(marked.pixels.astype(np.int64))["data_start"] + 8 * 16
+        tampered = flip_stream_bit(marked, body_start + 3)
+        assert extract(tampered)[1] == cli_store["images"]["sb0"][0]
+        source = tmp_path / "tampered.pgm"
+        save_pgm(source, tampered)
+        out_path = tmp_path / "back.pgm"
+        code = run(["restore", "--image", str(source), "--out", str(out_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ChecksumMismatch: ")
+        assert _tree(tmp_path) == ["tampered.pgm"]
+
     def test_out_in_a_missing_directory_names_out(self, cli_store, tmp_path, capsys):
         out_path = tmp_path / "absent" / "back.pgm"
         code = run(["restore", "--id", "sb0", "--out", str(out_path), "--index", cli_store["index"]])
@@ -471,6 +497,43 @@ class TestScansNeverRestore:
         monkeypatch.undo()
         assert run(["restore", "--id", "sb0", "--out", str(out_path), "--index", index]) == 0
         assert out_path.read_bytes() == (cli_store["inputs"] / "sb0.pgm").read_bytes()
+
+
+class TestLoggingPerCall:
+    def test_each_call_warns_on_its_own_stderr_at_its_own_level(self, cli_store, tmp_path, monkeypatch):
+        # Two in-process calls, each with its own stderr, over an index with
+        # one missing file; the second call asks for -v.
+        gone = tmp_path / "gone.pgm"
+        index_path = tmp_path / "index.tsv"
+        Index([*Index.load(cli_store["index"]).entries, IndexEntry("gone", str(gone))]).save(index_path)
+        levels = []
+
+        def spy(*args):
+            levels.append(logging.getLogger("lbpmarkdex.retrieval").getEffectiveLevel())
+            return lbpmarkdex.query_by_patient_id(*args)
+
+        monkeypatch.setattr("lbpmarkdex.cli.query_by_patient_id", spy)
+        root = logging.getLogger()
+        root_before = (root.level, list(root.handlers))
+        host = logging.Handler(logging.WARNING)
+        host.emit = lambda record: host_messages.append(record.getMessage())
+        host_messages = []
+        root.addHandler(host)
+        errs = []
+        try:
+            for verbose in ([], ["-v"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    assert run([*verbose, "find-patient", "--patient-id", "PSHARED", "--index", str(index_path)]) == 0
+                errs.append(err.getvalue())
+        finally:
+            root.removeHandler(host)
+        assert levels == [logging.WARNING, logging.INFO]
+        assert errs[0].startswith(f"skipping gone ({gone}): ")
+        assert errs == [errs[0], errs[0]] and errs[0].count("\n") == 1
+        # The host program's root handler sees each warning; root is untouched.
+        assert host_messages == [errs[0].rstrip("\n")] * 2
+        assert (root.level, root.handlers) == root_before
 
 
 class TestRelinkVerb:
@@ -534,7 +597,7 @@ class TestEvaluateVerb:
         assert code == 0
         index = Index.load(cli_store["index"])
         descriptors = {
-            e.image_id: read_stored(e.locator)[0].descriptor
+            e.image_id: read_stored(e.locator).descriptor
             for e in index.entries
         }
         labels = {e.image_id: e.class_label for e in index.entries}
@@ -627,7 +690,7 @@ class TestEvaluateVerb:
             code = run(["evaluate", "--cutoffs", "1,2", "--index", str(index_path)])
         assert code == 0
         intact = {
-            e.image_id: read_stored(e.locator)[0].descriptor
+            e.image_id: read_stored(e.locator).descriptor
             for e in index.entries
             if e.image_id != "sb1"
         }

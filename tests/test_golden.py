@@ -281,7 +281,7 @@ def test_retrieval_matches_recorded_values(tmp_path):
     results = query_by_image(query, index_path, 10)
     assert [(r.image_id, repr(r.distance)) for r in results] == GOLDEN_QUERY
     index = Index.load(index_path)
-    descriptors = {e.image_id: read_stored(e.locator)[0].descriptor for e in index.entries}
+    descriptors = {e.image_id: read_stored(e.locator).descriptor for e in index.entries}
     labels = {e.image_id: e.class_label for e in index.entries}
     rows = class_mean_pr(descriptors, labels, [1, 2, 5, 9])
     assert [(c, k, repr(p), repr(r)) for c, k, p, r in rows] == GOLDEN_CLASS_MEAN_PR

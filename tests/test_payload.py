@@ -253,8 +253,13 @@ class TestDecoding:
             decode_payload(non_utf8_payload())
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
-    def test_flags_byte_not_validated(self):
-        # Reserved for future ciphered bodies; current parser ignores it.
-        blob = bytearray(encode_payload(sample_payload()))
-        blob[5] = 0x80
-        assert decode_payload(bytes(blob)) == sample_payload()
+    def test_nonzero_flags_or_reserved_rejected(self):
+        # Flags (byte 5) and reserved (14, 15) lie outside the body
+        # checksum; version 1 writes zeros and defines no other value.
+        base = encode_payload(sample_payload())
+        for offset in (5, 14, 15):
+            assert base[offset] == 0
+            blob = bytearray(base)
+            blob[offset] = 0x80
+            with pytest.raises(UnsupportedVersion, match="must be zero"):
+                decode_payload(bytes(blob))

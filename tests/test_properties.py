@@ -267,13 +267,13 @@ def _reference_class_mean_pr(descriptors, labels, cutoffs):
     """Leave-one-out as one rank_by_distance per query, scored by pr_curve."""
     ids = sorted(set(descriptors) & set(labels))
     _reference_check_cutoffs(cutoffs, len(ids) - 1)
-    rows = [descriptors[i] for i in ids]
+    labeled = {i: descriptors[i] for i in ids}
     hits_per_class = {}
     for query in ids:
         relevant = {i for i in ids if i != query and labels[i] == labels[query]}
         if not relevant:
             continue
-        ranked = [i for _, i in rank_by_distance(descriptors[query], ids, rows) if i != query]
+        ranked = [i for _, i in rank_by_distance(descriptors[query], labeled) if i != query]
         # precision = hits / k, correctly rounded, so rounding back is exact
         hits = [round(p * k) for k, p, _ in pr_curve(ranked, relevant, cutoffs)]
         hits_per_class.setdefault(labels[query], []).append(hits)

@@ -25,6 +25,7 @@ from lbpmarkdex import (
     query_by_patient_id,
     read_stored,
     relink,
+    restore_stored,
     save_pgm,
 )
 from lbpmarkdex import retrieval
@@ -34,9 +35,12 @@ from lbpmarkdex.errors import (
     IoFailure,
     OutOfRange,
     PayloadTooLarge,
+    UnsupportedVersion,
 )
 
 from helpers import (
+    flip_stream_bit,
+    parse_wire,
     sample_patient,
     save_empty_descriptor_file,
     save_non_utf8_file,
@@ -148,7 +152,8 @@ class TestIndexAdd:
         """The stored file must carry the descriptor of the original image
         and restore that image byte for byte."""
         entry = Index.load(store["index"]).find("img004")
-        payload, restored = read_stored(entry.locator)
+        payload = read_stored(entry.locator)
+        restored = restore_stored(entry.locator)
         original = store["originals"]["img004"]
         assert np.array_equal(
             payload.descriptor, compute_descriptor(original)
@@ -302,11 +307,33 @@ def test_concurrent_writers_keep_every_row(tmp_path):
     ids = [f"w{w}-{j}" for w in range(4) for j in range(3)]
     assert sorted(e.image_id for e in index.entries) == ids
     for image_id in ids:
-        payload, restored = read_stored(index.find(image_id).locator)
+        locator = index.find(image_id).locator
         w, j = map(int, image_id[1:].split("-"))
-        assert restored == smooth_noise_image(np.random.default_rng(300 + 3 * w + j), 160, 160)
-        assert payload.locator == index.find(image_id).locator
+        assert restore_stored(locator) == smooth_noise_image(np.random.default_rng(300 + 3 * w + j), 160, 160)
+        assert read_stored(locator).locator == locator
     assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+
+
+class TestReadStored:
+    def test_header_bits_outside_checksum_rejected(self, store, tmp_path):
+        """Every single-bit flip of the payload's flags byte (offset 5) or
+        reserved bytes (14, 15) makes the file unreadable: the body
+        checksum does not cover them."""
+        locator = Index.load(store["index"]).find("img001").locator
+        marked = load_pgm(locator)
+        data_start = parse_wire(marked.pixels.astype(np.int64))["data_start"]
+        tampered_path = tmp_path / "tampered.pgm"
+        accepted = []
+        for offset in (5, 14, 15):
+            for bit in range(8):
+                save_pgm(tampered_path, flip_stream_bit(marked, data_start + 8 * offset + bit))
+                try:
+                    read_stored(tampered_path)
+                except UnsupportedVersion:
+                    continue
+                accepted.append((offset, bit))
+        assert accepted == []
+        assert read_stored(locator).locator == locator
 
 
 class TestQueryByImage:
