@@ -119,14 +119,15 @@ def read_pgm(data: bytes) -> GrayImage:
     if not sep:
         raise BadHeader("missing whitespace between maxval and pixel data")
     count = width * height
-    raw = data[header.end() : header.end() + count]
-    if len(raw) < count:
+    found = len(data) - header.end()
+    if found < count:
         try:
             expected = str(count)
         except ValueError:  # more digits than str() converts
             expected = f"{width}x{height}"
-        raise TruncatedData(f"expected {expected} pixel bytes, found {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+        raise TruncatedData(f"expected {expected} pixel bytes, found {found}")
+    # A view of data; GrayImage makes the one copy.
+    pixels = np.frombuffer(data, np.uint8, count, header.end()).reshape(height, width)
     if maxval < 255 and pixels.max() > maxval:
         raise BadHeader(f"pixel value {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels)

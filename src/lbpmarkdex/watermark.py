@@ -93,21 +93,24 @@ def _expand(h, bit):
 
 def _substitute(h, bit):
     """Difference after LSB substitution."""
-    return 2 * (h // 2) + bit
+    return (h & -2) + bit
 
 
 def _fits(write, l, h):
-    """Whether write (_expand or _substitute), with either bit, keeps the
-    new difference within the reconstruction bound; for ints or arrays.
+    """Whether write (_expand or _substitute), with either bit, keeps both
+    pixels of the pair inside [0, 255]; for int16 arrays or scalars.
 
     _fits(_expand, ...) is the expandable zone and _fits(_substitute, ...)
-    the changeable one, which includes it. Both writes set the LSB, so
-    write(h, 1) == write(h, 0) + 1, and |w| <= B with |w + 1| <= B is
-    exactly -B <= w < B.
+    the changeable one, which includes it. Both writes give a difference
+    w = 2k + b, with k = h for _expand and k = floor(h/2) for _substitute,
+    and _to_pixels turns (l, w) into the pixels (l + k + b, l - k). Both
+    bits fit exactly when 0 <= l + k <= 254 and 0 <= l - k <= 255, which
+    is |w| <= reconstruction_bound(l) for b = 0 and 1. With l in [0, 255]
+    and |h| <= 511, l +- k stays inside [-511, 766], so each test is one
+    unsigned compare: a negative int16 viewed as uint16 is at least 32768.
     """
-    bound = reconstruction_bound(l)
-    low = write(h, 0)
-    return (-bound <= low) & (low < bound)
+    k = write(h, 0) >> 1
+    return ((l + k).view(np.uint16) <= 254) & ((l - k).view(np.uint16) <= 255)
 
 
 def inverse_transform(p: DiffPair) -> tuple[int, int]:
@@ -124,9 +127,10 @@ def inverse_transform(p: DiffPair) -> tuple[int, int]:
 
 def classify(p: DiffPair) -> ZoneClass:
     """Zone of a pair: can it be expanded, only LSB-written, or neither."""
-    if _fits(_expand, p.l, p.h):
+    l, h = np.int16(p.l), np.int16(p.h)
+    if _fits(_expand, l, h):
         return ZoneClass.EXPANDABLE
-    if _fits(_substitute, p.l, p.h):
+    if _fits(_substitute, l, h):
         return ZoneClass.CHANGEABLE_ONLY
     return ZoneClass.UNCHANGEABLE
 
@@ -173,14 +177,13 @@ def rle_decode_map(body: bytes, n_bits: int) -> np.ndarray:
 
 
 def _pair_arrays(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """(l, h) arrays of shape (height, floor(width/2))."""
+    """(l, h) int16 arrays of shape (height, floor(width/2))."""
+    # Each pair (x, y) is read as one little-endian uint16, x + 256*y.
     # Every value the pair arithmetic reaches (2h + b with |h| <= 255)
     # stays within +-511, so int16 holds it without overflow.
-    p = img.pixels.astype(np.int16)
-    n = img.width // 2
-    x = p[:, 0 : 2 * n : 2]
-    y = p[:, 1 : 2 * n : 2]
-    return (x + y) // 2, x - y
+    pairs = np.ascontiguousarray(img.pixels[:, : img.width & -2]).view("<u2")
+    x, y = (pairs & 0xFF).view(np.int16), (pairs >> 8).view(np.int16)
+    return (x + y) >> 1, x - y
 
 
 def _with_pairs(img: GrayImage, l, h, error: Exception) -> GrayImage:
@@ -192,9 +195,7 @@ def _with_pairs(img: GrayImage, l, h, error: Exception) -> GrayImage:
     if x.size and (x.min() < 0 or x.max() > 255 or y.min() < 0 or y.max() > 255):
         raise error
     out = img.pixels.copy()
-    n = img.width // 2
-    out[:, 0 : 2 * n : 2] = x
-    out[:, 1 : 2 * n : 2] = y
+    out[:, : img.width & -2].view("<u2")[...] = (x | y << 8).view(np.uint16)
     return GrayImage(out)
 
 
@@ -209,7 +210,7 @@ def _layout(img: GrayImage):
     expandable, changeable = _fits(_expand, l, h), _fits(_substitute, l, h)
     body = np.unpackbits(np.frombuffer(rle_encode_map(expandable.ravel()), dtype=np.uint8))
     length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
-    saved = (h & 1).astype(np.uint8)[changeable & ~expandable]
+    saved = (h[changeable & ~expandable] & 1).astype(np.uint8)
     head = np.concatenate([np.ones(1, dtype=np.uint8), length_field, body, saved])
     return l, h, expandable, changeable, head, max(0, int(np.count_nonzero(changeable)) - head.size)
 
@@ -254,12 +255,12 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
 
 
 def _parse_stream(img: GrayImage):
-    """(data, l, h_marked, expanded, change_only, saved_bits) of a marked image.
+    """(data, l, h_marked, changeable, expanded, saved_bits) of a marked image.
 
     Makes every check on the stream: header, map length, map flag, RLE
     map, map within the changeable pairs, and room for the saved LSBs; any
     failure raises MalformedStream. Restoring needs only the arrays it
-    returns.
+    returns, and nothing is built that only restoring needs.
     """
     l, h_marked = _pair_arrays(img)
     changeable = _fits(_substitute, l, h_marked)
@@ -268,7 +269,7 @@ def _parse_stream(img: GrayImage):
         raise MalformedStream(
             f"{slots} writable slots cannot hold a {_HEADER_BITS}-bit stream header"
         )
-    stream = (h_marked & 1).astype(np.uint8)[changeable]
+    stream = (h_marked[changeable] & 1).astype(np.uint8)
     flag = int(stream[0])
     (map_len,) = struct.unpack(">I", np.packbits(stream[1:33]).tobytes())
     n_pairs = l.size
@@ -283,12 +284,11 @@ def _parse_stream(img: GrayImage):
     if map_len % 16 != 0:
         raise MalformedStream(f"RLE map body of {map_len} bits is not word-aligned")
     body = stream[_HEADER_BITS : _HEADER_BITS + map_len]
-    map_bits = rle_decode_map(np.packbits(body).tobytes(), n_pairs)
-    expanded = map_bits.astype(bool).reshape(l.shape)
-    if np.any(expanded & ~changeable):
+    expanded = rle_decode_map(np.packbits(body).tobytes(), n_pairs).view(bool).reshape(l.shape)
+    if np.any(expanded > changeable):
         raise MalformedStream("location map marks a pair that holds no stream bit")
-    change_only = changeable & ~expanded
-    n_saved = np.count_nonzero(change_only)
+    # expanded lies inside changeable: the rest of the slots are saved LSBs.
+    n_saved = slots - np.count_nonzero(expanded)
     saved_start = _HEADER_BITS + map_len
     if saved_start + n_saved > slots:
         raise MalformedStream(
@@ -296,7 +296,7 @@ def _parse_stream(img: GrayImage):
         )
     data_bits = stream[saved_start + n_saved :]
     data = np.packbits(data_bits[: 8 * (data_bits.size // 8)]).tobytes()
-    return data, l, h_marked, expanded, change_only, stream[saved_start : saved_start + n_saved]
+    return data, l, h_marked, changeable, expanded, stream[saved_start : saved_start + n_saved]
 
 
 def extract_data(img: GrayImage) -> bytes:
@@ -318,13 +318,15 @@ def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
     bytes include the zero padding after the payload, so callers delimit
     the real content themselves.
     """
-    data, l, h_marked, expanded, change_only, saved_bits = _parse_stream(img)
+    data, l, h_marked, changeable, expanded, saved_bits = _parse_stream(img)
     saved = np.zeros(l.shape, dtype=np.int16)
-    saved[change_only] = saved_bits
+    saved[changeable & ~expanded] = saved_bits
+    # The outer where takes the expanded pairs, so the inner one sees only
+    # changeable-only pairs among the changeable ones.
     h = np.where(
         expanded,
-        h_marked // 2,
-        np.where(change_only, _substitute(h_marked, saved), h_marked),
+        h_marked >> 1,
+        np.where(changeable, _substitute(h_marked, saved), h_marked),
     )
     return data, _with_pairs(
         img, l, h, MalformedStream("restored pixels leave [0, 255]; stream is corrupt")

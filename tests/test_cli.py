@@ -106,6 +106,24 @@ class TestIndexVerb:
         assert out.strip().endswith("solo.pgm")
         assert Index.load(tmp_path / "idx.tsv").find("solo") is not None
 
+    def test_creates_a_missing_index_directory(self, tmp_path, capsys):
+        rng = np.random.default_rng(32)
+        path = tmp_path / "in.pgm"
+        save_pgm(path, smooth_noise_image(rng, 160, 160))
+        index_path = tmp_path / "db" / "index.tsv"
+        code = run(
+            [
+                "index",
+                "--id", "solo",
+                "--image", str(path),
+                "--store", str(tmp_path / "store"),
+                "--patient-id", "P1",
+                "--index", str(index_path),
+            ]
+        )
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert Index.load(index_path).find("solo") is not None
+
     def test_duplicate_id_exits_one(self, cli_store, capsys):
         code = run(
             [
@@ -558,6 +576,12 @@ class TestRelinkVerb:
             "sb0",
             "sb1",
         ]
+
+    def test_creates_a_missing_index_directory(self, cli_store, tmp_path, capsys):
+        new_index = tmp_path / "db" / "rebuilt.tsv"
+        code = run(["relink", "--store", cli_store["store"], "--index", str(new_index)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert [e.image_id for e in Index.load(new_index).entries] == ["ga0", "ga1", "sb0", "sb1"]
 
     @pytest.mark.parametrize(
         "name, locator",

@@ -1,6 +1,7 @@
 """Property tests: untrusted bytes raise only domain errors, any PGM header
 gap of whitespace and comments reads the same, the data-only read agrees
-with extract(), a payload survives its wire bytes, embedding round-trips
+with extract() and with an independent reading of the wire format, a
+payload survives its wire bytes, embedding round-trips
 whenever the payload fits, only a run-length coded location map can reach
 a file, and the matrix leave-one-out evaluation scores exactly like one
 ranking per query.
@@ -36,7 +37,13 @@ from lbpmarkdex.errors import BadCutoff, LbpmarkdexError, MalformedStream, Paylo
 from lbpmarkdex.retrieval import rank_by_distance
 from lbpmarkdex.watermark import extract_data, rle_encode_map
 
-from helpers import flip_stream_bit, reference_zone
+from helpers import (
+    banded_noise_image,
+    flip_stream_bit,
+    parse_wire,
+    reference_zone,
+    smooth_noise_image,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -86,6 +93,15 @@ def _smooth_images(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     noise = np.random.default_rng(seed).integers(-spread, spread + 1, size=(height, width))
     return GrayImage(np.clip(base + noise, 0, 255))
+
+
+@st.composite
+def _generated_images(draw):
+    """helpers' smooth (every pair expandable) or banded (a saturated row
+    band of unchangeable pairs) noise images."""
+    make = draw(st.sampled_from([smooth_noise_image, banded_noise_image]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make(rng, draw(st.integers(2, 40)), draw(st.integers(2, 24)))
 
 
 # Pairs of each zone: expandable (mid-gray, small difference),
@@ -204,6 +220,26 @@ def test_data_only_read_agrees_with_extract_on_bit_flipped_images(img, data):
         col = data.draw(st.integers(0, img.width - 1))
         pixels[row, col] ^= data.draw(st.integers(1, 255))
     _assert_reads_agree(GrayImage(pixels))
+
+
+@PROPERTY
+@given(st.one_of(_smooth_images(), _generated_images()), st.data())
+def test_data_only_read_matches_the_independent_wire_reader(img, data):
+    """extract_data against helpers' loop-based reader, which shares no
+    code with the package: the data region starts where the wire format
+    puts it (after the map and one saved LSB per changeable-only pair) and
+    runs to the last whole byte of the writable slots."""
+    payload = data.draw(st.binary(max_size=capacity(img) // 8))
+    try:
+        marked = embed(img, payload)
+    except PayloadTooLarge:
+        return
+    read = extract_data(marked)
+    assert read[: len(payload)] == payload
+    wire = parse_wire(marked.pixels)
+    region = wire["bits"][wire["data_start"] :]
+    whole = np.array(region[: 8 * (len(region) // 8)], dtype=np.uint8)
+    assert read == np.packbits(whole).tobytes()
 
 
 @PROPERTY

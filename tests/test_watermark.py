@@ -23,7 +23,15 @@ from lbpmarkdex.errors import (
     OutOfRange,
     PayloadTooLarge,
 )
-from lbpmarkdex.watermark import extract_data, rle_decode_map, rle_encode_map
+from lbpmarkdex.watermark import (
+    _expand,
+    _fits,
+    _pair_arrays,
+    _substitute,
+    extract_data,
+    rle_decode_map,
+    rle_encode_map,
+)
 
 from helpers import (
     banded_noise_image,
@@ -32,6 +40,7 @@ from helpers import (
     int_bits,
     max_feasible_bytes,
     parse_wire,
+    reference_bound,
     reference_zone,
     smooth_noise_image,
     write_stream_bits,
@@ -105,6 +114,61 @@ class TestClassify:
                     bound = min(2 * (255 - pair.l), 2 * pair.l + 1)
                     base = 2 * (pair.h // 2)
                     assert abs(base) <= bound and abs(base + 1) <= bound
+
+
+class TestPairKernel:
+    """The int16 array kernel that embed, extract and capacity share,
+    checked exhaustively against the scalar definitions."""
+
+    def test_fits_matches_the_bound_on_every_pair_and_write(self):
+        l, h = np.meshgrid(
+            np.arange(256, dtype=np.int16), np.arange(-511, 512, dtype=np.int16), indexing="ij"
+        )
+        bound = np.array([reference_bound(v) for v in range(256)])[:, None]
+        wide = h.astype(np.int64)
+        for write, even in ((_expand, 2 * wide), (_substitute, 2 * (wide // 2))):
+            # the write gives even + b; it fits when |even + b| <= bound for both b
+            expected = (np.abs(even) <= bound) & (np.abs(even + 1) <= bound)
+            fits = _fits(write, l, h)
+            assert fits.shape == l.shape and fits.dtype == bool
+            assert np.array_equal(fits, expected), write.__name__
+
+    def test_pair_split_matches_forward_transform_on_all_pairs(self):
+        # row x holds the pairs (x, 0), (x, 1), ..., (x, 255)
+        x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        img = GrayImage(np.stack([x, y], axis=-1).reshape(256, 512))
+        l, h = _pair_arrays(img)
+        assert l.dtype == h.dtype == np.int16 and l.shape == (256, 256)
+        for xv in range(256):
+            for yv in range(256):
+                assert (l[xv, yv], h[xv, yv]) == forward_transform(xv, yv)
+
+    @pytest.mark.parametrize("width, height", [(2, 200), (3, 200), (255, 8)])
+    def test_narrow_and_odd_widths_round_trip(self, width, height):
+        rng = np.random.default_rng(width)
+        img = smooth_noise_image(rng, width, height)
+        assert _pair_arrays(img)[0].shape == (height, width // 2)
+        data = rng.integers(0, 256, size=capacity(img) // 8, dtype=np.uint8).tobytes()
+        assert data
+        marked = embed(img, data)
+        out, restored = extract(marked)
+        assert out[: len(data)] == data and extract_data(marked) == out
+        assert restored == img
+        if width % 2:
+            assert np.array_equal(marked.pixels[:, -1], img.pixels[:, -1])
+        # pixels held in column-major order read the same pairs
+        column_major = GrayImage(np.asfortranarray(img.pixels.astype(np.int64)))
+        assert not column_major.pixels.flags.c_contiguous
+        assert embed(column_major, data) == marked
+
+    def test_width_one_has_no_pairs(self):
+        img = GrayImage(np.full((40, 1), 128))
+        assert _pair_arrays(img)[0].shape == (40, 0)
+        assert capacity(img) == 0
+        with pytest.raises(ImageTooNarrow):
+            embed(img, b"")
+        with pytest.raises(MalformedStream):
+            extract_data(img)
 
 
 class TestLocationMapRle:
