@@ -78,12 +78,6 @@ def _need_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> st
     return args.index
 
 
-def _make_index_dir(index_path: str) -> None:
-    """Create the directory of an index a verb writes, as index_add
-    creates the store; the library calls expect it to exist."""
-    os.makedirs(os.path.dirname(index_path) or ".", exist_ok=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lbpmarkdex",
@@ -193,7 +187,6 @@ def _cmd_index(parser, args) -> int:
         birth_day=day,
         diagnostic=args.diagnostic,
     )
-    _make_index_dir(index_path)
     entry = index_add(
         index_path,
         load_pgm(args.image),
@@ -257,7 +250,6 @@ def _cmd_restore(parser, args) -> int:
 
 def _cmd_relink(parser, args) -> int:
     index_path = _need_index(parser, args)
-    _make_index_dir(index_path)
     index, report = relink(args.store, index_path)
     print(f"indexed\t{len(index)}")
     print(f"repaired\t{len(report.repaired)}")

@@ -200,9 +200,11 @@ def _entry_line(entry: IndexEntry) -> str:
 
 @contextlib.contextmanager
 def _index_lock(index_path: str | os.PathLike):
-    """Exclusive advisory lock serializing writers of one index file."""
+    """Exclusive advisory lock serializing writers of one index file. It
+    creates the index's directory, as index_add creates the store."""
     lock_path = f"{os.fspath(index_path)}.lock"
     try:
+        os.makedirs(os.path.dirname(lock_path) or ".", exist_ok=True)
         fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
     except OSError as exc:
         raise IoFailure(f"cannot open lock file {lock_path!r}: {exc}") from exc

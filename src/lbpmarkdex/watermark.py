@@ -20,6 +20,12 @@ in the stream). Both operations keep the pair changeable, and untouched
 pairs keep their zone, so the extractor can recompute the writable slots
 from the watermarked image alone.
 
+In pixel terms, which is how the reader finds them: a pair (x, y) is a
+writable slot unless y is odd and x is 0 or 255, and the bit it carries is
+h & 1 = (x ^ y) & 1. An LSB substitution keeps y and moves x within
+{x - d, x - d + 1}, d = (x ^ y) & 1, which leaves [0, 255] only in those
+two cases; no (l, h) is needed to locate or read the stream.
+
 On-pixels bitstream (the interoperability surface between embed and
 extract), written MSB-first into the LSBs of writable pairs in scan order:
 
@@ -101,7 +107,8 @@ def _fits(write, l, h):
     pixels of the pair inside [0, 255]; for int16 arrays or scalars.
 
     _fits(_expand, ...) is the expandable zone and _fits(_substitute, ...)
-    the changeable one, which includes it. Both writes give a difference
+    the changeable one, which includes it; the array code takes the
+    changeable zone in pixel form from _slots. Both writes give a difference
     w = 2k + b, with k = h for _expand and k = floor(h/2) for _substitute,
     and _to_pixels turns (l, w) into the pixels (l + k + b, l - k). Both
     bits fit exactly when 0 <= l + k <= 254 and 0 <= l - k <= 255, which
@@ -159,14 +166,21 @@ def rle_encode_map(bits: np.ndarray) -> bytes:
     return struct.pack(f">{len(words)}H", *words)
 
 
-def rle_decode_map(body: bytes, n_bits: int) -> np.ndarray:
-    """Inverse of rle_encode_map; raises MalformedStream on bad input."""
+def _rle_runs(body: bytes, n_bits: int) -> np.ndarray:
+    """Run lengths of an RLE map body that covers n_bits map bits; raises
+    MalformedStream on bad input."""
     if len(body) % 2 != 0:
         raise MalformedStream(f"RLE map body of {len(body)} bytes is not word-aligned")
     runs = np.frombuffer(body, dtype=">u2")
     covered = int(runs.sum(dtype=np.int64))
     if covered != n_bits:
         raise MalformedStream(f"RLE runs cover {covered} of {n_bits} map bits")
+    return runs
+
+
+def rle_decode_map(body: bytes, n_bits: int) -> np.ndarray:
+    """Inverse of rle_encode_map; raises MalformedStream on bad input."""
+    runs = _rle_runs(body, n_bits)
     # Odd-numbered runs are ones; the parity comes from int64 indices, so
     # any number of runs alternates correctly.
     return np.repeat((np.arange(runs.size) & 1).astype(np.uint8), runs)
@@ -176,14 +190,35 @@ def rle_decode_map(body: bytes, n_bits: int) -> np.ndarray:
 # Whole-image helpers
 
 
+def _pair_words(img: GrayImage) -> np.ndarray:
+    """Each pair (x, y) as one little-endian uint16 word x + 256*y, in an
+    array of shape (height, floor(width/2))."""
+    return np.ascontiguousarray(img.pixels[:, : img.width & -2]).view("<u2")
+
+
 def _pair_arrays(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """(l, h) int16 arrays of shape (height, floor(width/2))."""
-    # Each pair (x, y) is read as one little-endian uint16, x + 256*y.
     # Every value the pair arithmetic reaches (2h + b with |h| <= 255)
     # stays within +-511, so int16 holds it without overflow.
-    pairs = np.ascontiguousarray(img.pixels[:, : img.width & -2]).view("<u2")
+    pairs = _pair_words(img)
     x, y = (pairs & 0xFF).view(np.int16), (pairs >> 8).view(np.int16)
     return (x + y) >> 1, x - y
+
+
+def _slots(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(blocked, bits) of uint16 pair words: the pixel form of the
+    changeable test and of the stream bit, the only ones the array code
+    uses.
+
+    blocked is ~_fits(_substitute, l, h): y is odd and x is 0 or 255,
+    that is, the low nine bits of the word are 0x100 or 0x1FF. The
+    substitution keeps y and sets x to x - d + b, d = (x ^ y) & 1, so it
+    leaves [0, 255] exactly there. bits is h & 1 = (x ^ y) & 1 as uint8,
+    for every pair, blocked ones included.
+    """
+    low = pairs & 0x1FF
+    blocked = (low == 0x100) | (low == 0x1FF)
+    return blocked, ((pairs ^ (pairs >> 8)) & 1).astype(np.uint8)
 
 
 def _with_pairs(img: GrayImage, l, h, error: Exception) -> GrayImage:
@@ -207,10 +242,11 @@ def _layout(img: GrayImage):
     left after it are the capacity, clamped at zero.
     """
     l, h = _pair_arrays(img)
-    expandable, changeable = _fits(_expand, l, h), _fits(_substitute, l, h)
+    blocked, bits = _slots(_pair_words(img))
+    expandable, changeable = _fits(_expand, l, h), ~blocked
     body = np.unpackbits(np.frombuffer(rle_encode_map(expandable.ravel()), dtype=np.uint8))
     length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
-    saved = (h[changeable & ~expandable] & 1).astype(np.uint8)
+    saved = bits[changeable & ~expandable]
     head = np.concatenate([np.ones(1, dtype=np.uint8), length_field, body, saved])
     return l, h, expandable, changeable, head, max(0, int(np.count_nonzero(changeable)) - head.size)
 
@@ -254,25 +290,30 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
     )
 
 
-def _parse_stream(img: GrayImage):
-    """(data, l, h_marked, changeable, expanded, saved_bits) of a marked image.
+def _parse_stream(img: GrayImage, restore: bool = False):
+    """(data, blocked, saved_bits, expanded) of a marked image.
 
-    Makes every check on the stream: header, map length, map flag, RLE
-    map, map within the changeable pairs, and room for the saved LSBs; any
-    failure raises MalformedStream. Restoring needs only the arrays it
-    returns, and nothing is built that only restoring needs.
+    Reads the stream in pixel form (_slots): the slots are the pairs that
+    are not blocked, in scan order, so when no pair is blocked the stream
+    is the parity array as it stands. Makes every check on the stream:
+    header, map length, map flag, RLE map, map within the changeable
+    pairs, and room for the saved LSBs; any failure raises MalformedStream.
+    The count of expanded pairs is the sum of the map's runs of ones. The
+    per-pair map, expanded, is built only to check it against blocked
+    pairs or when restore asks for it; otherwise it is None, since the map
+    cannot mark a blocked pair when there is none.
     """
-    l, h_marked = _pair_arrays(img)
-    changeable = _fits(_substitute, l, h_marked)
-    slots = np.count_nonzero(changeable)
+    blocked, bits = _slots(_pair_words(img))
+    some_blocked = bool(blocked.any())
+    stream = bits[~blocked] if some_blocked else bits.ravel()
+    slots = stream.size
     if slots < _HEADER_BITS:
         raise MalformedStream(
             f"{slots} writable slots cannot hold a {_HEADER_BITS}-bit stream header"
         )
-    stream = (h_marked[changeable] & 1).astype(np.uint8)
     flag = int(stream[0])
     (map_len,) = struct.unpack(">I", np.packbits(stream[1:33]).tobytes())
-    n_pairs = l.size
+    n_pairs = blocked.size
     if _HEADER_BITS + map_len > slots:
         raise MalformedStream(
             f"declared map body of {map_len} bits exceeds the {slots}-slot stream"
@@ -283,12 +324,15 @@ def _parse_stream(img: GrayImage):
         raise MalformedStream(f"raw map is {map_len} bits for {n_pairs} pairs")
     if map_len % 16 != 0:
         raise MalformedStream(f"RLE map body of {map_len} bits is not word-aligned")
-    body = stream[_HEADER_BITS : _HEADER_BITS + map_len]
-    expanded = rle_decode_map(np.packbits(body).tobytes(), n_pairs).view(bool).reshape(l.shape)
-    if np.any(expanded > changeable):
-        raise MalformedStream("location map marks a pair that holds no stream bit")
-    # expanded lies inside changeable: the rest of the slots are saved LSBs.
-    n_saved = slots - np.count_nonzero(expanded)
+    body = np.packbits(stream[_HEADER_BITS : _HEADER_BITS + map_len]).tobytes()
+    runs = _rle_runs(body, n_pairs)
+    expanded = None
+    if some_blocked or restore:
+        expanded = rle_decode_map(body, n_pairs).view(bool).reshape(blocked.shape)
+        if np.any(expanded & blocked):
+            raise MalformedStream("location map marks a pair that holds no stream bit")
+    # expanded lies inside the slots: the rest of them are saved LSBs.
+    n_saved = slots - int(runs[1::2].sum(dtype=np.int64))
     saved_start = _HEADER_BITS + map_len
     if saved_start + n_saved > slots:
         raise MalformedStream(
@@ -296,7 +340,7 @@ def _parse_stream(img: GrayImage):
         )
     data_bits = stream[saved_start + n_saved :]
     data = np.packbits(data_bits[: 8 * (data_bits.size // 8)]).tobytes()
-    return data, l, h_marked, changeable, expanded, stream[saved_start : saved_start + n_saved]
+    return data, blocked, stream[saved_start : saved_start + n_saved], expanded
 
 
 def extract_data(img: GrayImage) -> bytes:
@@ -318,7 +362,9 @@ def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
     bytes include the zero padding after the payload, so callers delimit
     the real content themselves.
     """
-    data, l, h_marked, changeable, expanded, saved_bits = _parse_stream(img)
+    data, blocked, saved_bits, expanded = _parse_stream(img, restore=True)
+    l, h_marked = _pair_arrays(img)
+    changeable = ~blocked
     saved = np.zeros(l.shape, dtype=np.int16)
     saved[changeable & ~expanded] = saved_bits
     # The outer where takes the expanded pairs, so the inner one sees only

@@ -123,6 +123,22 @@ def _scattered_images(draw):
     return GrayImage(np.hstack([pixels, np.full((height, odd_column), 7)]))
 
 
+@st.composite
+def _blocked_band_images(draw):
+    """Smooth noise with a band of rows whose pairs are drawn from the
+    non-expandable kinds above, so pairs without a slot sit among
+    changeable-only ones. The band is one run of the location map, so the
+    image still carries a payload."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = smooth_noise_image(rng, draw(st.integers(24, 64)), draw(st.integers(8, 24))).pixels.copy()
+    start = draw(st.integers(0, pixels.shape[0] - 2))
+    rows = draw(st.integers(1, pixels.shape[0] - start))
+    n_pairs = pixels.shape[1] // 2
+    kinds = _PAIR_KINDS[1:][rng.integers(0, len(_PAIR_KINDS) - 1, size=(rows, n_pairs))]
+    pixels[start : start + rows, : 2 * n_pairs] = kinds.reshape(rows, 2 * n_pairs)
+    return GrayImage(pixels)
+
+
 def _only_domain_errors(call, *args):
     try:
         call(*args)
@@ -223,12 +239,13 @@ def test_data_only_read_agrees_with_extract_on_bit_flipped_images(img, data):
 
 
 @PROPERTY
-@given(st.one_of(_smooth_images(), _generated_images()), st.data())
+@given(st.one_of(_smooth_images(), _generated_images(), _blocked_band_images()), st.data())
 def test_data_only_read_matches_the_independent_wire_reader(img, data):
     """extract_data against helpers' loop-based reader, which shares no
     code with the package: the data region starts where the wire format
     puts it (after the map and one saved LSB per changeable-only pair) and
-    runs to the last whole byte of the writable slots."""
+    runs to the last whole byte of the writable slots. Banded images hold
+    pairs without a slot ([0, 255] and [255, 255]) among the slots."""
     payload = data.draw(st.binary(max_size=capacity(img) // 8))
     try:
         marked = embed(img, payload)

@@ -245,11 +245,21 @@ class TestIndexAdd:
         assert len(Index.load(tmp_path / "i.tsv")) == 0
 
     def test_unopenable_lock_file_is_io_failure(self, tmp_path):
-        index_path = tmp_path / "absent" / "i.tsv"
+        index_path = tmp_path / "i.tsv"
+        (tmp_path / "i.tsv.lock").mkdir()  # a directory cannot be opened for writing
         img = smooth_noise_image(np.random.default_rng(16), 160, 160)
         with pytest.raises(IoFailure, match="cannot open lock file"):
             index_add(str(index_path), img, "a", sample_patient(0), str(tmp_path / "s"))
         assert not (tmp_path / "s").exists()
+
+    def test_writers_create_a_missing_index_directory(self, tmp_path):
+        index_path = tmp_path / "new" / "deeper" / "i.tsv"
+        store_dir = str(tmp_path / "s")
+        img = smooth_noise_image(np.random.default_rng(16), 160, 160)
+        entry = index_add(str(index_path), img, "a", sample_patient(0), store_dir)
+        assert Index.load(index_path).find("a") == entry
+        rebuilt, report = relink(store_dir, str(tmp_path / "other" / "i.tsv"))
+        assert rebuilt.find("a") == entry and report.repaired == [entry.locator]
 
     def test_id_with_unicode_line_separator_round_trips(self, tmp_path):
         index_path = str(tmp_path / "i.tsv")

@@ -27,6 +27,8 @@ from lbpmarkdex.watermark import (
     _expand,
     _fits,
     _pair_arrays,
+    _pair_words,
+    _slots,
     _substitute,
     extract_data,
     rle_decode_map,
@@ -142,6 +144,23 @@ class TestPairKernel:
         for xv in range(256):
             for yv in range(256):
                 assert (l[xv, yv], h[xv, yv]) == forward_transform(xv, yv)
+
+    def test_pixel_form_slots_match_the_transform_on_all_pairs(self):
+        """_slots reads a pair's slot and bit from its pixels; they are the
+        changeable test and h & 1 of the pair's (l, h), on every pair."""
+        x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        img = GrayImage(np.stack([x, y], axis=-1).reshape(256, 512))
+        blocked, bits = _slots(_pair_words(img))
+        assert blocked.shape == bits.shape == (256, 256)
+        assert blocked.dtype == bool and bits.dtype == np.uint8
+        lh = np.array(
+            [forward_transform(xv, yv) for xv in range(256) for yv in range(256)], dtype=np.int16
+        ).reshape(256, 256, 2)
+        l, h = lh[..., 0], lh[..., 1]
+        assert np.array_equal(~blocked, _fits(_substitute, l, h))
+        assert np.array_equal(bits, h & 1)
+        # the rule in pixel terms: y odd and x either 0 or 255
+        assert np.array_equal(blocked, (y % 2 == 1) & ((x == 0) | (x == 255)))
 
     @pytest.mark.parametrize("width, height", [(2, 200), (3, 200), (255, 8)])
     def test_narrow_and_odd_widths_round_trip(self, width, height):
@@ -412,6 +431,28 @@ class TestExtract:
         out, restored = extract(read_pgm(write_pgm(marked)))
         assert out[: len(data)] == data
         assert restored == img
+
+    def test_zero_border_scan_reads_past_blocked_pairs(self):
+        """A scan with a black border, as medical images have: a pair of a
+        border pixel x = 0 and an odd y holds no stream bit, so the reader
+        must skip it. Both readers and the independent wire reader agree."""
+        rng = np.random.default_rng(72)
+        pixels = smooth_noise_image(rng, 161, 40).pixels.copy()
+        pixels[:3, :] = 0
+        pixels[-2:, :] = 0
+        pixels[:, :1] = 0  # one column, so the pairs (0, y) have interior y
+        img = GrayImage(pixels)
+        data = rng.integers(0, 256, size=capacity(img) // 8, dtype=np.uint8).tobytes()
+        marked = embed(img, data)
+        first = marked.pixels[:, :2].astype(int)
+        assert np.any((first[:, 0] == 0) & (first[:, 1] % 2 == 1))
+        read = extract_data(marked)
+        out, restored = extract(marked)
+        assert read == out and read[: len(data)] == data
+        assert restored == img
+        wire = parse_wire(marked.pixels)
+        region = wire["bits"][wire["data_start"] :]
+        assert read == np.packbits(np.array(region[: 8 * (len(region) // 8)], dtype=np.uint8)).tobytes()
 
     def test_no_slots_rejected(self):
         with pytest.raises(MalformedStream):
