@@ -20,11 +20,13 @@ in the stream). Both operations keep the pair changeable, and untouched
 pairs keep their zone, so the extractor can recompute the writable slots
 from the watermarked image alone.
 
-In pixel terms, which is how the reader finds them: a pair (x, y) is a
+In pixel terms, which is how the array code works: a pair (x, y) is a
 writable slot unless y is odd and x is 0 or 255, and the bit it carries is
-h & 1 = (x ^ y) & 1. An LSB substitution keeps y and moves x within
-{x - d, x - d + 1}, d = (x ^ y) & 1, which leaves [0, 255] only in those
-two cases; no (l, h) is needed to locate or read the stream.
+h & 1 = d = (x ^ y) & 1. Carrying bit b, an expanded pair is written
+(l + h + b, l - h) and a changeable-only pair keeps y and becomes
+x - d + b, which leaves [0, 255] only in those two blocked cases. The
+extractor restores a changeable-only pair as x - d + s, s its saved LSB,
+and an expanded one by halving its difference.
 
 On-pixels bitstream (the interoperability surface between embed and
 extract), written MSB-first into the LSBs of writable pairs in scan order:
@@ -87,39 +89,6 @@ def reconstruction_bound(l):
     return np.minimum(2 * (255 - l), 2 * l + 1)
 
 
-def _to_pixels(l, h):
-    """Pixels (x, y) of the pair (l, h), for ints or arrays alike."""
-    return l + (h + 1) // 2, l - h // 2
-
-
-def _expand(h, bit):
-    """Difference after expansion: the bit becomes the new LSB."""
-    return 2 * h + bit
-
-
-def _substitute(h, bit):
-    """Difference after LSB substitution."""
-    return (h & -2) + bit
-
-
-def _fits(write, l, h):
-    """Whether write (_expand or _substitute), with either bit, keeps both
-    pixels of the pair inside [0, 255]; for int16 arrays or scalars.
-
-    _fits(_expand, ...) is the expandable zone and _fits(_substitute, ...)
-    the changeable one, which includes it; the array code takes the
-    changeable zone in pixel form from _slots. Both writes give a difference
-    w = 2k + b, with k = h for _expand and k = floor(h/2) for _substitute,
-    and _to_pixels turns (l, w) into the pixels (l + k + b, l - k). Both
-    bits fit exactly when 0 <= l + k <= 254 and 0 <= l - k <= 255, which
-    is |w| <= reconstruction_bound(l) for b = 0 and 1. With l in [0, 255]
-    and |h| <= 511, l +- k stays inside [-511, 766], so each test is one
-    unsigned compare: a negative int16 viewed as uint16 is at least 32768.
-    """
-    k = write(h, 0) >> 1
-    return ((l + k).view(np.uint16) <= 254) & ((l - k).view(np.uint16) <= 255)
-
-
 def inverse_transform(p: DiffPair) -> tuple[int, int]:
     """Recover the pixel values from an average/difference pair.
 
@@ -129,16 +98,23 @@ def inverse_transform(p: DiffPair) -> tuple[int, int]:
     bound = reconstruction_bound(p.l)
     if abs(p.h) > bound:
         raise OutOfRange(f"|h|={abs(p.h)} exceeds bound {bound} at l={p.l}")
-    return _to_pixels(p.l, p.h)
+    return p.l + (p.h + 1) // 2, p.l - p.h // 2
 
 
 def classify(p: DiffPair) -> ZoneClass:
-    """Zone of a pair: can it be expanded, only LSB-written, or neither."""
-    l, h = np.int16(p.l), np.int16(p.h)
-    if _fits(_expand, l, h):
-        return ZoneClass.EXPANDABLE
-    if _fits(_substitute, l, h):
-        return ZoneClass.CHANGEABLE_ONLY
+    """Zone of a pair: can it be expanded, only LSB-written, or neither.
+
+    Expansion writes the difference 2h + b and LSB substitution
+    (h & -2) + b; a write fits when its difference stays within
+    reconstruction_bound(l) for both bits b. The arithmetic is on Python
+    ints, so a pair that no image holds, such as l = 40000, is
+    unchangeable rather than an overflow.
+    """
+    l, h = int(p.l), int(p.h)
+    bound = reconstruction_bound(l)
+    for base, zone in ((2 * h, ZoneClass.EXPANDABLE), (h & -2, ZoneClass.CHANGEABLE_ONLY)):
+        if abs(base) <= bound and abs(base + 1) <= bound:
+            return zone
     return ZoneClass.UNCHANGEABLE
 
 
@@ -196,38 +172,33 @@ def _pair_words(img: GrayImage) -> np.ndarray:
     return np.ascontiguousarray(img.pixels[:, : img.width & -2]).view("<u2")
 
 
-def _pair_arrays(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """(l, h) int16 arrays of shape (height, floor(width/2))."""
-    # Every value the pair arithmetic reaches (2h + b with |h| <= 255)
-    # stays within +-511, so int16 holds it without overflow.
-    pairs = _pair_words(img)
-    x, y = (pairs & 0xFF).view(np.int16), (pairs >> 8).view(np.int16)
-    return (x + y) >> 1, x - y
+def _pixels(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels x and y of uint16 pair words, as int16 arrays."""
+    return (pairs & 0xFF).view(np.int16), (pairs >> 8).view(np.int16)
 
 
 def _slots(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(blocked, bits) of uint16 pair words: the pixel form of the
-    changeable test and of the stream bit, the only ones the array code
-    uses.
+    """(blocked, bits) of uint16 pair words: the pairs that hold no stream
+    bit, and the bit each pair carries.
 
-    blocked is ~_fits(_substitute, l, h): y is odd and x is 0 or 255,
-    that is, the low nine bits of the word are 0x100 or 0x1FF. The
-    substitution keeps y and sets x to x - d + b, d = (x ^ y) & 1, so it
-    leaves [0, 255] exactly there. bits is h & 1 = (x ^ y) & 1 as uint8,
-    for every pair, blocked ones included.
+    A pair is blocked when y is odd and x is 0 or 255, that is, when the
+    low nine bits of its word are 0x100 or 0x1FF. An LSB substitution keeps
+    y and sets x to x - d + b, d = (x ^ y) & 1, so it leaves [0, 255]
+    exactly there. bits is d = h & 1 as uint8, for every pair, blocked
+    ones included.
     """
     low = pairs & 0x1FF
     blocked = (low == 0x100) | (low == 0x1FF)
     return blocked, ((pairs ^ (pairs >> 8)) & 1).astype(np.uint8)
 
 
-def _with_pairs(img: GrayImage, l, h, error: Exception) -> GrayImage:
-    """The image with its pairs replaced by (l, h).
+def _with_pixels(img: GrayImage, x, y, error: Exception) -> GrayImage:
+    """The image with its pairs replaced by the int16 pixels (x, y).
 
-    Raises error when a reconstructed pixel leaves [0, 255].
+    Raises error when a pixel leaves [0, 255], that is, when it has a bit
+    set above the low eight; a negative int16 has them all.
     """
-    x, y = _to_pixels(l, h)
-    if x.size and (x.min() < 0 or x.max() > 255 or y.min() < 0 or y.max() > 255):
+    if np.any((x | y) >> 8):
         raise error
     out = img.pixels.copy()
     out[:, : img.width & -2].view("<u2")[...] = (x | y << 8).view(np.uint16)
@@ -235,30 +206,44 @@ def _with_pairs(img: GrayImage, l, h, error: Exception) -> GrayImage:
 
 
 def _layout(img: GrayImage):
-    """(l, h, expandable, changeable, head, capacity) of an original image.
+    """(x0, y0, blocked, bits, head, slots) of an original image.
+
+    (x0, y0) are the int16 pixels each pair takes carrying bit 0; bit 1
+    adds one to x0. A changeable-only pair becomes (x - d, y), d its bit
+    from _slots, so a blocked pair, which carries its own d, stays as it
+    is. An expansion writes (l + h, l - h) = (x - d + c, y - c), with
+    c = ceil(h/2). A pair is expandable when both bits fit,
+    0 <= l + h <= 254 and 0 <= l - h <= 255: one unsigned compare each, as
+    the values lie in [-128, 382] and a negative int16 viewed as uint16 is
+    at least 32768.
 
     head is the bookkeeping that opens the stream: flag, map length, map
-    body and the saved LSBs of changeable-only pairs. The writable slots
-    left after it are the capacity, clamped at zero.
+    body and the saved LSBs of changeable-only pairs; slots counts the
+    pairs that are not blocked.
     """
-    l, h = _pair_arrays(img)
-    blocked, bits = _slots(_pair_words(img))
-    expandable, changeable = _fits(_expand, l, h), ~blocked
+    pairs = _pair_words(img)
+    x, y = _pixels(pairs)
+    blocked, bits = _slots(pairs)
+    x0, c = x - bits, (x - y + 1) >> 1
+    expandable = ((x0 + c).view(np.uint16) <= 254) & ((y - c).view(np.uint16) <= 255)
     body = np.unpackbits(np.frombuffer(rle_encode_map(expandable.ravel()), dtype=np.uint8))
     length_field = np.unpackbits(np.array([body.size], dtype=">u4").view(np.uint8))
-    saved = bits[changeable & ~expandable]
+    saved = bits[~(blocked | expandable)]
     head = np.concatenate([np.ones(1, dtype=np.uint8), length_field, body, saved])
-    return l, h, expandable, changeable, head, max(0, int(np.count_nonzero(changeable)) - head.size)
+    c *= expandable
+    slots = blocked.size - int(np.count_nonzero(blocked))
+    return x0 + c, y - c, blocked, bits, head, slots
 
 
 def capacity(img: GrayImage) -> int:
-    """Payload bits the image can carry, clamped at zero.
+    """Payload bits the image can carry: writable slots - (33 + map bits +
+    saved LSBs), clamped at 0.
 
-    Writable slots are the expandable plus changeable-only pairs; the map
-    header, encoded map and saved original LSBs are overhead, leaving
-    E - (33 + map bits) net payload bits.
+    Writable slots are the expandable plus changeable-only pairs; the
+    flag, map length, encoded map and saved original LSBs are the overhead.
     """
-    return _layout(img)[-1]
+    *_, head, slots = _layout(img)
+    return max(0, slots - head.size)
 
 
 def embed(img: GrayImage, data: bytes) -> GrayImage:
@@ -270,28 +255,24 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
     """
     if img.width < 2:
         raise ImageTooNarrow(f"width {img.width} offers no pixel pairs")
-    l, h, expandable, changeable, head, room = _layout(img)
-    slots = np.count_nonzero(changeable)
+    x0, y0, blocked, bits, head, slots = _layout(img)
     need = head.size + 8 * len(data)
     if need > slots:
         raise PayloadTooLarge(
             f"stream needs {need} bits but the image offers {slots} writable slots "
-            f"({8 * len(data)} payload bits vs capacity {room})"
+            f"({8 * len(data)} payload bits vs capacity {max(0, slots - head.size)})"
         )
     data_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    carried = np.zeros(l.shape, dtype=np.int16)
+    carried = bits.copy()  # a blocked pair carries its own d and stays as it is
     padding = np.zeros(slots - need, dtype=np.uint8)
-    carried[changeable] = np.concatenate([head, data_bits, padding])
-    h_new = np.where(
-        expandable, _expand(h, carried), np.where(changeable, _substitute(h, carried), h)
-    )
-    return _with_pairs(
-        img, l, h_new, AssertionError("zone classification let a pixel leave [0, 255]")
+    carried[~blocked] = np.concatenate([head, data_bits, padding])
+    return _with_pixels(
+        img, x0 + carried, y0, AssertionError("zone classification let a pixel leave [0, 255]")
     )
 
 
 def _parse_stream(img: GrayImage, restore: bool = False):
-    """(data, blocked, saved_bits, expanded) of a marked image.
+    """(data, blocked, bits, saved_bits, expanded) of a marked image.
 
     Reads the stream in pixel form (_slots): the slots are the pairs that
     are not blocked, in scan order, so when no pair is blocked the stream
@@ -340,7 +321,7 @@ def _parse_stream(img: GrayImage, restore: bool = False):
         )
     data_bits = stream[saved_start + n_saved :]
     data = np.packbits(data_bits[: 8 * (data_bits.size // 8)]).tobytes()
-    return data, blocked, stream[saved_start : saved_start + n_saved], expanded
+    return data, blocked, bits, stream[saved_start : saved_start + n_saved], expanded
 
 
 def extract_data(img: GrayImage) -> bytes:
@@ -362,18 +343,19 @@ def extract(img: GrayImage) -> tuple[bytes, GrayImage]:
     bytes include the zero padding after the payload, so callers delimit
     the real content themselves.
     """
-    data, blocked, saved_bits, expanded = _parse_stream(img, restore=True)
-    l, h_marked = _pair_arrays(img)
-    changeable = ~blocked
-    saved = np.zeros(l.shape, dtype=np.int16)
-    saved[changeable & ~expanded] = saved_bits
-    # The outer where takes the expanded pairs, so the inner one sees only
-    # changeable-only pairs among the changeable ones.
-    h = np.where(
-        expanded,
-        h_marked >> 1,
-        np.where(changeable, _substitute(h_marked, saved), h_marked),
-    )
-    return data, _with_pairs(
-        img, l, h, MalformedStream("restored pixels leave [0, 255]; stream is corrupt")
+    data, blocked, bits, saved_bits, expanded = _parse_stream(img, restore=True)
+    x, y = _pixels(_pair_words(img))
+    # s of x - d + s: the saved LSB, a blocked pair's own d, 0 if expanded.
+    saved = bits * blocked
+    saved[~(blocked | expanded)] = saved_bits
+    # An expanded pair (x - d + c + b, y - c), c = ceil(h/2), halves its
+    # difference to h and is restored as (x - d - floor(h/2), y + c); h
+    # and c are 0 on every other pair.
+    h = expanded * ((x - y) >> 1)
+    c = (h + 1) >> 1
+    return data, _with_pixels(
+        img,
+        x - bits + saved - (h - c),
+        y + c,
+        MalformedStream("restored pixels leave [0, 255]; stream is corrupt"),
     )

@@ -2,6 +2,7 @@
 capacity accounting, and blind reversibility."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,9 @@ from lbpmarkdex.errors import (
     PayloadTooLarge,
 )
 from lbpmarkdex.watermark import (
-    _expand,
-    _fits,
-    _pair_arrays,
+    _layout,
     _pair_words,
     _slots,
-    _substitute,
     extract_data,
     rle_decode_map,
     rle_encode_map,
@@ -42,7 +40,6 @@ from helpers import (
     int_bits,
     max_feasible_bytes,
     parse_wire,
-    reference_bound,
     reference_zone,
     smooth_noise_image,
     write_stream_bits,
@@ -102,10 +99,21 @@ class TestClassify:
         assert classify(pair) is ZoneClass.CHANGEABLE_ONLY
 
     def test_matches_reference_over_all_pairs(self):
-        for x in range(0, 256, 3):
-            for y in range(0, 256, 3):
+        for x in range(256):
+            for y in range(256):
                 pair = forward_transform(x, y)
                 assert classify(pair).value == reference_zone(pair.l, pair.h)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [DiffPair(l=40000, h=0), DiffPair(l=100, h=20000), DiffPair(l=100, h=-20000)],
+        ids=["l=40000", "h=20000", "h=-20000"],
+    )
+    def test_pairs_no_image_holds_are_unchangeable(self, pair):
+        """Values beyond any pixel pair neither overflow, warn, nor wrap."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify(pair) is ZoneClass.UNCHANGEABLE
 
     def test_expandable_implies_changeable(self):
         """The expansion test is strictly stronger than the LSB-write test."""
@@ -118,47 +126,79 @@ class TestClassify:
                     assert abs(base) <= bound and abs(base + 1) <= bound
 
 
+def _all_pairs_image() -> GrayImage:
+    """256 x 512 image whose row x holds the pairs (x, 0), (x, 1), ..., (x, 255)."""
+    x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    return GrayImage(np.stack([x, y], axis=-1).reshape(256, 512))
+
+
+def _reference_zones() -> np.ndarray:
+    """reference_zone of the pair (x, y) at [x, y], for every pair."""
+    return np.array(
+        [[reference_zone((x + y) // 2, x - y) for y in range(256)] for x in range(256)]
+    )
+
+
 class TestPairKernel:
-    """The int16 array kernel that embed, extract and capacity share,
-    checked exhaustively against the scalar definitions."""
+    """The pixel-form array code that embed, extract and capacity share,
+    checked exhaustively against the scalar definitions. A pair (x, y)
+    carrying bit b is written (l + h + b, l - h) when expanded and
+    (x - d + b, y), d = (x ^ y) & 1, otherwise."""
 
-    def test_fits_matches_the_bound_on_every_pair_and_write(self):
-        l, h = np.meshgrid(
-            np.arange(256, dtype=np.int16), np.arange(-511, 512, dtype=np.int16), indexing="ij"
-        )
-        bound = np.array([reference_bound(v) for v in range(256)])[:, None]
-        wide = h.astype(np.int64)
-        for write, even in ((_expand, 2 * wide), (_substitute, 2 * (wide // 2))):
-            # the write gives even + b; it fits when |even + b| <= bound for both b
-            expected = (np.abs(even) <= bound) & (np.abs(even + 1) <= bound)
-            fits = _fits(write, l, h)
-            assert fits.shape == l.shape and fits.dtype == bool
-            assert np.array_equal(fits, expected), write.__name__
+    def test_layout_matches_the_reference_zones_on_all_pairs(self):
+        """_layout's slots are the changeable pairs, its location map the
+        expandable ones, and its saved LSBs the bits of the rest."""
+        zones = _reference_zones()
+        _, _, blocked, bits, head, slots = _layout(_all_pairs_image())
+        assert np.array_equal(~blocked, zones != "unchangeable")
+        assert slots == np.count_nonzero(zones != "unchangeable")
+        assert head[0] == 1
+        map_len = int(np.packbits(head[1:33]).view(">u4")[0])
+        body = np.packbits(head[33 : 33 + map_len]).tobytes()
+        expandable = rle_decode_map(body, 65536).reshape(256, 256)
+        assert np.array_equal(expandable, zones == "expandable")
+        assert np.array_equal(head[33 + map_len :], bits[zones == "changeable_only"])
 
-    def test_pair_split_matches_forward_transform_on_all_pairs(self):
-        # row x holds the pairs (x, 0), (x, 1), ..., (x, 255)
-        x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
-        img = GrayImage(np.stack([x, y], axis=-1).reshape(256, 512))
-        l, h = _pair_arrays(img)
-        assert l.dtype == h.dtype == np.int16 and l.shape == (256, 256)
-        for xv in range(256):
-            for yv in range(256):
-                assert (l[xv, yv], h[xv, yv]) == forward_transform(xv, yv)
+    def test_embed_writes_every_pair_by_the_scalar_rule(self):
+        """Each marked pair is inverse_transform of its zone's scalar write
+        with the stream bit it carries; unchangeable pairs stay as they
+        were, and extract restores the image."""
+        img = _all_pairs_image()
+        assert capacity(img) == 24431
+        data = b"\x00\xffpixels"
+        marked = embed(img, data)
+        wire = parse_wire(marked.pixels)
+        carried = dict(zip(wire["positions"], wire["bits"]))
+        zones = _reference_zones()
+        assert wire["flag"] == 1 and len(carried) == np.count_nonzero(zones != "unchangeable")
+        assert wire["expanded"] == set(zip(*np.nonzero(zones == "expandable")))
+        region = wire["bits"][wire["data_start"] :]
+        assert region[: 8 * len(data)] == np.unpackbits(np.frombuffer(data, np.uint8)).tolist()
+        assert not any(region[8 * len(data) :])
+        for x in range(256):
+            for y in range(256):
+                l, h = forward_transform(x, y)
+                zone = zones[x, y]
+                if zone == "unchangeable":
+                    expected = (x, y)
+                else:
+                    b = carried[(x, y)]
+                    written = 2 * h + b if zone == "expandable" else (h & -2) + b
+                    expected = inverse_transform(DiffPair(l, written))
+                assert tuple(marked.pixels[x, 2 * y : 2 * y + 2]) == expected, (x, y)
+        out, restored = extract(marked)
+        assert out[: len(data)] == data and restored == img
 
     def test_pixel_form_slots_match_the_transform_on_all_pairs(self):
         """_slots reads a pair's slot and bit from its pixels; they are the
-        changeable test and h & 1 of the pair's (l, h), on every pair."""
-        x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
-        img = GrayImage(np.stack([x, y], axis=-1).reshape(256, 512))
+        changeable zone and h & 1 of the pair's (l, h), on every pair."""
+        img = _all_pairs_image()
         blocked, bits = _slots(_pair_words(img))
         assert blocked.shape == bits.shape == (256, 256)
         assert blocked.dtype == bool and bits.dtype == np.uint8
-        lh = np.array(
-            [forward_transform(xv, yv) for xv in range(256) for yv in range(256)], dtype=np.int16
-        ).reshape(256, 256, 2)
-        l, h = lh[..., 0], lh[..., 1]
-        assert np.array_equal(~blocked, _fits(_substitute, l, h))
-        assert np.array_equal(bits, h & 1)
+        assert np.array_equal(~blocked, _reference_zones() != "unchangeable")
+        x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        assert np.array_equal(bits, (x - y) & 1)
         # the rule in pixel terms: y odd and x either 0 or 255
         assert np.array_equal(blocked, (y % 2 == 1) & ((x == 0) | (x == 255)))
 
@@ -166,7 +206,7 @@ class TestPairKernel:
     def test_narrow_and_odd_widths_round_trip(self, width, height):
         rng = np.random.default_rng(width)
         img = smooth_noise_image(rng, width, height)
-        assert _pair_arrays(img)[0].shape == (height, width // 2)
+        assert _pair_words(img).shape == (height, width // 2)
         data = rng.integers(0, 256, size=capacity(img) // 8, dtype=np.uint8).tobytes()
         assert data
         marked = embed(img, data)
@@ -182,7 +222,7 @@ class TestPairKernel:
 
     def test_width_one_has_no_pairs(self):
         img = GrayImage(np.full((40, 1), 128))
-        assert _pair_arrays(img)[0].shape == (40, 0)
+        assert _pair_words(img).shape == (40, 0)
         assert capacity(img) == 0
         with pytest.raises(ImageTooNarrow):
             embed(img, b"")
