@@ -55,12 +55,21 @@ def lbp_map(img: GrayImage) -> np.ndarray:
         raise ImageTooSmall(
             f"{img.width}x{img.height} image has no interior pixels for LBP"
         )
-    p = img.pixels  # >= on uint8 is exact, so no widening
+    p = img.pixels
     center = p[1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
+    codes = np.empty(center.shape, dtype=np.uint8)
+    # Each comparison writes 0/1 bytes through a bool view of one scratch
+    # buffer, which is scaled in place to its bit weight (at most 128, so
+    # it stays uint8) and ORed in; bit 0 is written straight into codes.
+    buf = np.empty_like(codes)
     for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
         shifted = p[1 + dy : p.shape[0] - 1 + dy, 1 + dx : p.shape[1] - 1 + dx]
-        codes |= ((shifted >= center).astype(np.uint8)) << bit
+        if bit == 0:
+            np.greater_equal(shifted, center, out=codes.view(bool))
+            continue
+        np.greater_equal(shifted, center, out=buf.view(bool))
+        np.multiply(buf, 1 << bit, out=buf)
+        codes |= buf
     return codes
 
 
@@ -68,7 +77,16 @@ def lbp_histogram(img: GrayImage) -> np.ndarray:
     """256-bin histogram of interior LBP codes, dtype int64.
 
     Bin i counts interior pixels whose code equals i; the total mass is
-    (width-2) * (height-2).
+    (width-2) * (height-2). The codes are counted two at a time: each
+    uint16 word of two adjacent codes is one of 65,536 bins, and folding
+    that 256 x 256 table along both axes (row sums plus column sums)
+    counts every code of every pair, whatever the byte order. An odd last
+    code is added on its own.
     """
-    codes = lbp_map(img)
-    return np.bincount(codes.ravel(), minlength=256).astype(np.int64)
+    codes = lbp_map(img).ravel()
+    n = codes.size
+    pairs = np.bincount(codes[: n & -2].view(np.uint16), minlength=65536).reshape(256, 256)
+    hist = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if n & 1:
+        hist[codes[-1]] += 1
+    return hist.astype(np.int64)

@@ -6,8 +6,10 @@ keeps every second sample (Burt & Adelson's REDUCE). Rows and columns
 beyond the image are handled by replicating the nearest edge pixel. A row
 pass over the even rows of the padded image is followed by a column pass
 over the even columns of its result, so only the kept samples are
-computed. Both passes sum raw int32 products (weight sum 256) and round
+computed. Both passes sum raw uint16 products (weight sum 256) and round
 half up once at the end, so results carry no intermediate rounding bias.
+uint16 cannot wrap: a row-pass sum is at most 16 * 255 = 4,080, and a
+column-pass sum plus the rounding 128 is at most 16 * 4,080 + 128 = 65,408.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numpy as np
 from .errors import ImageTooSmall
 from .image_io import GrayImage
 
-# Plain ints: an int64 kernel element would promote the int32 passes.
-_KERNEL_1D = (1, 4, 6, 4, 1)
 LEVELS = 3
 
 
@@ -31,10 +31,18 @@ def reduce_once(img: GrayImage) -> GrayImage:
     if img.width < 2 or img.height < 2:
         raise ImageTooSmall(f"cannot halve a {img.width}x{img.height} image")
     h, w = img.pixels.shape
-    padded = np.pad(img.pixels.astype(np.int32), 2, mode="edge")
-    rows = sum(k * padded[i : i + h : 2] for i, k in enumerate(_KERNEL_1D))
-    acc = sum(k * rows[:, i : i + w : 2] for i, k in enumerate(_KERNEL_1D))
-    return GrayImage(((acc + 128) // 256).astype(np.uint8))
+    padded = np.pad(img.pixels, 2, mode="edge").astype(np.uint16)
+    # Taps (1, 4, 6, 4, 1) at offsets 0..4; the multipliers are plain ints,
+    # so the products stay uint16.
+    rows = padded[0:h:2] + padded[4 : h + 4 : 2]
+    rows += 4 * (padded[1 : h + 1 : 2] + padded[3 : h + 3 : 2])
+    rows += 6 * padded[2 : h + 2 : 2]
+    acc = rows[:, 0:w:2] + rows[:, 4 : w + 4 : 2]
+    acc += 4 * (rows[:, 1 : w + 1 : 2] + rows[:, 3 : w + 3 : 2])
+    acc += 6 * rows[:, 2 : w + 2 : 2]
+    acc += 128
+    acc >>= 8
+    return GrayImage(acc.astype(np.uint8))
 
 
 def build_pyramid(img: GrayImage) -> list[GrayImage]:

@@ -81,12 +81,9 @@ def forward_transform(x: int, y: int) -> DiffPair:
     return DiffPair(l=(x + y) // 2, h=x - y)
 
 
-def reconstruction_bound(l):
-    """Largest |h| that keeps both reconstructed pixels inside [0, 255].
-
-    Works elementwise on numpy arrays as well as on ints.
-    """
-    return np.minimum(2 * (255 - l), 2 * l + 1)
+def reconstruction_bound(l: int) -> int:
+    """Largest |h| that keeps both reconstructed pixels inside [0, 255]."""
+    return min(2 * (255 - l), 2 * l + 1)
 
 
 def inverse_transform(p: DiffPair) -> tuple[int, int]:
@@ -132,7 +129,7 @@ def rle_encode_map(bits: np.ndarray) -> bytes:
     bits = np.asarray(bits, dtype=np.uint8)
     if not bits.size:
         return b""
-    changes = np.flatnonzero(np.diff(bits)) + 1
+    changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     lengths = np.diff(np.concatenate(([0], changes, [bits.size])))
     # Runs alternate by construction; a map opening with ones gets an empty zero run.
     words = [0] * int(bits[0])
@@ -263,11 +260,20 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
             f"({8 * len(data)} payload bits vs capacity {max(0, slots - head.size)})"
         )
     data_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    carried = bits.copy()  # a blocked pair carries its own d and stays as it is
-    padding = np.zeros(slots - need, dtype=np.uint8)
-    carried[~blocked] = np.concatenate([head, data_bits, padding])
+    if slots == bits.size:
+        # No pair is blocked: the stream, in scan order, is the carried bit
+        # of every pair, and the zero padding adds nothing. x0 is a fresh
+        # contiguous array, so flat is a view of it.
+        flat = x0.reshape(-1)
+        flat[: head.size] += head
+        flat[head.size : need] += data_bits
+    else:
+        carried = bits.copy()  # a blocked pair carries its own d and stays as it is
+        padding = np.zeros(slots - need, dtype=np.uint8)
+        carried[~blocked] = np.concatenate([head, data_bits, padding])
+        x0 += carried
     return _with_pixels(
-        img, x0 + carried, y0, AssertionError("zone classification let a pixel leave [0, 255]")
+        img, x0, y0, AssertionError("zone classification let a pixel leave [0, 255]")
     )
 
 

@@ -111,6 +111,15 @@ class TestLbpHistogram:
             pixels = rng.integers(0, 256, size=(16, 16))
             assert list(lbp_histogram(GrayImage(pixels))) == oracle_histogram(pixels)
 
+    @pytest.mark.parametrize("w, h", [(3, 3), (5, 4), (7, 7), (9, 12), (5, 5), (9, 11)])
+    def test_odd_and_even_interior_counts_match_bruteforce(self, w, h):
+        """The codes are counted in pairs; an odd interior count leaves one
+        code to count alone."""
+        rng = np.random.default_rng(6)
+        board = np.indices((h, w)).sum(axis=0) % 2 * 255
+        for pixels in [rng.integers(0, 256, size=(h, w)), np.full((h, w), 0), np.full((h, w), 255), board]:
+            assert list(lbp_histogram(GrayImage(pixels))) == oracle_histogram(pixels)
+
     def test_invariant_under_global_shift(self):
         rng = np.random.default_rng(5)
         pixels = rng.integers(50, 150, size=(14, 14))

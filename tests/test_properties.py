@@ -3,8 +3,9 @@ gap of whitespace and comments reads the same, the data-only read agrees
 with extract() and with an independent reading of the wire format, a
 payload survives its wire bytes, embedding round-trips
 whenever the payload fits, only a run-length coded location map can reach
-a file, and the matrix leave-one-out evaluation scores exactly like one
-ranking per query.
+a file, the matrix leave-one-out evaluation scores exactly like one
+ranking per query, and the ingest kernels (uint16 reduce, in-place LBP
+codes, folded histogram, scatter-free embed) equal plain reference forms.
 
 Runs are derandomized so every run of the suite checks the same examples.
 """
@@ -29,13 +30,23 @@ from lbpmarkdex import (
     embed,
     encode_payload,
     extract,
+    lbp_histogram,
+    lbp_map,
     pr_curve,
     precision_recall,
     read_pgm,
+    reduce_once,
 )
-from lbpmarkdex.errors import BadCutoff, LbpmarkdexError, MalformedStream, PayloadTooLarge
+from lbpmarkdex.errors import (
+    BadCutoff,
+    ImageTooSmall,
+    LbpmarkdexError,
+    MalformedStream,
+    PayloadTooLarge,
+)
+from lbpmarkdex.lbp import NEIGHBOR_OFFSETS
 from lbpmarkdex.retrieval import rank_by_distance
-from lbpmarkdex.watermark import extract_data, rle_encode_map
+from lbpmarkdex.watermark import _layout, _pair_words, _slots, extract_data, rle_encode_map
 
 from helpers import (
     banded_noise_image,
@@ -301,6 +312,90 @@ def test_a_cleared_map_flag_is_rejected_by_both_readers(img, data):
     for read in (extract_data, lambda i: extract(i)[0]):
         with pytest.raises(MalformedStream, match="^raw map is "):
             read(tampered)
+
+
+_TAPS = (1, 4, 6, 4, 1)
+
+
+def _reference_reduce(pixels):
+    """REDUCE as int32 sums of the five taps per pass, rounded half up."""
+    h, w = pixels.shape
+    padded = np.pad(pixels.astype(np.int32), 2, mode="edge")
+    rows = sum(k * padded[i : i + h : 2] for i, k in enumerate(_TAPS))
+    acc = sum(k * rows[:, i : i + w : 2] for i, k in enumerate(_TAPS))
+    return ((acc + 128) // 256).astype(np.uint8)
+
+
+def _reference_lbp_map(pixels):
+    """LBP codes as the OR of each neighbor comparison shifted to its bit."""
+    center = pixels[1:-1, 1:-1]
+    codes = np.zeros(center.shape, dtype=np.uint8)
+    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
+        shifted = pixels[1 + dy : pixels.shape[0] - 1 + dy, 1 + dx : pixels.shape[1] - 1 + dx]
+        codes |= (shifted >= center).astype(np.uint8) << bit
+    return codes
+
+
+def _reference_embed(img, data):
+    """embed's pixels with the stream scattered into the unblocked pairs of
+    a copy of the parity array, whether or not any pair is blocked."""
+    x0, y0, blocked, bits, head, slots = _layout(img)
+    stream = np.concatenate([head, np.unpackbits(np.frombuffer(data, dtype=np.uint8))])
+    carried = bits.copy()
+    carried[~blocked] = np.concatenate([stream, np.zeros(slots - stream.size, dtype=np.uint8)])
+    out = img.pixels.copy()
+    out[:, : img.width & -2].view("<u2")[...] = ((x0 + carried) | y0 << 8).view(np.uint16)
+    return out
+
+
+_SIDES = st.tuples(st.integers(2, 40), st.integers(2, 40))
+# Any pixels, or only the extremes, where comparisons tie and sums peak.
+_KERNEL_PIXELS = hnp.arrays(np.uint8, _SIDES) | hnp.arrays(
+    np.uint8, _SIDES, elements=st.sampled_from([0, 1, 254, 255])
+)
+
+
+@PROPERTY
+@given(_KERNEL_PIXELS)
+def test_descriptor_kernels_equal_their_reference_forms(pixels):
+    img = GrayImage(pixels)
+    assert np.array_equal(reduce_once(img).pixels, _reference_reduce(pixels))
+    if min(pixels.shape) < 3:
+        with pytest.raises(ImageTooSmall):
+            lbp_histogram(img)
+        return
+    codes = _reference_lbp_map(pixels)
+    assert np.array_equal(lbp_map(img), codes)
+    hist = lbp_histogram(img)
+    assert hist.dtype == np.int64
+    assert hist.tolist() == np.bincount(codes.ravel(), minlength=256).tolist()
+
+
+@PROPERTY
+@given(st.one_of(_blocked_band_images(), _generated_images()), st.data())
+def test_embed_writes_the_scattered_stream(img, data):
+    """embed skips the scatter when no pair is blocked; with or without
+    blocked pairs its bytes equal the scattered stream's."""
+    payload = data.draw(st.binary(max_size=capacity(img) // 8))
+    try:
+        marked = embed(img, payload)
+    except PayloadTooLarge:
+        return
+    assert marked.pixels.tobytes() == _reference_embed(img, payload).tobytes()
+
+
+def test_embed_reference_covers_blocked_and_unblocked_images():
+    """Both embed paths, one image each: no pair blocked, and two
+    saturated rows of blocked pairs."""
+    rng = np.random.default_rng(3)
+    images = [
+        smooth_noise_image(rng, 40, 16),
+        GrayImage(np.vstack([smooth_noise_image(rng, 40, 16).pixels, np.full((2, 40), 255)])),
+    ]
+    assert [bool(_slots(_pair_words(img))[0].any()) for img in images] == [False, True]
+    for img in images:
+        payload = bytes(range(capacity(img) // 8))
+        assert embed(img, payload).pixels.tobytes() == _reference_embed(img, payload).tobytes()
 
 
 def _outcome(call, *args):

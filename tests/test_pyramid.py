@@ -61,6 +61,21 @@ class TestReduce:
                 reduce_once(GrayImage(pixels)).pixels, oracle_reduce(pixels)
             ), f"mismatch at {w}x{h}"
 
+    @pytest.mark.parametrize("side", range(2, 42))
+    def test_saturated_images_at_the_accumulator_bound(self, side):
+        """All-255 puts every sum at the uint16 bound 16 * 4,080 + 128 =
+        65,408; a 0/255 checkerboard swings between the extremes. Odd and
+        even sides are paired in both orders."""
+        for w, h in [(side, side), (side, 43 - side)]:
+            white = reduce_once(GrayImage(np.full((h, w), 255, dtype=np.uint8))).pixels
+            assert white.shape == ((h + 1) // 2, (w + 1) // 2) and np.all(white == 255)
+            board = (np.indices((h, w)).sum(axis=0) % 2 * 255).astype(np.uint8)
+            assert np.array_equal(reduce_once(GrayImage(board)).pixels, oracle_reduce(board))
+
+    def test_all_white_1024_stays_white(self):
+        white = reduce_once(GrayImage(np.full((1024, 1024), 255, dtype=np.uint8))).pixels
+        assert white.shape == (512, 512) and np.all(white == 255)
+
     def test_rounding_is_half_up(self):
         # For a 2x2 input the replicated 5x5 window puts effective weights
         # (121, 55, 55, 25)/256 on the four pixels. The values below make

@@ -106,14 +106,25 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "pair",
-        [DiffPair(l=40000, h=0), DiffPair(l=100, h=20000), DiffPair(l=100, h=-20000)],
-        ids=["l=40000", "h=20000", "h=-20000"],
+        [
+            DiffPair(l=40000, h=0),
+            DiffPair(l=100, h=20000),
+            DiffPair(l=100, h=-20000),
+            DiffPair(l=2**70, h=0),
+            DiffPair(l=2**62, h=1),
+        ],
+        ids=["l=40000", "h=20000", "h=-20000", "l=2**70", "l=2**62"],
     )
     def test_pairs_no_image_holds_are_unchangeable(self, pair):
-        """Values beyond any pixel pair neither overflow, warn, nor wrap."""
+        """Values beyond any pixel pair, even beyond int64, neither
+        overflow, warn, nor wrap."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert classify(pair) is ZoneClass.UNCHANGEABLE
+
+    def test_inverse_of_a_pair_beyond_int64_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            inverse_transform(DiffPair(l=2**70, h=0))
 
     def test_expandable_implies_changeable(self):
         """The expansion test is strictly stronger than the LSB-write test."""
