@@ -9,6 +9,7 @@ variable LBPMARKDEX_INDEX supplies the default for --index.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import re
@@ -65,17 +66,15 @@ def _cutoff_list(text: str) -> list[int]:
 
 
 def _add_index_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--index",
-        default=os.environ.get(INDEX_ENV),
-        help=f"index file path (default: ${INDEX_ENV})",
-    )
+    parser.add_argument("--index", help=f"index file path (default: ${INDEX_ENV})")
 
 
 def _need_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
-    if not args.index:
+    # The environment is read on each call: the parser is built once per process.
+    index = os.environ.get(INDEX_ENV) if args.index is None else args.index
+    if not index:
         parser.error(f"--index is required (or set ${INDEX_ENV})")
-    return args.index
+    return index
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +309,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every run() shares; building it costs about a millisecond."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # This call's messages go to this call's stderr at this call's level.
     # The package logger still propagates, so handlers the host program put

@@ -28,7 +28,10 @@ class GrayImage:
     """Immutable 8-bit grayscale raster, row-major.
 
     ``pixels`` is a read-only numpy array of shape ``(height, width)`` and
-    dtype ``uint8``; any integer array in [0, 255] is accepted and copied.
+    dtype ``uint8``. The constructor accepts any integer array in [0, 255]
+    and copies it, so changing the caller's array later leaves the image as
+    it was. ``read_pgm`` over immutable ``bytes`` keeps a view of them
+    instead, since nothing can change those bytes.
     """
 
     __slots__ = ("_pixels",)
@@ -49,6 +52,13 @@ class GrayImage:
             arr = arr.copy()
         arr.flags.writeable = False
         self._pixels = arr
+
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray) -> "GrayImage":
+        """An image over a 2-D uint8 array that nothing can write, uncopied."""
+        img = object.__new__(cls)
+        img._pixels = pixels
+        return img
 
     @classmethod
     def from_flat(cls, width: int, height: int, values) -> "GrayImage":
@@ -126,11 +136,13 @@ def read_pgm(data: bytes) -> GrayImage:
         except ValueError:  # more digits than str() converts
             expected = f"{width}x{height}"
         raise TruncatedData(f"expected {expected} pixel bytes, found {found}")
-    # A view of data; GrayImage makes the one copy.
     pixels = np.frombuffer(data, np.uint8, count, header.end()).reshape(height, width)
     if maxval < 255 and pixels.max() > maxval:
         raise BadHeader(f"pixel value {pixels.max()} exceeds maxval {maxval}")
-    return GrayImage(pixels)
+    # A read-only view of data. Immutable bytes can back the image as they
+    # are; any other buffer (a bytearray, a memoryview) may change later,
+    # so GrayImage copies it.
+    return GrayImage._adopt(pixels) if isinstance(data, bytes) else GrayImage(pixels)
 
 
 def write_pgm(img: GrayImage) -> bytes:
@@ -141,7 +153,8 @@ def write_pgm(img: GrayImage) -> bytes:
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:
     """Read a PGM file from disk."""
-    with open(path, "rb") as fh:
+    # One unbuffered read of the whole file gives the bytes read_pgm keeps.
+    with open(path, "rb", buffering=0) as fh:
         return read_pgm(fh.read())
 
 

@@ -53,6 +53,8 @@ _MAX_TEXT = 0xFFFF
 _MAX_BIN = 0xFFFFFFFF
 
 _HEADER_STRUCT = struct.Struct(">4sBBIIH")
+_LENGTH = struct.Struct(">H")
+_BIRTHDAY = struct.Struct(">HBB")
 
 
 def _check_text(value: str, name: str) -> bytes:
@@ -113,18 +115,21 @@ class Payload:
                 raise ValueError("descriptor bins must be integers")
         if desc.shape != (BINS,):
             raise ValueError(f"descriptor must have shape ({BINS},), got {desc.shape}")
-        if desc.min() < 0 or desc.max() > _MAX_BIN:
-            raise OutOfRange(f"descriptor bins run from {desc.min()} to {desc.max()}, outside [0, {_MAX_BIN}]")
+        # Bools and unsigned bins of at most four bytes, such as the wire's
+        # >u4, lie in range by their type.
+        if not (desc.dtype.kind in "ub" and desc.dtype.itemsize <= 4):
+            if desc.min() < 0 or desc.max() > _MAX_BIN:
+                raise OutOfRange(f"descriptor bins run from {desc.min()} to {desc.max()}, outside [0, {_MAX_BIN}]")
+        object.__setattr__(self, "_wire", desc.astype(">u4", copy=False).tobytes())
         desc = desc.astype(np.int64)
         desc.flags.writeable = False
         object.__setattr__(self, "descriptor", desc)
-        object.__setattr__(self, "_wire", desc.astype(">u4").tobytes())
         _check_text(self.locator, "locator")
 
 
 def _pack_text(value: str, name: str) -> bytes:
     encoded = _check_text(value, name)
-    return struct.pack(">H", len(encoded)) + encoded
+    return _LENGTH.pack(len(encoded)) + encoded
 
 
 def encode_payload(payload: Payload) -> bytes:
@@ -135,7 +140,7 @@ def encode_payload(payload: Payload) -> bytes:
         _pack_text(payload.locator, "locator"),
         _pack_text(rec.patient_id, "patient_id"),
         _pack_text(rec.name, "name"),
-        struct.pack(">HBB", rec.birth_year, rec.birth_month, rec.birth_day),
+        _BIRTHDAY.pack(rec.birth_year, rec.birth_month, rec.birth_day),
         _pack_text(rec.diagnostic, "diagnostic"),
     ]
     body = b"".join(parts)
@@ -143,27 +148,25 @@ def encode_payload(payload: Payload) -> bytes:
     return header + body
 
 
-class _BodyReader:
-    def __init__(self, body: bytes) -> None:
-        self.body = body
-        self.pos = 0
+def _field_end(pos: int, count: int, end: int, what: str) -> int:
+    """pos + count, the end of a body field at data offset pos; raises
+    LengthMismatch when it runs past end, the end of the declared body."""
+    if pos + count > end:
+        raise LengthMismatch(
+            f"payload body ended while reading {what} "
+            f"({pos + count - HEADER_LEN} > {end - HEADER_LEN} bytes)"
+        )
+    return pos + count
 
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.body):
-            raise LengthMismatch(
-                f"payload body ended while reading {what} "
-                f"({self.pos + count} > {len(self.body)} bytes)"
-            )
-        chunk = self.body[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
 
-    def take_text(self, name: str) -> str:
-        (length,) = struct.unpack(">H", self.take(2, f"{name} length"))
-        try:
-            return self.take(length, name).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedStream(f"payload {name} is not valid UTF-8: {exc}") from exc
+def _text_at(data: bytes, pos: int, end: int, name: str) -> tuple[str, int]:
+    """The u16-prefixed UTF-8 field at data offset pos, and the offset after it."""
+    start = _field_end(pos, 2, end, f"{name} length")
+    stop = _field_end(start, _LENGTH.unpack_from(data, pos)[0], end, name)
+    try:
+        return data[start:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise MalformedStream(f"payload {name} is not valid UTF-8: {exc}") from exc
 
 
 def decode_payload(data: bytes) -> Payload:
@@ -177,9 +180,7 @@ def decode_payload(data: bytes) -> Payload:
     """
     if len(data) < HEADER_LEN:
         raise TruncatedData(f"payload header needs {HEADER_LEN} bytes, got {len(data)}")
-    magic, version, flags, body_len, crc, reserved = _HEADER_STRUCT.unpack(
-        data[:HEADER_LEN]
-    )
+    magic, version, flags, body_len, crc, reserved = _HEADER_STRUCT.unpack_from(data)
     if magic != MAGIC:
         raise BadMagic(f"expected payload magic {MAGIC!r}, got {magic!r}")
     if version != VERSION:
@@ -189,24 +190,26 @@ def decode_payload(data: bytes) -> Payload:
         raise UnsupportedVersion(
             f"payload flags 0x{flags:02x} and reserved 0x{reserved:04x} must be zero"
         )
-    if HEADER_LEN + body_len > len(data):
+    end = HEADER_LEN + body_len
+    if end > len(data):
         raise LengthMismatch(
             f"header declares a {body_len}-byte body but only "
             f"{len(data) - HEADER_LEN} bytes follow"
         )
-    body = data[HEADER_LEN : HEADER_LEN + body_len]
-    actual_crc = zlib.crc32(body)
+    actual_crc = zlib.crc32(memoryview(data)[HEADER_LEN:end])
     if actual_crc != crc:
         raise ChecksumMismatch(
             f"payload body checksum 0x{actual_crc:08x} != declared 0x{crc:08x}"
         )
-    reader = _BodyReader(body)
-    descriptor = np.frombuffer(reader.take(4 * BINS, "descriptor"), ">u4")
-    locator = reader.take_text("locator")
-    patient_id = reader.take_text("patient_id")
-    name = reader.take_text("name")
-    year, month, day = struct.unpack(">HBB", reader.take(4, "birthday"))
-    diagnostic = reader.take_text("diagnostic")
+    # The body's fields, read in place: each offset is checked against end.
+    pos = _field_end(HEADER_LEN, 4 * BINS, end, "descriptor")
+    descriptor = np.frombuffer(data, ">u4", BINS, HEADER_LEN)
+    locator, pos = _text_at(data, pos, end, "locator")
+    patient_id, pos = _text_at(data, pos, end, "patient_id")
+    name, pos = _text_at(data, pos, end, "name")
+    after = _field_end(pos, _BIRTHDAY.size, end, "birthday")
+    year, month, day = _BIRTHDAY.unpack_from(data, pos)
+    diagnostic, _ = _text_at(data, after, end, "diagnostic")
     record = PatientRecord(
         patient_id=patient_id,
         name=name,

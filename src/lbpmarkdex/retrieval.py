@@ -41,8 +41,6 @@ from .watermark import embed, extract, extract_data
 
 logger = logging.getLogger(__name__)
 
-_FORBIDDEN = ("\t", "\n", "\r")
-
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -56,11 +54,13 @@ class IndexEntry:
     def __post_init__(self) -> None:
         for name in ("image_id", "locator", "class_label"):
             value = getattr(self, name)
-            if any(ch in value for ch in _FORBIDDEN):
+            if "\t" in value or "\n" in value or "\r" in value:
                 raise ValueError(f"{name} may not contain tabs or newlines: {value!r}")
         if not self.image_id:
             raise ValueError("image_id may not be empty")
-        if _skipped_line(_entry_line(self)):
+        # The row starts with the id: unless the id alone reads as blank or
+        # a comment, its first non-whitespace character decides for the row.
+        if _skipped_line(self.image_id) and _skipped_line(_entry_line(self)):
             raise ValueError(f"row of image_id {self.image_id!r} would read as a blank or comment line")
 
 

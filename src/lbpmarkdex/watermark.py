@@ -186,7 +186,15 @@ def _slots(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     low = pairs & 0x1FF
     blocked = (low == 0x100) | (low == 0x1FF)
-    return blocked, ((pairs ^ (pairs >> 8)) & 1).astype(np.uint8)
+    return blocked, _parity(pairs)
+
+
+def _parity(pairs: np.ndarray) -> np.ndarray:
+    """d = (x ^ y) & 1 of each uint16 pair word, as uint8: the bit it carries."""
+    bits = pairs >> 8
+    bits ^= pairs
+    bits &= 1
+    return bits.astype(np.uint8)
 
 
 def _with_pixels(img: GrayImage, x, y, error: Exception) -> GrayImage:
@@ -282,25 +290,32 @@ def _parse_stream(img: GrayImage, restore: bool = False):
 
     Reads the stream in pixel form (_slots): the slots are the pairs that
     are not blocked, in scan order, so when no pair is blocked the stream
-    is the parity array as it stands. Makes every check on the stream:
-    header, map length, map flag, RLE map, map within the changeable
-    pairs, and room for the saved LSBs; any failure raises MalformedStream.
-    The count of expanded pairs is the sum of the map's runs of ones. The
-    per-pair map, expanded, is built only to check it against blocked
-    pairs or when restore asks for it; otherwise it is None, since the map
-    cannot mark a blocked pair when there is none.
+    is the parity array as it stands. A blocked pair has x = 0 or 255, so
+    a data-only read of an image with no pixel at 0 or 255 takes that
+    short cut without building the mask, and blocked is then None. Makes
+    every check on the stream: header, map length, map flag, RLE map, map
+    within the changeable pairs, and room for the saved LSBs; any failure
+    raises MalformedStream. The count of expanded pairs is the sum of the
+    map's runs of ones. The per-pair map, expanded, is built only to check
+    it against blocked pairs or when restore asks for it; otherwise it is
+    None, since the map cannot mark a blocked pair when there is none.
     """
-    blocked, bits = _slots(_pair_words(img))
-    some_blocked = bool(blocked.any())
+    pairs = _pair_words(img)
+    if restore or not (img.pixels.min() > 0 and img.pixels.max() < 255):
+        blocked, bits = _slots(pairs)
+        some_blocked = bool(blocked.any())
+    else:
+        blocked, bits, some_blocked = None, _parity(pairs), False
     stream = bits[~blocked] if some_blocked else bits.ravel()
     slots = stream.size
     if slots < _HEADER_BITS:
         raise MalformedStream(
             f"{slots} writable slots cannot hold a {_HEADER_BITS}-bit stream header"
         )
-    flag = int(stream[0])
-    (map_len,) = struct.unpack(">I", np.packbits(stream[1:33]).tobytes())
-    n_pairs = blocked.size
+    # The 33 header bits, packed into 5 bytes, end in 7 zero bits.
+    header = int.from_bytes(np.packbits(stream[:_HEADER_BITS]).tobytes(), "big") >> 7
+    flag, map_len = header >> 32, header & 0xFFFFFFFF
+    n_pairs = bits.size
     if _HEADER_BITS + map_len > slots:
         raise MalformedStream(
             f"declared map body of {map_len} bits exceeds the {slots}-slot stream"
@@ -315,7 +330,7 @@ def _parse_stream(img: GrayImage, restore: bool = False):
     runs = _rle_runs(body, n_pairs)
     expanded = None
     if some_blocked or restore:
-        expanded = rle_decode_map(body, n_pairs).view(bool).reshape(blocked.shape)
+        expanded = rle_decode_map(body, n_pairs).view(bool).reshape(bits.shape)
         if np.any(expanded & blocked):
             raise MalformedStream("location map marks a pair that holds no stream bit")
     # expanded lies inside the slots: the rest of them are saved LSBs.

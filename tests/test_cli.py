@@ -274,6 +274,27 @@ class TestQueryVerb:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "1\tga0\t0.000000"
 
+    def test_index_from_environment_is_read_on_each_call(self, cli_store, tmp_path, capsys, monkeypatch):
+        """run() builds its parser once per process; the environment fallback
+        for --index must still be read by every call."""
+        query = ["query", "--image", str(cli_store["inputs"] / "ga0.pgm")]
+        rows = Path(cli_store["index"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        other = tmp_path / "stripes.tsv"
+        other.write_text("".join(row for row in rows if row.startswith("sb")), encoding="utf-8")
+        monkeypatch.setenv(INDEX_ENV, cli_store["index"])
+        def hits():
+            return sorted(line.split("\t")[1] for line in capsys.readouterr().out.splitlines())
+
+        assert run(query) == 0
+        assert hits() == ["ga0", "ga1", "sb0", "sb1"]
+        monkeypatch.setenv(INDEX_ENV, str(other))
+        assert run(query) == 0
+        assert hits() == ["sb0", "sb1"]
+        monkeypatch.delenv(INDEX_ENV)
+        with pytest.raises(SystemExit) as exc:
+            run(query)
+        assert exc.value.code == 2
+
     def test_no_index_anywhere_is_usage_error(self, cli_store, monkeypatch):
         monkeypatch.delenv(INDEX_ENV, raising=False)
         with pytest.raises(SystemExit) as exc:

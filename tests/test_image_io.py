@@ -27,6 +27,21 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
 
+    def test_caller_array_is_copied(self):
+        source = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        img = GrayImage(source)
+        source[0, 0] = 99
+        assert img.pixels[0, 0] == 0
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        """A read-only view does not stop its writable base from changing."""
+        source = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        view = source.view()
+        view.flags.writeable = False
+        img = GrayImage(view)
+        source[0, 0] = 99
+        assert img.pixels[0, 0] == 0
+
     def test_from_flat_row_major(self):
         img = GrayImage.from_flat(3, 2, [1, 2, 3, 4, 5, 6])
         assert img.width == 3 and img.height == 2
@@ -109,6 +124,34 @@ class TestReadPgm:
     def test_smaller_maxval_values_kept_verbatim(self):
         img = read_pgm(b"P5\n2 1\n99\n" + bytes([12, 34]))
         assert list(img.pixels.ravel()) == [12, 34]
+
+
+class TestReadPgmBuffers:
+    """read_pgm keeps a view of immutable bytes and copies any other buffer,
+    so no later write to the source can change a GrayImage."""
+
+    DATA = b"P5\n3 2\n255\n" + bytes([0, 1, 2, 3, 4, 255])
+
+    def test_bytes_view_is_read_only(self):
+        img = read_pgm(self.DATA)
+        assert not img.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 1
+
+    def test_bytearray_source_is_copied(self):
+        source = bytearray(self.DATA)
+        img = read_pgm(source)
+        source[-6:] = bytes(6)
+        assert img == read_pgm(self.DATA)
+        assert not img.pixels.flags.writeable
+
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_memoryview_of_a_bytearray_is_copied(self, readonly):
+        source = bytearray(self.DATA)
+        view = memoryview(source)
+        img = read_pgm(view.toreadonly() if readonly else view)
+        source[-6:] = bytes(6)
+        assert img == read_pgm(self.DATA)
 
 
 class TestRoundTrips:

@@ -4,12 +4,18 @@ with extract() and with an independent reading of the wire format, a
 payload survives its wire bytes, embedding round-trips
 whenever the payload fits, only a run-length coded location map can reach
 a file, the matrix leave-one-out evaluation scores exactly like one
-ranking per query, and the ingest kernels (uint16 reduce, in-place LBP
-codes, folded histogram, scatter-free embed) equal plain reference forms.
+ranking per query, the ingest kernels (uint16 reduce, in-place LBP
+codes, folded histogram, scatter-free embed) equal plain reference forms,
+read_stored on damaged files agrees with a reference chain of copy, masked
+stream read and sliced decode, and index rows are accepted exactly by the
+row rule.
 
-Runs are derandomized so every run of the suite checks the same examples.
+Runs are derandomized so every run of the suite checks the same examples,
+unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
+4,000 random examples per property.
 """
 
+import os
 import struct
 import zlib
 
@@ -22,6 +28,8 @@ from hypothesis.extra import numpy as hnp
 from lbpmarkdex import (
     EvalSets,
     GrayImage,
+    Index,
+    IndexEntry,
     PatientRecord,
     Payload,
     capacity,
@@ -35,14 +43,21 @@ from lbpmarkdex import (
     pr_curve,
     precision_recall,
     read_pgm,
+    read_stored,
     reduce_once,
+    write_pgm,
 )
 from lbpmarkdex.errors import (
     BadCutoff,
+    BadMagic,
+    ChecksumMismatch,
     ImageTooSmall,
     LbpmarkdexError,
+    LengthMismatch,
     MalformedStream,
     PayloadTooLarge,
+    TruncatedData,
+    UnsupportedVersion,
 )
 from lbpmarkdex.lbp import NEIGHBOR_OFFSETS
 from lbpmarkdex.retrieval import rank_by_distance
@@ -56,7 +71,10 @@ from helpers import (
     smooth_noise_image,
 )
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# A profile named in HYPOTHESIS_PROFILE (conftest.py) sets the example count
+# and seed; without one, every run checks the same 200 examples.
+_EXAMPLES = {} if os.environ.get("HYPOTHESIS_PROFILE") else {"max_examples": 200, "derandomize": True}
+PROPERTY = settings(deadline=None, database=None, **_EXAMPLES)
 
 _TOKEN = st.one_of(
     st.integers(0, 70000).map(lambda v: str(v).encode()),
@@ -314,6 +332,157 @@ def test_a_cleared_map_flag_is_rejected_by_both_readers(img, data):
             read(tampered)
 
 
+def _reference_stream_data(img):
+    """The data region read with _slots' masks on every image, as it was
+    before the short cut for images without a 0 or 255 pixel: every stream
+    check, in the same order."""
+    pairs = np.ascontiguousarray(img.pixels[:, : img.width & -2]).view("<u2")
+    low = pairs & 0x1FF
+    blocked = (low == 0x100) | (low == 0x1FF)
+    bits = ((pairs ^ (pairs >> 8)) & 1).astype(np.uint8)
+    stream = bits[~blocked]
+    if stream.size < 33:
+        raise MalformedStream("no room for the stream header")
+    flag = int(stream[0])
+    (map_len,) = struct.unpack(">I", np.packbits(stream[1:33]).tobytes())
+    if 33 + map_len > stream.size or flag == 0 or map_len % 16:
+        raise MalformedStream("bad map header")
+    runs = np.frombuffer(np.packbits(stream[33 : 33 + map_len]).tobytes(), ">u2")
+    if int(runs.sum(dtype=np.int64)) != blocked.size:
+        raise MalformedStream("runs do not cover the pairs")
+    expanded = np.repeat((np.arange(runs.size) & 1).astype(bool), runs).reshape(blocked.shape)
+    if np.any(expanded & blocked):
+        raise MalformedStream("map marks a blocked pair")
+    saved_start = 33 + map_len
+    n_saved = stream.size - int(np.count_nonzero(expanded))
+    if saved_start + n_saved > stream.size:
+        raise MalformedStream("no room for the saved LSBs")
+    data_bits = stream[saved_start + n_saved :]
+    return np.packbits(data_bits[: 8 * (data_bits.size // 8)]).tobytes()
+
+
+def _reference_decode(data):
+    """The payload decode as a reader of sliced fields, as it was before
+    the in-place parse: the descriptor reaches Payload as int64, so its
+    range is checked."""
+    if len(data) < 16:
+        raise TruncatedData("short header")
+    magic, version, flags, body_len, crc, reserved = struct.unpack(">4sBBIIH", data[:16])
+    if magic != b"LBPW":
+        raise BadMagic("bad magic")
+    if version != 1 or flags or reserved:
+        raise UnsupportedVersion("bad version, flags or reserved")
+    if 16 + body_len > len(data):
+        raise LengthMismatch("body longer than the data")
+    body = data[16 : 16 + body_len]
+    if zlib.crc32(body) != crc:
+        raise ChecksumMismatch("bad checksum")
+    pos = 0
+
+    def take(count):
+        nonlocal pos
+        if pos + count > len(body):
+            raise LengthMismatch("body ended inside a field")
+        pos += count
+        return body[pos - count : pos]
+
+    def text():
+        (length,) = struct.unpack(">H", take(2))
+        try:
+            return take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedStream("not UTF-8") from exc
+
+    descriptor = np.frombuffer(take(4 * 256), ">u4").astype(np.int64)
+    fields = [text() for _ in range(3)]  # locator, patient_id, name
+    year, month, day = struct.unpack(">HBB", take(4))
+    record = PatientRecord(fields[1], fields[2], year, month, day, text())
+    return Payload(descriptor=descriptor, locator=fields[0], record=record)
+
+
+def _assert_reads_like_the_reference(path, data):
+    """read_stored of a file holding data, against the reference chain: a
+    copied GrayImage, the masked stream read and the sliced decode. Both
+    give equal payloads, down to the descriptor bytes, or the same error
+    class."""
+    path.write_bytes(data)
+    got = _outcome(read_stored, path)
+    want = _outcome(lambda d: _reference_decode(_reference_stream_data(read_pgm(bytearray(d)))), data)
+    if isinstance(want, Payload):
+        assert isinstance(got, Payload) and got == want
+        assert got.descriptor.dtype == want.descriptor.dtype
+        assert got.descriptor.tobytes() == want.descriptor.tobytes()
+    else:
+        assert got is want
+
+
+_FIELD = st.text(st.characters(codec="utf-8"), max_size=4)
+
+
+@st.composite
+def _marked_payloads(draw):
+    """(image, payload bytes) for a 128 x 208 host that carries a real
+    payload: smooth noise has no pixel at 0 or 255, banded noise a row
+    band of blocked (255, 255) pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([smooth_noise_image, banded_noise_image]))
+    record = PatientRecord(
+        draw(_FIELD), name=draw(_FIELD), birth_year=draw(st.integers(0, 0xFFFF)), diagnostic=draw(_FIELD)
+    )
+    payload = Payload(descriptor=rng.integers(0, 2**32, 256), locator=draw(_FIELD), record=record)
+    return make(rng, 128, 208), encode_payload(payload)
+
+
+@pytest.fixture(scope="module")
+def stored_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reads") / "stored.pgm"
+
+
+@PROPERTY
+@given(_marked_payloads(), st.data())
+def test_read_stored_matches_the_reference_on_damaged_pixels(stored_file, marked, data):
+    """Bit flips and pixels forced to 0 or 255: the short cut (no pixel at
+    0 or 255) and the masked read are both reached, and an image can move
+    from one to the other."""
+    img, blob = marked
+    pixels = embed(img, blob).pixels.copy()
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.integers(0, img.height - 1))
+        col = data.draw(st.integers(0, img.width - 1))
+        if data.draw(st.booleans()):
+            pixels[row, col] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            pixels[row, col] = data.draw(st.sampled_from([0, 255]))
+    _assert_reads_like_the_reference(stored_file, write_pgm(GrayImage(pixels)))
+
+
+@PROPERTY
+@given(_marked_payloads(), st.data())
+def test_read_stored_matches_the_reference_on_truncated_files(stored_file, marked, data):
+    img, blob = marked
+    data_bytes = write_pgm(embed(img, blob))
+    cut = data.draw(st.integers(0, len(data_bytes) - 1))
+    _assert_reads_like_the_reference(stored_file, data_bytes[:cut])
+
+
+@PROPERTY
+@given(_marked_payloads(), st.data())
+def test_read_stored_matches_the_reference_on_checksum_repaired_bodies(stored_file, marked, data):
+    """Body bytes changed and the CRC recomputed, so the field parser sees
+    them: lengths that overrun the body, bytes that are not UTF-8, birth
+    months out of range. Random pixel flips almost always stop at the
+    checksum instead."""
+    img, blob = marked
+    body = bytearray(blob[16:])
+    for _ in range(data.draw(st.integers(1, 3))):
+        # Mostly the text fields and birthday, after the 1024 descriptor bytes.
+        at = data.draw(st.one_of(st.integers(1024, len(body) - 1), st.integers(0, len(body) - 1)))
+        body[at] = data.draw(st.one_of(st.integers(0, 255), st.sampled_from([0x80, 0xC3, 0xFF])))
+    header = bytearray(blob[:16])
+    header[10:14] = zlib.crc32(body).to_bytes(4, "big")
+    _assert_reads_like_the_reference(stored_file, write_pgm(embed(img, bytes(header + body))))
+
+
 _TAPS = (1, 4, 6, 4, 1)
 
 
@@ -502,3 +671,31 @@ def test_pr_curve_is_precision_recall_of_each_prefix(case):
     """A repeated id counts once, in both the hits and the size of the
     answer set."""
     assert _outcome(pr_curve, *case) == _outcome(_reference_pr_curve, *case)
+
+
+def _reference_entry_ok(image_id, locator, class_label):
+    """The IndexEntry rule, checked character by character on the rendered
+    row: no tab, CR or LF in any field, a non-empty id, and a row that
+    reads as neither blank nor a comment."""
+    fields = (image_id, locator, class_label)
+    if any(ch in value for value in fields for ch in ("\t", "\n", "\r")) or not image_id:
+        return False
+    stripped = f"{image_id}\t{locator}\t{class_label}\n".strip()
+    return bool(stripped) and not stripped.startswith("#")
+
+
+# Separators, comment marks and characters that str.strip() or
+# str.splitlines() treat as whitespace or line breaks.
+_ROW_FIELD = st.text(st.sampled_from(["\t", "\r", "\n", "#", " ", "\x85", "\u2028", "\x1c", "\f", "a", "é"]), max_size=4)
+
+
+@PROPERTY
+@given(_ROW_FIELD, _ROW_FIELD, _ROW_FIELD)
+def test_index_entry_accepts_exactly_what_the_row_rule_accepts(image_id, locator, class_label):
+    try:
+        entry = IndexEntry(image_id, locator, class_label)
+    except ValueError:
+        assert not _reference_entry_ok(image_id, locator, class_label)
+        return
+    assert _reference_entry_ok(image_id, locator, class_label)
+    assert Index.parse(Index([entry]).render()) == Index([entry])
