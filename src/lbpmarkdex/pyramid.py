@@ -42,7 +42,9 @@ def reduce_once(img: GrayImage) -> GrayImage:
     acc += 6 * rows[:, 2 : w + 2 : 2]
     acc += 128
     acc >>= 8
-    return GrayImage(acc.astype(np.uint8))
+    out = acc.astype(np.uint8)
+    out.flags.writeable = False
+    return GrayImage._adopt(out)
 
 
 def build_pyramid(img: GrayImage) -> list[GrayImage]:

@@ -207,7 +207,8 @@ def _with_pixels(img: GrayImage, x, y, error: Exception) -> GrayImage:
         raise error
     out = img.pixels.copy()
     out[:, : img.width & -2].view("<u2")[...] = (x | y << 8).view(np.uint16)
-    return GrayImage(out)
+    out.flags.writeable = False
+    return GrayImage._adopt(out)
 
 
 def _layout(img: GrayImage):

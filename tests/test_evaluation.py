@@ -1,5 +1,6 @@
 """Precision/recall arithmetic and the per-class summary table."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ from lbpmarkdex import (
     render_pr_csv,
     write_pr_csv,
 )
+from lbpmarkdex.descriptor import _normalize
 from lbpmarkdex.errors import BadCutoff, EmptyAnswerSet, EmptyRelevantSet
+from lbpmarkdex.evaluation import _SUM_ERROR, _certified, _gram_sums
 
 
 class TestPrecisionRecall:
@@ -177,6 +180,87 @@ class TestClassMeanPr:
         labels = {k: "X" for k in descriptors}
         rows = class_mean_pr(descriptors, labels, [1])
         assert rows[0][3] == float(Fraction(1, 2))
+
+
+def _reference_sums(unit, row):
+    """The sums _row_distances takes the square root of, for one row."""
+    return np.sum((unit[row] - unit) ** 2, axis=-1)
+
+
+def _adversarial_units(rng):
+    """Unit rows of every shape the bound must cover: one-hot, uniform,
+    heavy-tailed, sparse, and copies one count apart at large counts."""
+    rows = [np.eye(256, dtype=np.int64)[b] * c for b, c in ((0, 1), (17, 5), (255, 2**32 - 1))]
+    rows += [np.full(256, c, dtype=np.int64) for c in (1, 3, 2**32 - 1)]
+    rows += [np.floor(rng.pareto(a, 256) * 1000).astype(np.int64) + 1 for a in (0.5, 1.0, 3.0)]
+    rows += [rng.integers(0, 2, 256) * rng.integers(1, 10**6, 256) + (np.arange(256) == 0) for _ in range(3)]
+    big = rng.integers(2**31, 2**32, 256)
+    rows += [big, big + (np.arange(256) == 9), big - (np.arange(256) == 200), 2 * big, rng.integers(0, 4, 256) + 1]
+    return _normalize(np.array(rows, dtype=np.int64), "test")
+
+
+class TestGramCertificate:
+    """class_mean_pr orders candidates by Gram sums and keeps that order
+    only where _certified proves its top-k sets exact."""
+
+    def test_gram_sums_stay_within_an_eighth_of_the_bound(self):
+        unit = _adversarial_units(np.random.default_rng(19))
+        # sq summed in another order than the kernel's: the bound holds for any.
+        sums = _gram_sums(unit, (unit * unit).sum(axis=1), np.arange(len(unit)))
+        for row in range(len(unit)):
+            error = np.abs(np.delete(sums[row] - _reference_sums(unit, row), row))
+            assert error.max() <= _SUM_ERROR / 8
+            assert sums[row, row] == np.inf
+
+    @pytest.mark.parametrize(
+        "row, cutoffs, certified",
+        [
+            ([0.0, 4.01 * _SUM_ERROR, 1.0], [1], True),
+            ([0.0, 3.99 * _SUM_ERROR, 1.0], [1], False),
+            ([0.0, 3.99 * _SUM_ERROR, 1.0], [2], True),
+            ([0.0, 3.99 * _SUM_ERROR, 1.0], [1, 2], False),
+            ([0.0, 0.0, np.inf], [2], True),
+            ([0.5, 0.5, 0.5], [], True),
+        ],
+    )
+    def test_certified_needs_a_gap_above_four_bounds_at_each_cutoff(self, row, cutoffs, certified):
+        assert _certified(np.array([row]), cutoffs).tolist() == [certified]
+
+    def test_near_tie_at_a_cutoff_takes_the_exact_ranking(self):
+        """y is nearer to q than x is, by far less than the Gram sums can
+        resolve; at k=1 the exact ranking still picks y, of another class,
+        so q scores no hit. x's nearest is y, and far's is x, a hit."""
+        m = 2**20
+        base = np.zeros(256, dtype=np.int64)
+        q, x, y, far = base.copy(), base.copy(), base.copy(), base.copy()
+        q[0], x[0], x[1], y[0], y[1], far[5] = 1, m, 1, m + 1, 1, 1
+        descriptors = {"q": q, "x": x, "y": y, "far": far}
+        labels = {"q": "A", "x": "A", "y": "B", "far": "A"}
+        unit = _normalize(np.array([far, q, x, y]), "test")
+        sums = _gram_sums(unit, np.einsum("ij,ij->i", unit, unit), np.array([1]))
+        sums.sort(axis=-1)
+        assert sums[0, 1] - sums[0, 0] < 4 * _SUM_ERROR
+        assert _certified(sums, [1]).tolist() == [False]
+        assert _reference_sums(unit, 1)[3] < _reference_sums(unit, 1)[2]
+        # One hit over three queries; y's class B has no other member.
+        assert class_mean_pr(descriptors, labels, [1]) == [("A", 1, 1 / 3, 1 / 6)]
+
+    def test_peak_memory_stays_below_half_an_n_by_n_matrix(self):
+        """Today's N x N float64 distance matrix alone would take N**2 * 8
+        bytes; a few duplicates make some rows take the exact ranking."""
+        n = 2000
+        rng = np.random.default_rng(2000)
+        vectors = rng.integers(0, 1000, (n, 256))
+        vectors[1::101] = vectors[::101][: len(vectors[1::101])]
+        descriptors = {f"r{j:04d}": vectors[j] for j in range(n)}
+        labels = {image_id: "abc"[j % 3] for j, image_id in enumerate(descriptors)}
+        tracemalloc.start()
+        try:
+            class_mean_pr(descriptors, labels, [1, 10, 100])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
 
 class TestCsvRendering:

@@ -4,7 +4,8 @@ with extract() and with an independent reading of the wire format, a
 payload survives its wire bytes, embedding round-trips
 whenever the payload fits, only a run-length coded location map can reach
 a file, the matrix leave-one-out evaluation scores exactly like one
-ranking per query, the ingest kernels (uint16 reduce, in-place LBP
+ranking per query and like the exact N x N distance matrix it no longer
+fills, the ingest kernels (uint16 reduce, in-place LBP
 codes, folded histogram, scatter-free embed) equal plain reference forms,
 read_stored on damaged files agrees with a reference chain of copy, masked
 stream read and sliced decode, and index rows are accepted exactly by the
@@ -34,6 +35,7 @@ from lbpmarkdex import (
     Payload,
     capacity,
     class_mean_pr,
+    compute_descriptor,
     decode_payload,
     embed,
     encode_payload,
@@ -59,11 +61,13 @@ from lbpmarkdex.errors import (
     TruncatedData,
     UnsupportedVersion,
 )
+from lbpmarkdex.descriptor import _normalize, _row_distances
 from lbpmarkdex.lbp import NEIGHBOR_OFFSETS
 from lbpmarkdex.retrieval import rank_by_distance
 from lbpmarkdex.watermark import _layout, _pair_words, _slots, extract_data, rle_encode_map
 
 from helpers import (
+    TEXTURE_CLASSES,
     banded_noise_image,
     flip_stream_bit,
     parse_wire,
@@ -649,6 +653,113 @@ def test_class_mean_pr_scores_like_one_ranking_per_query(corpus):
     assert _outcome(class_mean_pr, descriptors, labels, cutoffs) == _outcome(
         _reference_class_mean_pr, descriptors, labels, cutoffs
     )
+
+
+def _reference_matrix_class_mean_pr(descriptors, labels, cutoffs):
+    """Leave-one-out as class_mean_pr ranked before its Gram blocks: the
+    symmetric N x N fill of exact distances, then one stable argsort per
+    query row with the query's own position dropped."""
+    ids = sorted(set(descriptors) & set(labels))
+    if cutoffs and len(ids) < 2:
+        raise BadCutoff("cutoffs need at least 2 labeled images with a descriptor")
+    matrix = np.array([descriptors[i] for i in ids], dtype=np.int64)
+    _reference_check_cutoffs(cutoffs, len(ids) - 1)
+    classes = sorted({labels[i] for i in ids})
+    class_of = np.array([classes.index(labels[i]) for i in ids], dtype=np.intp)
+    sizes = np.bincount(class_of, minlength=len(classes))
+    totals = np.zeros((len(classes), len(cutoffs)), dtype=np.int64)
+    queries = np.flatnonzero(sizes[class_of] > 1)
+    if len(queries):
+        unit = _normalize(matrix, "labeled")
+        distances = np.zeros((len(ids), len(ids)))
+        for row in range(len(ids) - 1):
+            distances[row, row + 1 :] = distances[row + 1 :, row] = _row_distances(unit[row], unit[row + 1 :])
+        for row in queries.tolist():
+            order = np.argsort(distances[row], kind="stable")
+            order = order[order != row]
+            hits = np.cumsum(class_of[order] == class_of[row])
+            totals[class_of[row]] += hits[np.asarray(cutoffs, dtype=np.intp) - 1]
+    return [
+        (label, k, total / (k * n), total / ((n - 1) * n))
+        for label, n, counts in zip(classes, sizes.tolist(), totals.tolist())
+        if n > 1
+        for k, total in zip(cutoffs, counts)
+    ]
+
+
+_NEAR_MAX = 2**32 - 1
+
+
+@st.composite
+def _realistic_corpora(draw):
+    """(descriptors, labels, cutoffs) with 2-80 images over all 256 bins,
+    so most cutoffs leave candidates out of the Gram order's top k.
+
+    Fresh vectors are dense or sparse, with bins up to 3, 1,000 or near
+    2**32 - 1 (nearly uniform rows, whose distances all crowd near 0).
+    The rest are exact duplicates, 2x and 3x scaled copies (the same unit
+    row) and copies one count apart of earlier vectors, so ties and near
+    ties straddle cutoffs; a few corpora hold the zero vector.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([4, 1000, _NEAR_MAX]))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    vectors = []
+    for j in range(draw(st.integers(2, 80))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "duplicate", "scaled", "one count"])) if j else "fresh"
+        earlier = vectors[int(rng.integers(len(vectors)))] if j else None
+        if kind == "fresh":
+            vec = rng.integers(0, high, 256, dtype=np.int64, endpoint=True) * (rng.random(256) < density)
+            if high == _NEAR_MAX:
+                vec = np.where(vec > 0, _NEAR_MAX - rng.integers(0, 3, 256), 0)
+            vec[int(rng.integers(256))] += 1  # never the zero vector by chance
+        elif kind == "duplicate":
+            vec = earlier
+        elif kind == "scaled":
+            vec = earlier * int(rng.integers(2, 4))
+        else:
+            vec = earlier.copy()
+            bin_ = int(rng.integers(256))
+            vec[bin_] += 1 if vec[bin_] == 0 or rng.random() < 0.5 else -1
+        vectors.append(vec)
+    if draw(st.integers(0, 15)) == 0:
+        vectors[draw(st.integers(0, len(vectors) - 1))] = np.zeros(256, dtype=np.int64)
+    descriptors, labels = {}, {}
+    for j, vec in enumerate(vectors):
+        image_id = f"i{j:02d}"
+        kind = draw(st.sampled_from(["both"] * 8 + ["descriptor", "label"]))
+        if kind != "label":
+            descriptors[image_id] = vec
+        if kind != "descriptor":
+            labels[image_id] = draw(st.sampled_from("aabcd"))
+    return descriptors, labels, _cutoffs(draw, len(set(descriptors) & set(labels)) - 1)
+
+
+@PROPERTY
+@given(_realistic_corpora())
+def test_class_mean_pr_equals_the_exact_matrix_ranking(corpus):
+    descriptors, labels, cutoffs = corpus
+    assert _outcome(class_mean_pr, descriptors, labels, cutoffs) == _outcome(
+        _reference_matrix_class_mean_pr, descriptors, labels, cutoffs
+    )
+
+
+def test_class_mean_pr_equals_the_exact_matrix_ranking_on_600_textures():
+    """600 small generated textures in four classes, every 25th one a
+    duplicate of the image before it, with cutoffs up to N - 1."""
+    rng = np.random.default_rng(600)
+    generators = dict(TEXTURE_CLASSES, smooth=lambda rng, size: smooth_noise_image(rng, size, size))
+    descriptors, labels = {}, {}
+    for j in range(600):
+        label = list(generators)[j % len(generators)]
+        image_id = f"t{j:03d}"
+        if j % 25 == 24:
+            descriptors[image_id] = descriptors[f"t{j - 1:03d}"]
+        else:
+            descriptors[image_id] = compute_descriptor(generators[label](rng, 24))
+        labels[image_id] = label
+    cutoffs = [1, 2, 10, 100, 599]
+    assert class_mean_pr(descriptors, labels, cutoffs) == _reference_matrix_class_mean_pr(descriptors, labels, cutoffs)
 
 
 def _reference_pr_curve(ranked, relevant, cutoffs):

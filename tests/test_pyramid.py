@@ -42,6 +42,12 @@ class TestReduce:
         small = reduce_once(GrayImage(np.full((10, 10), 77)))
         assert np.all(small.pixels == 77)
 
+    def test_result_is_read_only_and_shares_no_memory_with_input(self):
+        img = GrayImage(np.random.default_rng(20).integers(0, 256, size=(12, 9)))
+        small = reduce_once(img)
+        assert not small.pixels.flags.writeable
+        assert not np.shares_memory(small.pixels, img.pixels)
+
     def test_single_row_or_column_rejected(self):
         with pytest.raises(ImageTooSmall):
             reduce_once(GrayImage(np.zeros((1, 8), dtype=np.uint8)))

@@ -459,6 +459,14 @@ class TestExtract:
             assert out[:n] == data
             assert restored == img
 
+    def test_marked_and_restored_images_are_read_only_copies(self):
+        img = smooth_noise_image(np.random.default_rng(65), 21, 12)
+        marked = embed(img, b"\x5a")
+        _, restored = extract(marked)
+        for out, source in ((marked, img), (restored, marked)):
+            assert not out.pixels.flags.writeable
+            assert not np.shares_memory(out.pixels, source.pixels)
+
     def test_negative_differences_round_trip(self):
         """Pairs with y > x exercise the floor-toward-minus-infinity path
         on both embed and restore."""
