@@ -12,7 +12,6 @@ from .errors import LbpmarkdexError
 from .evaluation import (
     EvalSets,
     class_mean_pr,
-    pr_curve,
     precision_recall,
     render_pr_csv,
     write_pr_csv,
@@ -76,7 +75,6 @@ __all__ = [
     "lbp_histogram",
     "lbp_map",
     "load_pgm",
-    "pr_curve",
     "precision_recall",
     "query_by_image",
     "query_by_patient_id",

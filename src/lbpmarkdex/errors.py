@@ -80,7 +80,8 @@ class DuplicateId(LbpmarkdexError):
 
 
 class IoFailure(LbpmarkdexError):
-    """Filesystem operation failed while touching the store or the index."""
+    """Filesystem operation failed on a file the package reads or writes:
+    an image, a stored file, the index or its lock file."""
 
 
 class EmptyIndex(LbpmarkdexError):

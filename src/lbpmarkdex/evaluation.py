@@ -8,10 +8,10 @@ classic ratios are
 
 Both are kept as integer hit counts and divided once, at the edge.
 Python's int/int division is correctly rounded, so every value is the
-float nearest the exact ratio. Curves evaluate the top-k prefixes of a
-ranking for a list of cutoffs, reading every count from one running sum
-over the ranking; class means average per-query values at each fixed
-cutoff.
+float nearest the exact ratio. precision_recall scores one answer list;
+class_mean_pr scores the top-k prefixes of leave-one-out rankings for a
+list of cutoffs, reading every count from one running sum over each
+ranking, and averages per-query values per class at each fixed cutoff.
 
 Leave-one-out evaluation normalizes the labeled descriptors once, as one
 matrix. Each query ranks all labeled images by descriptor_distance's
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -90,33 +91,6 @@ def _prefix_counts(mask: np.ndarray, cutoffs: Sequence[int]) -> np.ndarray:
     stack of them) are true within each top-k prefix, k in cutoffs: the
     one way hits are counted."""
     return np.cumsum(mask, axis=-1, dtype=np.int64)[..., np.asarray(cutoffs, dtype=np.intp) - 1]
-
-
-def pr_curve(
-    ranked: Sequence, relevant: Iterable[str], cutoffs: Sequence[int]
-) -> list[tuple[int, float, float]]:
-    """Evaluate (precision, recall) at each top-k prefix of a ranking.
-
-    Cutoffs must be ascending and within [1, len(ranked)]; recall is
-    non-decreasing along the returned list. Each value equals
-    precision_recall of that prefix: a repeated id counts once, in both
-    the hits and the size of the answer set.
-    """
-    ids = [_answer_id(item) for item in ranked]
-    rel = frozenset(relevant)
-    _check_cutoffs(cutoffs, len(ids))
-    if cutoffs and not rel:
-        raise EmptyRelevantSet("relevant set R is empty; recall is undefined")
-    first: dict[str, int] = {}
-    for position, image_id in enumerate(ids):
-        first.setdefault(image_id, position)
-    # Only an id's first position counts, as an answer and as a hit.
-    new = np.zeros(len(ids), dtype=bool)
-    new[list(first.values())] = True
-    hit = new & np.array([i in rel for i in ids], dtype=bool)
-    answered = _prefix_counts(new, cutoffs).tolist()
-    hits = _prefix_counts(hit, cutoffs).tolist()
-    return [(k, h / a, h / len(rel)) for k, h, a in zip(cutoffs, hits, answered)]
 
 
 # A Gram block holds at most this many (query, candidate) cells: 2 MB of
@@ -213,8 +187,10 @@ def class_mean_pr(
     class label. Returns (class, k, mean_precision, mean_recall) rows,
     classes and cutoffs in ascending order. Queries whose class has no
     other member are skipped; a class with no evaluable queries is omitted.
-    Cutoffs need at least 2 ids that have both a label and a descriptor.
+    Cutoffs, any sequence of ints (a numpy array included), need at least
+    2 ids that have both a label and a descriptor.
     """
+    cutoffs = [operator.index(k) for k in cutoffs]
     ids = sorted(set(descriptors) & set(labels))
     if cutoffs and len(ids) < 2:
         raise BadCutoff(f"cutoffs need at least 2 labeled images with a descriptor, found {len(ids)}")

@@ -300,7 +300,7 @@ def _scan_payloads(items, skipped: list[str] | None = None):
             payload = read_stored(locator)
             if not payload.descriptor.any():
                 raise EmptyDescriptor("stored descriptor has zero total count")
-        except (LbpmarkdexError, OSError) as exc:
+        except LbpmarkdexError as exc:
             logger.warning(
                 "skipping %s (%s): %s: %s", name, locator, type(exc).__name__, exc
             )

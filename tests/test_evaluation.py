@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lbpmarkdex
 from lbpmarkdex import (
     EvalSets,
     RankedResult,
     class_mean_pr,
-    pr_curve,
     precision_recall,
     render_pr_csv,
     write_pr_csv,
@@ -53,45 +53,6 @@ class TestPrecisionRecall:
         answers = [RankedResult("a", 0.1), RankedResult("x", 0.2)]
         p, r = precision_recall(EvalSets({"a"}, answers))
         assert (p, r) == (0.5, 1.0)
-
-
-class TestPrCurve:
-    def test_hand_worked_curve(self):
-        ranking = ["hit", "miss"]
-        curve = pr_curve(ranking, {"hit"}, [1, 2])
-        assert curve == [(1, 1.0, 1.0), (2, 0.5, 1.0)]
-
-    def test_all_relevant_ranking(self):
-        curve = pr_curve(["a", "b", "c"], {"a", "b", "c"}, [1, 3])
-        assert curve == [(1, 1.0, pytest.approx(1 / 3)), (3, 1.0, 1.0)]
-
-    def test_recall_monotone_on_random_rankings(self):
-        rng = np.random.default_rng(404)
-        for _ in range(40):
-            n = int(rng.integers(3, 30))
-            ids = [f"d{i}" for i in range(n)]
-            relevant = set(rng.choice(ids, size=int(rng.integers(1, n)), replace=False))
-            ranking = list(rng.permutation(ids))
-            cutoffs = sorted(rng.choice(range(1, n + 1), size=3, replace=False))
-            curve = pr_curve(ranking, relevant, [int(c) for c in cutoffs])
-            recalls = [r for _, _, r in curve]
-            assert recalls == sorted(recalls)
-            for k, p, r in curve:
-                hits = len(relevant.intersection(ranking[:k]))
-                assert p == pytest.approx(hits / k)
-                assert r == pytest.approx(hits / len(relevant))
-
-    def test_zero_cutoff_rejected(self):
-        with pytest.raises(BadCutoff):
-            pr_curve(["a", "b"], {"a"}, [0, 1])
-
-    def test_cutoff_beyond_ranking_rejected(self):
-        with pytest.raises(BadCutoff):
-            pr_curve(["a", "b"], {"a"}, [3])
-
-    def test_non_ascending_cutoffs_rejected(self):
-        with pytest.raises(BadCutoff):
-            pr_curve(["a", "b"], {"a"}, [2, 2])
 
 
 def two_class_dataset():
@@ -142,11 +103,27 @@ class TestClassMeanPr:
         with pytest.raises(BadCutoff):
             class_mean_pr(descriptors, labels, [4])  # only 3 candidates per query
 
+    def test_zero_cutoff_rejected(self):
+        descriptors, labels = two_class_dataset()
+        with pytest.raises(BadCutoff, match="outside"):
+            class_mean_pr(descriptors, labels, [0, 1])
+
     @pytest.mark.parametrize("cutoffs", [[3, 1, 1], [2, 1], [1, 1]])
     def test_unsorted_or_repeated_cutoffs_rejected(self, cutoffs):
         descriptors, labels = two_class_dataset()
         with pytest.raises(BadCutoff, match="strictly ascending"):
             class_mean_pr(descriptors, labels, cutoffs)
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    def test_cutoffs_of_any_sequence_type_give_the_list_rows(self, form):
+        """An int sequence of any type, one element or more, gives rows
+        equal in value and in every field's type to the list form."""
+        descriptors, labels = two_class_dataset()
+        for cutoffs in ([1], [1, 3]):
+            rows = class_mean_pr(descriptors, labels, form(cutoffs))
+            expected = class_mean_pr(descriptors, labels, cutoffs)
+            assert rows == expected
+            assert [tuple(map(type, row)) for row in rows] == [(str, int, float, float)] * len(expected)
 
     def test_tie_broken_by_smaller_id(self):
         """For query q, m (other class) and z (same class) are equidistant;
@@ -277,3 +254,12 @@ class TestCsvRendering:
         rows = [("A", 1, 1.0, 1.0)]
         write_pr_csv(path, rows)
         assert path.read_text(encoding="utf-8") == render_pr_csv(rows)
+
+
+def test_star_import_gives_every_public_name_and_no_pr_curve():
+    """Every name in __all__ resolves; precision_recall is the one P/R of
+    an answer list, so pr_curve is not among them."""
+    namespace = {}
+    exec("from lbpmarkdex import *", namespace)
+    assert set(lbpmarkdex.__all__) <= namespace.keys()
+    assert "pr_curve" not in namespace

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lbpmarkdex import (
-    EvalSets,
     GrayImage,
     Index,
     IndexEntry,
@@ -42,8 +41,6 @@ from lbpmarkdex import (
     extract,
     lbp_histogram,
     lbp_map,
-    pr_curve,
-    precision_recall,
     read_pgm,
     read_stored,
     reduce_once,
@@ -71,6 +68,8 @@ from helpers import (
     banded_noise_image,
     flip_stream_bit,
     parse_wire,
+    reference_check_cutoffs,
+    reference_pr_curve,
     reference_zone,
     smooth_noise_image,
 )
@@ -579,15 +578,11 @@ def _outcome(call, *args):
         return type(exc)
 
 
-def _reference_check_cutoffs(cutoffs, n):
-    if list(cutoffs) != sorted(set(cutoffs)) or (cutoffs and not 1 <= cutoffs[0] <= cutoffs[-1] <= n):
-        raise BadCutoff(f"cutoffs {cutoffs} are not strictly ascending within [1, {n}]")
-
-
 def _reference_class_mean_pr(descriptors, labels, cutoffs):
-    """Leave-one-out as one rank_by_distance per query, scored by pr_curve."""
+    """Leave-one-out as one rank_by_distance per query, scored by
+    precision_recall of each prefix."""
     ids = sorted(set(descriptors) & set(labels))
-    _reference_check_cutoffs(cutoffs, len(ids) - 1)
+    reference_check_cutoffs(cutoffs, len(ids) - 1)
     labeled = {i: descriptors[i] for i in ids}
     hits_per_class = {}
     for query in ids:
@@ -596,7 +591,7 @@ def _reference_class_mean_pr(descriptors, labels, cutoffs):
             continue
         ranked = [i for _, i in rank_by_distance(descriptors[query], labeled) if i != query]
         # precision = hits / k, correctly rounded, so rounding back is exact
-        hits = [round(p * k) for k, p, _ in pr_curve(ranked, relevant, cutoffs)]
+        hits = [round(p * k) for k, p, _ in reference_pr_curve(ranked, relevant, cutoffs)]
         hits_per_class.setdefault(labels[query], []).append(hits)
     result = []
     for label in sorted(hits_per_class):
@@ -663,7 +658,7 @@ def _reference_matrix_class_mean_pr(descriptors, labels, cutoffs):
     if cutoffs and len(ids) < 2:
         raise BadCutoff("cutoffs need at least 2 labeled images with a descriptor")
     matrix = np.array([descriptors[i] for i in ids], dtype=np.int64)
-    _reference_check_cutoffs(cutoffs, len(ids) - 1)
+    reference_check_cutoffs(cutoffs, len(ids) - 1)
     classes = sorted({labels[i] for i in ids})
     class_of = np.array([classes.index(labels[i]) for i in ids], dtype=np.intp)
     sizes = np.bincount(class_of, minlength=len(classes))
@@ -760,28 +755,6 @@ def test_class_mean_pr_equals_the_exact_matrix_ranking_on_600_textures():
         labels[image_id] = label
     cutoffs = [1, 2, 10, 100, 599]
     assert class_mean_pr(descriptors, labels, cutoffs) == _reference_matrix_class_mean_pr(descriptors, labels, cutoffs)
-
-
-def _reference_pr_curve(ranked, relevant, cutoffs):
-    _reference_check_cutoffs(cutoffs, len(ranked))
-    return [(k, *precision_recall(EvalSets(relevant, ranked[:k]))) for k in cutoffs]
-
-
-@st.composite
-def _rankings(draw):
-    """(ranked, relevant, cutoffs): rankings that repeat ids, relevant sets
-    that may be empty or name ids never ranked."""
-    ranked = draw(st.lists(st.sampled_from("abcde"), max_size=10))
-    relevant = draw(st.sets(st.sampled_from("abcdef"), max_size=3))
-    return ranked, relevant, _cutoffs(draw, len(ranked))
-
-
-@PROPERTY
-@given(_rankings())
-def test_pr_curve_is_precision_recall_of_each_prefix(case):
-    """A repeated id counts once, in both the hits and the size of the
-    answer set."""
-    assert _outcome(pr_curve, *case) == _outcome(_reference_pr_curve, *case)
 
 
 def _reference_entry_ok(image_id, locator, class_label):

@@ -3,6 +3,7 @@
 import fcntl
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -345,6 +346,15 @@ class TestReadStored:
         assert accepted == []
         assert read_stored(locator).locator == locator
 
+    def test_unreadable_path_raises_io_failure(self, tmp_path):
+        """A missing file and a directory are IoFailure naming the path,
+        not a bare OSError."""
+        missing = tmp_path / "absent.pgm"
+        with pytest.raises(IoFailure, match=re.escape(f"cannot read {str(missing)!r}")):
+            read_stored(missing)
+        with pytest.raises(IoFailure, match=re.escape(f"cannot read {str(tmp_path)!r}")):
+            restore_stored(tmp_path)
+
 
 class TestQueryByImage:
     def test_self_query_ranks_first_with_zero_distance(self, store):
@@ -437,7 +447,7 @@ class TestScanSkipRule:
                 query_by_patient_id("P0004", index_path)
         skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping ")]
         assert len(skips) == 1
-        assert skips[0].startswith(f"skipping gone ({missing}): ")
+        assert skips[0].startswith(f"skipping gone ({missing}): IoFailure: cannot read ")
 
     def test_empty_descriptor_skipped_by_queries(self, store, tmp_path, caplog):
         index_path = str(tmp_path / "idx.tsv")
