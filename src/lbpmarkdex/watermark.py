@@ -261,7 +261,16 @@ def embed(img: GrayImage, data: bytes) -> GrayImage:
     """
     if img.width < 2:
         raise ImageTooNarrow(f"width {img.width} offers no pixel pairs")
-    x0, y0, blocked, bits, head, slots = _layout(img)
+    return _write(img, _layout(img), data)
+
+
+def _write(img: GrayImage, layout, data: bytes) -> GrayImage:
+    """embed() of data into img, given _layout(img) of an image with pairs.
+
+    Raises PayloadTooLarge when the stream does not fit; the layout's
+    arrays are written in place, so each layout serves one write.
+    """
+    x0, y0, blocked, bits, head, slots = layout
     need = head.size + 8 * len(data)
     if need > slots:
         raise PayloadTooLarge(

@@ -18,6 +18,12 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(np.array([[-1, 0]]))
 
+    def test_rejects_one_above_255(self):
+        """A pixel of 256 would wrap to 0 in uint8."""
+        with pytest.raises(ValueError):
+            GrayImage([[256, 0]])
+        assert GrayImage([[255, 0]]).pixels.tolist() == [[255, 0]]
+
     def test_rejects_empty_dims(self):
         with pytest.raises(ValueError):
             GrayImage(np.zeros((0, 4), dtype=np.uint8))
@@ -100,6 +106,23 @@ class TestReadPgm:
     def test_maxval_too_large(self):
         with pytest.raises(BadHeader):
             read_pgm(b"P5\n1 1\n65535\n\x00\x00")
+
+    @pytest.mark.parametrize("maxval", [1, 254, 255])
+    def test_maxval_up_to_255_accepted(self, maxval):
+        img = read_pgm(b"P5\n2 1\n%d\n" % maxval + bytes([0, maxval]))
+        assert img.pixels.tolist() == [[0, maxval]]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5\n2 1\n256\n\x01\x00",  # would read as 8-bit pixels [[1, 0]]
+            b"P5\n2 1\n256\n\x00\x01\x00\x02",
+            b"P5\n2 1\n65535\n\x00\x01\x00\x02",
+        ],
+    )
+    def test_sixteen_bit_maxval_rejected(self, data):
+        with pytest.raises(BadHeader, match=r"^maxval must be in \[1, 255\]"):
+            read_pgm(data)
 
     def test_maxval_zero(self):
         with pytest.raises(BadHeader):

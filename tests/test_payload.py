@@ -71,6 +71,13 @@ class TestPatientRecord:
             PatientRecord(patient_id="€" * 21846)
 
 
+    def test_default_birthday_round_trips(self):
+        record = PatientRecord("P1")
+        assert (record.birth_year, record.birth_month, record.birth_day) == (0, 1, 1)
+        payload = Payload(descriptor=[1] * 256, locator="s/a.pgm", record=record)
+        assert decode_payload(encode_payload(payload)).record == record
+
+
 class TestPayloadValidation:
     def test_descriptor_length_checked(self):
         with pytest.raises(ValueError):
@@ -235,6 +242,13 @@ class TestDecoding:
             blob[pos] ^= int(rng.integers(1, 256))
             with pytest.raises(ChecksumMismatch):
                 decode_payload(bytes(blob))
+
+    def test_bare_header_is_length_mismatch(self):
+        """A 16-byte header declaring an empty body (whose CRC is 0) passes
+        the checksum and ends at the descriptor."""
+        header = struct.pack(">4sBBIIH", b"LBPW", 1, 0, 0, 0, 0)
+        with pytest.raises(LengthMismatch, match=r"while reading descriptor \(1024 > 0 bytes\)$"):
+            decode_payload(header)
 
     def test_inner_field_overrun_is_caught(self):
         """A text length pointing past the body must fail even when the

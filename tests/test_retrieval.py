@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -19,7 +20,10 @@ from lbpmarkdex import (
     GrayImage,
     Index,
     IndexEntry,
+    Payload,
     compute_descriptor,
+    embed,
+    encode_payload,
     index_add,
     load_pgm,
     query_by_image,
@@ -29,15 +33,17 @@ from lbpmarkdex import (
     restore_stored,
     save_pgm,
 )
-from lbpmarkdex import retrieval
+from lbpmarkdex import descriptor, retrieval
 from lbpmarkdex.errors import (
     DuplicateId,
     EmptyIndex,
+    ImageTooSmall,
     IoFailure,
     OutOfRange,
     PayloadTooLarge,
     UnsupportedVersion,
 )
+from lbpmarkdex.watermark import _pair_words, _slots
 
 from helpers import (
     flip_stream_bit,
@@ -323,6 +329,137 @@ def test_concurrent_writers_keep_every_row(tmp_path):
         assert restore_stored(locator) == smooth_noise_image(np.random.default_rng(300 + 3 * w + j), 160, 160)
         assert read_stored(locator).locator == locator
     assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+
+
+def _blocked_image(rng: np.random.Generator, width: int, height: int) -> GrayImage:
+    """Smooth noise whose top rows hold pairs (0, odd) and (255, odd): pairs
+    that carry no stream bit, so embed takes its scatter path."""
+    pixels = smooth_noise_image(rng, width, height).pixels.copy()
+    pixels[:8, 0::2] = np.where(np.arange(width // 2) % 2, 255, 0)
+    pixels[:8, 1::2] = 77
+    return GrayImage(pixels)
+
+
+class TestIndexAddThreads:
+    """index_add sums the LBP histograms on a second thread for an image of
+    at least THREAD_MIN_PIXELS pixels, and on the caller below that; the
+    bytes it stores and the row it adds are the same either way."""
+
+    @pytest.fixture
+    def histogram_threads(self, monkeypatch):
+        """The names of the threads that compute each lbp_histogram."""
+        names = []
+        original = descriptor.lbp_histogram
+
+        def recording(level):
+            names.append(threading.current_thread().name)
+            return original(level)
+
+        monkeypatch.setattr(descriptor, "lbp_histogram", recording)
+        return names
+
+    @pytest.mark.parametrize(
+        "width, height, blocked, threaded",
+        [
+            (256, 256, False, False),
+            (511, 512, False, False),  # 261,632 pixels: just below the rule
+            (512, 512, False, True),  # 2**18 pixels: at the rule
+            (1024, 768, False, True),
+            (1023, 300, False, True),  # odd width: the last column holds no pair
+            (600, 512, True, True),
+        ],
+    )
+    def test_stored_bytes_and_row_equal_embed_of_the_descriptor(
+        self, tmp_path, histogram_threads, width, height, blocked, threaded
+    ):
+        rng = np.random.default_rng(width * height)
+        img = (_blocked_image if blocked else smooth_noise_image)(rng, width, height)
+        assert bool(_slots(_pair_words(img))[0].any()) == blocked
+        assert (img.pixels.size >= retrieval.THREAD_MIN_PIXELS) == threaded
+        index_path, record = tmp_path / "i.tsv", sample_patient(7)
+        entry = index_add(str(index_path), img, "d", record, str(tmp_path / "s"), "cls")
+        main = threading.current_thread().name
+        assert len(histogram_threads) == 3
+        assert all((name != main) == threaded for name in histogram_threads)
+        expected = tmp_path / "expected.pgm"
+        payload = Payload(descriptor=compute_descriptor(img), locator=entry.locator, record=record)
+        save_pgm(expected, embed(img, encode_payload(payload)))
+        assert Path(entry.locator).read_bytes() == expected.read_bytes()
+        assert index_path.read_text(encoding="utf-8") == f"d\t{entry.locator}\tcls\n"
+
+    def test_worker_exception_is_raised_and_nothing_is_stored(self, tmp_path, monkeypatch):
+        failure = RuntimeError("histogram failed")
+        threads = []
+
+        def failing(level):
+            threads.append(threading.current_thread())
+            raise failure
+
+        monkeypatch.setattr(descriptor, "lbp_histogram", failing)
+        img = smooth_noise_image(np.random.default_rng(40), 512, 512)
+        index_path, store_dir = tmp_path / "i.tsv", tmp_path / "s"
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            index_add(str(index_path), img, "a", sample_patient(0), str(store_dir))
+        assert info.value is failure
+        assert threads and threads[0] is not threading.current_thread()
+        assert threading.active_count() == before
+        assert not store_dir.exists() or os.listdir(store_dir) == []
+        assert len(Index.load(index_path)) == 0
+
+    def test_thread_is_joined_after_each_call(self, tmp_path):
+        before = threading.active_count()
+        img = smooth_noise_image(np.random.default_rng(41), 512, 512)
+        index_add(str(tmp_path / "i.tsv"), img, "a", sample_patient(0), str(tmp_path / "s"))
+        assert threading.active_count() == before
+
+    def test_error_order_above_the_rule(self, tmp_path):
+        """ImageTooSmall, then DuplicateId, then PayloadTooLarge."""
+        index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
+        rng = np.random.default_rng(42)
+        entry = index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(0), store_dir)
+        stored = Path(entry.locator).read_bytes()
+        saturated = GrayImage(np.full((512, 512), 255))  # every pair blocked
+        thin = smooth_noise_image(rng, 1 << 15, 8)  # 2**18 pixels, a level-2 side of 2
+        with pytest.raises(ImageTooSmall):
+            index_add(index_path, thin, "a", sample_patient(1), store_dir)
+        with pytest.raises(DuplicateId):
+            index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(1), store_dir)
+        with pytest.raises(DuplicateId):
+            index_add(index_path, saturated, "a", sample_patient(1), store_dir)
+        with pytest.raises(PayloadTooLarge):
+            index_add(index_path, saturated, "b", sample_patient(1), store_dir)
+        assert Path(entry.locator).read_bytes() == stored
+        assert os.listdir(store_dir) == ["a.pgm"]
+        assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_indexes_after_a_threaded_call(self, tmp_path):
+        """A worker pool made once per process would have no threads in a
+        forked child, and its next index_add would wait for ever."""
+        index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
+        rng = np.random.default_rng(43)
+        parent_img, child_img = (smooth_noise_image(rng, 512, 512) for _ in range(2))
+        index_add(index_path, parent_img, "parent", sample_patient(0), store_dir)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                index_add(index_path, child_img, "child", sample_patient(1), store_dir)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("index_add in the forked child did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+        index = Index.load(index_path)
+        assert [e.image_id for e in index.entries] == ["parent", "child"]
+        assert restore_stored(index.find("child").locator) == child_img
 
 
 class TestReadStored:
