@@ -25,13 +25,7 @@ def compute_descriptor(img: GrayImage) -> np.ndarray:
     Returns an int64 vector. Raises ImageTooSmall (from the pyramid) when
     the image cannot support three levels.
     """
-    return pyramid_descriptor(build_pyramid(img))
-
-
-def pyramid_descriptor(levels: list[GrayImage]) -> np.ndarray:
-    """The descriptor of an image from its build_pyramid levels: the
-    bin-wise sum of their LBP histograms, as an int64 vector."""
-    return sum(lbp_histogram(level) for level in levels)
+    return sum(lbp_histogram(level) for level in build_pyramid(img))
 
 
 def _normalize(vec: np.ndarray, which: str) -> np.ndarray:

@@ -60,16 +60,6 @@ class GrayImage:
         img._pixels = pixels
         return img
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, values) -> "GrayImage":
-        """Build an image from a flat row-major intensity sequence."""
-        flat = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-        if flat.size != width * height:
-            raise ValueError(
-                f"expected {width * height} pixels for {width}x{height}, got {flat.size}"
-            )
-        return cls(flat.reshape(height, width))
-
     @property
     def pixels(self) -> np.ndarray:
         return self._pixels

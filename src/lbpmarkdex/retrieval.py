@@ -21,13 +21,13 @@ import contextlib
 import fcntl
 import logging
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .descriptor import BINS, compute_descriptor, descriptor_distance, pyramid_descriptor
+from .descriptor import BINS, compute_descriptor, descriptor_distance
 from .errors import (
     DuplicateId,
     EmptyDescriptor,
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .image_io import GrayImage, load_pgm, save_pgm
 from .payload import PatientRecord, Payload, decode_payload, encode_payload
-from .pyramid import build_pyramid
 from .watermark import _layout, _write, extract, extract_data
 
 logger = logging.getLogger(__name__)
@@ -227,36 +226,15 @@ def _new_entry(image_id: str, locator: str, class_label: str) -> IndexEntry:
     return IndexEntry(image_id, locator, class_label)
 
 
-# index_add sums the LBP histograms on a second thread for an image of at
-# least this many pixels. Pyramid, descriptor and layout, median ms serial
-# vs threaded, on two runs of one 2-core VM (the host's speed drifts):
-# 256² 0.9-1.4 vs 1.4-1.5 and 1.8 vs 2.6; 512² 3.25 vs 2.5 and 4.2 vs 4.5;
-# 640² 6.1 vs 5.9; 1024² ~12 vs ~8.4 and 15.0 vs 11.7. The rule sits at
-# the crossover, which lies between 384² and 640².
+# index_add computes the descriptor on a second thread for an image of at
+# least this many pixels. Descriptor and layout, median ms serial vs
+# threaded over 120 alternating calls in one process on a 2-core VM:
+# 256² 1.61 vs 2.63; 384² 2.42 vs 3.14; 448² 2.85 vs 3.50; 512² 3.69 vs
+# 4.38; 576² 4.21 vs 4.47; 640² 5.24 vs 5.20; 768² 7.29 vs 7.05; 1024²
+# 14.96 vs 11.30. That run puts the crossover near 640², and other runs on
+# the same kind of VM (its speed drifts) read 512² as 3.25 vs 2.5, so the
+# rule stays at 512²: in between, the thread costs at most 0.7 ms a call.
 THREAD_MIN_PIXELS = 1 << 18
-
-
-def _beside(on_worker, on_caller):
-    """(on_worker(), on_caller()), the first run on a new thread while the
-    caller runs the second. The thread is always joined, and an exception
-    it raised is raised here."""
-    outcome = {}
-
-    def work() -> None:
-        try:
-            outcome["value"] = on_worker()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=work, name="lbpmarkdex-descriptor")
-    worker.start()
-    try:
-        mine = on_caller()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"], mine
 
 
 def locator_for(store_dir: str | os.PathLike, image_id: str) -> str:
@@ -284,25 +262,28 @@ def index_add(
     single path component or that the index format cannot hold. Of the
     first three, ImageTooSmall is raised first and PayloadTooLarge last.
 
-    An image of at least THREAD_MIN_PIXELS (2**18) pixels sums the LBP
-    histograms of its pyramid levels on a second thread while this thread
-    builds the watermark layout; numpy's large kernels release the GIL, so
-    the two run at once. Below the rule the thread costs more than it
-    saves. One thread is started per call and is joined before the call
-    returns or raises; an exception it raised is raised here. The stored
-    bytes and the index row are the same on either path.
+    An image of at least THREAD_MIN_PIXELS (2**18) pixels has its
+    descriptor (pyramid and LBP histograms) computed on a second thread
+    while this thread builds the watermark layout; numpy's large kernels
+    release the GIL, so the two run at once. Below the rule the thread
+    costs more than it saves. The thread belongs to an executor made for
+    the call and is joined before the call returns or raises, so no
+    executor outlives the call; an exception it raised is raised here. The
+    stored bytes and the index row are the same on either path.
     """
     try:
         entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
     except ValueError as exc:
         raise IoFailure(str(exc)) from exc
-    levels = build_pyramid(original)
     if original.pixels.size >= THREAD_MIN_PIXELS:
         # perfbench/tracing.py keeps one span stack for all threads, so
         # while the worker runs this thread calls no function it wraps.
-        descriptor, layout = _beside(lambda: pyramid_descriptor(levels), lambda: _layout(original))
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor") as worker:
+            pending = worker.submit(compute_descriptor, original)
+            layout = _layout(original)
+        descriptor = pending.result()
     else:
-        descriptor, layout = pyramid_descriptor(levels), _layout(original)
+        descriptor, layout = compute_descriptor(original), _layout(original)
     blob = encode_payload(Payload(descriptor=descriptor, locator=entry.locator, record=patient))
     with _index_lock(index_path):
         index = Index.load(index_path)

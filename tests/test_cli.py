@@ -4,6 +4,7 @@ import contextlib
 import io
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -339,6 +340,27 @@ class TestBadTsvFiles:
         assert code == 1
         assert err.startswith("IoFailure")
         assert str(labels_path) in err and "line 2" in err
+
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    def test_unreadable_labels_file(self, cli_store, tmp_path, capsys, directory):
+        labels_path = tmp_path / "labels.tsv"
+        if directory:
+            labels_path.mkdir()
+        out_path = tmp_path / "curve.csv"
+        code = run(
+            [
+                "evaluate",
+                "--labels", str(labels_path),
+                "--cutoffs", "1",
+                "--out", str(out_path),
+                "--index", cli_store["index"],
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert re.fullmatch(rf"IoFailure: \[Errno \d+\] [^\n]+: {re.escape(repr(str(labels_path)))}\n", captured.err)
+        assert os.listdir(tmp_path) == (["labels.tsv"] if directory else [])
 
 
 class TestFindPatientVerb:

@@ -48,11 +48,6 @@ class TestGrayImage:
         source[0, 0] = 99
         assert img.pixels[0, 0] == 0
 
-    def test_from_flat_row_major(self):
-        img = GrayImage.from_flat(3, 2, [1, 2, 3, 4, 5, 6])
-        assert img.width == 3 and img.height == 2
-        assert img.pixels[1, 0] == 4
-
     def test_equality_is_by_value(self):
         a = GrayImage(np.arange(6, dtype=np.uint8).reshape(2, 3))
         b = GrayImage(np.arange(6, dtype=np.uint8).reshape(2, 3))
@@ -67,7 +62,7 @@ class TestWritePgm:
         assert write_pgm(img) == b"P5\n1 1\n255\n\x2a"
 
     def test_canonical_header_for_known_image(self):
-        img = GrayImage.from_flat(2, 1, [0, 255])
+        img = GrayImage([[0, 255]])
         assert write_pgm(img) == b"P5\n2 1\n255\n\x00\xff"
 
     def test_output_is_deterministic(self):

@@ -52,12 +52,6 @@ def test_float_pixels_rejected():
         GrayImage(np.zeros((2, 2), dtype=np.float64))
 
 
-@pytest.mark.parametrize("count", [5, 7])
-def test_from_flat_wrong_size_rejected(count):
-    with pytest.raises(ValueError, match=f"expected 6 pixels for 3x2, got {count}"):
-        GrayImage.from_flat(3, 2, range(count))
-
-
 def test_a_pixel_above_maxval_is_bad_header():
     with pytest.raises(BadHeader, match="^pixel value 200 exceeds maxval 15$"):
         read_pgm(b"P5 2 2 15 " + bytes([200, 1, 2, 3]))

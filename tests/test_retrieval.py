@@ -341,22 +341,29 @@ def _blocked_image(rng: np.random.Generator, width: int, height: int) -> GrayIma
 
 
 class TestIndexAddThreads:
-    """index_add sums the LBP histograms on a second thread for an image of
-    at least THREAD_MIN_PIXELS pixels, and on the caller below that; the
-    bytes it stores and the row it adds are the same either way."""
+    """index_add computes the descriptor (pyramid and LBP histograms) on a
+    second thread for an image of at least THREAD_MIN_PIXELS pixels, and on
+    the caller below that; the bytes it stores and the row it adds are the
+    same either way."""
 
     @pytest.fixture
-    def histogram_threads(self, monkeypatch):
-        """The names of the threads that compute each lbp_histogram."""
-        names = []
-        original = descriptor.lbp_histogram
+    def descriptor_threads(self, monkeypatch):
+        """(function, thread name) of each build_pyramid and lbp_histogram
+        call that compute_descriptor makes, in call order."""
+        calls = []
 
-        def recording(level):
-            names.append(threading.current_thread().name)
-            return original(level)
+        def record(name):
+            original = getattr(descriptor, name)
 
-        monkeypatch.setattr(descriptor, "lbp_histogram", recording)
-        return names
+            def recording(arg):
+                calls.append((name, threading.current_thread().name))
+                return original(arg)
+
+            monkeypatch.setattr(descriptor, name, recording)
+
+        record("build_pyramid")
+        record("lbp_histogram")
+        return calls
 
     @pytest.mark.parametrize(
         "width, height, blocked, threaded",
@@ -370,7 +377,7 @@ class TestIndexAddThreads:
         ],
     )
     def test_stored_bytes_and_row_equal_embed_of_the_descriptor(
-        self, tmp_path, histogram_threads, width, height, blocked, threaded
+        self, tmp_path, descriptor_threads, width, height, blocked, threaded
     ):
         rng = np.random.default_rng(width * height)
         img = (_blocked_image if blocked else smooth_noise_image)(rng, width, height)
@@ -379,8 +386,8 @@ class TestIndexAddThreads:
         index_path, record = tmp_path / "i.tsv", sample_patient(7)
         entry = index_add(str(index_path), img, "d", record, str(tmp_path / "s"), "cls")
         main = threading.current_thread().name
-        assert len(histogram_threads) == 3
-        assert all((name != main) == threaded for name in histogram_threads)
+        assert [name for name, _ in descriptor_threads] == ["build_pyramid"] + ["lbp_histogram"] * 3
+        assert all((thread != main) == threaded for _, thread in descriptor_threads)
         expected = tmp_path / "expected.pgm"
         payload = Payload(descriptor=compute_descriptor(img), locator=entry.locator, record=record)
         save_pgm(expected, embed(img, encode_payload(payload)))
@@ -420,9 +427,14 @@ class TestIndexAddThreads:
         entry = index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(0), store_dir)
         stored = Path(entry.locator).read_bytes()
         saturated = GrayImage(np.full((512, 512), 255))  # every pair blocked
-        thin = smooth_noise_image(rng, 1 << 15, 8)  # 2**18 pixels, a level-2 side of 2
-        with pytest.raises(ImageTooSmall):
-            index_add(index_path, thin, "a", sample_patient(1), store_dir)
+        # 2**18 pixels each, with a level-2 side of 2, 1 and 1. The caller's
+        # layout accepts every one (the single column has no pair), so the
+        # ImageTooSmall raised is the worker's.
+        for width, height in ((1 << 15, 8), (1, 1 << 18), (1 << 18, 1)):
+            thin = smooth_noise_image(rng, width, height)
+            with pytest.raises(ImageTooSmall):
+                index_add(index_path, thin, "a", sample_patient(1), store_dir)
+            assert os.listdir(store_dir) == ["a.pgm"]
         with pytest.raises(DuplicateId):
             index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(1), store_dir)
         with pytest.raises(DuplicateId):
