@@ -135,10 +135,14 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage._adopt(pixels) if isinstance(data, bytes) else GrayImage(pixels)
 
 
+def _pgm_header(img: GrayImage) -> bytes:
+    """The canonical header write_pgm and save_pgm put before the pixels."""
+    return f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+
+
 def write_pgm(img: GrayImage) -> bytes:
     """Encode a GrayImage as canonical binary PGM bytes."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return _pgm_header(img) + img.tobytes()
 
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:
@@ -155,6 +159,9 @@ def load_pgm(path: str | os.PathLike) -> GrayImage:
 
 
 def save_pgm(path: str | os.PathLike, img: GrayImage) -> None:
-    """Write a PGM file to disk (single write, canonical header)."""
+    """Write a PGM file to disk: the canonical header, then the pixel rows
+    straight from the image's buffer, so the file's bytes are write_pgm's
+    without building them as one bytes object."""
     with open(path, "wb") as fh:
-        fh.write(write_pgm(img))
+        fh.write(_pgm_header(img))
+        fh.write(np.ascontiguousarray(img.pixels))

@@ -11,8 +11,10 @@ Index file format: UTF-8 text, one entry per line,
 ``image_id <TAB> locator <TAB> class_label`` (class_label may be empty),
 ``#`` starts a comment line. Tabs and newlines are forbidden inside
 fields, and no entry may render as a blank or comment line. Writers
-serialize through an exclusive lock on ``<index>.lock`` and rewrite the
-whole file atomically, so comments are not kept; readers never lock.
+serialize through an exclusive lock on ``<index>.lock``; readers never
+lock. index_add appends its row with one write, so comment lines and every
+earlier byte stay; relink rewrites the whole file atomically, so its
+rebuild keeps no comments.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import fcntl
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,9 +39,9 @@ from .errors import (
     LbpmarkdexError,
     OutOfRange,
 )
-from .image_io import GrayImage, load_pgm, save_pgm
+from .image_io import GrayImage, _pgm_header, load_pgm, save_pgm
 from .payload import PatientRecord, Payload, decode_payload, encode_payload
-from .watermark import _layout, _write, extract, extract_data
+from .watermark import _layout, _rewrite, _write, extract, extract_data
 
 logger = logging.getLogger(__name__)
 
@@ -133,18 +136,30 @@ class Index:
 def _publish(path: str, write, replace: bool) -> None:
     """Create path whole: write(tmp) a sibling temporary, then move it into
     place. With replace=False an existing path stays and FileExistsError is
-    raised. The temporary does not end in '.pgm' and is always a new file:
-    a writer killed before its cleanup may have left the name behind as a
-    link to the file it stored, so that name is removed first."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(tmp)
-    try:
+    raised."""
+    with _temporary(path) as tmp:
         write(tmp)
         if replace:
             os.replace(tmp, path)
         else:
             os.link(tmp, path)
+
+
+@contextlib.contextmanager
+def _temporary(path: str):
+    """The sibling temporary name of path, removed on exit. It does not end
+    in '.pgm' and names no file on entry: a writer killed before its
+    cleanup may have left the name behind as a link to the file it stored,
+    so that name is removed first. The name is <path>.tmp.<pid>, plus
+    .<thread ident> on any thread but the main one, so no two live threads
+    share it: index_add writes its temporary before it takes the lock."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    if threading.current_thread() is not threading.main_thread():
+        tmp += f".{threading.get_ident()}"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)
+    try:
+        yield tmp
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -199,21 +214,45 @@ def _entry_line(entry: IndexEntry) -> str:
     return f"{entry.image_id}\t{entry.locator}\t{entry.class_label}\n"
 
 
-@contextlib.contextmanager
-def _index_lock(index_path: str | os.PathLike):
-    """Exclusive advisory lock serializing writers of one index file. It
-    creates the index's directory, as index_add creates the store."""
+def _open_lock(index_path: str | os.PathLike) -> int:
+    """A descriptor of the writers' lock file of an index, <index>.lock,
+    opened but not locked. It creates the index's directory, as index_add
+    creates the store."""
     lock_path = f"{os.fspath(index_path)}.lock"
     try:
         os.makedirs(os.path.dirname(lock_path) or ".", exist_ok=True)
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+        return os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
     except OSError as exc:
         raise IoFailure(f"cannot open lock file {lock_path!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _index_lock(index_path: str | os.PathLike):
+    """Exclusive advisory lock serializing writers of one index file."""
+    fd = _open_lock(index_path)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield
     finally:
         os.close(fd)
+
+
+def _append_row(index_path: str | os.PathLike, entry: IndexEntry) -> None:
+    """Append entry's row to the index file with one write, after a "\n"
+    if the file does not end in one; the caller holds the writers' lock."""
+    try:
+        fd = os.open(index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            row = _entry_line(entry).encode("utf-8")
+            end = os.fstat(fd).st_size
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                row = b"\n" + row
+            if os.write(fd, row) != len(row):
+                raise OSError("short write")
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise IoFailure(f"cannot write index {os.fspath(index_path)!r}: {exc}") from exc
 
 
 def _new_entry(image_id: str, locator: str, class_label: str) -> IndexEntry:
@@ -227,13 +266,14 @@ def _new_entry(image_id: str, locator: str, class_label: str) -> IndexEntry:
 
 
 # index_add computes the descriptor on a second thread for an image of at
-# least this many pixels. Descriptor and layout, median ms serial vs
-# threaded over 120 alternating calls in one process on a 2-core VM:
-# 256² 1.61 vs 2.63; 384² 2.42 vs 3.14; 448² 2.85 vs 3.50; 512² 3.69 vs
-# 4.38; 576² 4.21 vs 4.47; 640² 5.24 vs 5.20; 768² 7.29 vs 7.05; 1024²
-# 14.96 vs 11.30. That run puts the crossover near 640², and other runs on
-# the same kind of VM (its speed drifts) read 512² as 3.25 vs 2.5, so the
-# rule stays at 512²: in between, the thread costs at most 0.7 ms a call.
+# least this many pixels, while the caller marks the image and writes the
+# temporary. Median ms of whole index_add calls, serial vs threaded, over
+# 120 alternating calls per size in one process on a 2-core VM: 256² 2.61
+# vs 3.23; 384² 3.58 vs 4.28; 512² 5.30 vs 5.47 (threaded faster in 34 of
+# 120); 640² 7.04 vs 6.34; 768² 9.45 vs 7.86; 1024² 16.66 vs 12.26. A
+# second run of 80 read 512² as 5.09 vs 5.14. The crossover lies between
+# 512² and 640², so the rule stays at 512²: there the thread costs at most
+# 0.2 ms a call, and above it saves from 0.7 ms at 640².
 THREAD_MIN_PIXELS = 1 << 18
 
 
@@ -251,8 +291,8 @@ def index_add(
     class_label: str = "",
 ) -> IndexEntry:
     """Watermark an image with its own descriptor and record, store it, and
-    add the entry to the index file, which is rewritten atomically (comment
-    and blank lines are not kept).
+    append the entry's row to the index file (earlier bytes, comment lines
+    included, stay as they are).
 
     The original image is not kept anywhere; restore_stored() recovers it
     from the stored file, which is therefore never overwritten: an id that
@@ -262,43 +302,121 @@ def index_add(
     single path component or that the index format cannot hold. Of the
     first three, ImageTooSmall is raised first and PayloadTooLarge last.
 
+    The stored file is written before the descriptor is known: the image
+    is marked with a provisional payload whose descriptor is all zeros and
+    written to a temporary, and once the descriptor is known only the rows
+    whose pairs carry the bits that differ (the descriptor's and the CRC's,
+    about 8.2k pairs) are rewritten in it. Then, under the writers' lock,
+    the id is checked against the index, the file is linked into place and
+    the row appended. The lock is not held while the descriptor is computed.
+
     An image of at least THREAD_MIN_PIXELS (2**18) pixels has its
     descriptor (pyramid and LBP histograms) computed on a second thread
-    while this thread builds the watermark layout; numpy's large kernels
-    release the GIL, so the two run at once. Below the rule the thread
-    costs more than it saves. The thread belongs to an executor made for
-    the call and is joined before the call returns or raises, so no
-    executor outlives the call; an exception it raised is raised here. The
-    stored bytes and the index row are the same on either path.
+    while this thread marks the image and writes the temporary; numpy's
+    large kernels release the GIL, so the two run at once. Below the rule
+    the thread costs more than it saves. The thread belongs to an executor
+    made for the call and is joined before the call returns or raises, so
+    no executor outlives the call; an exception it raised is raised here.
+    The stored bytes and the index row are the same on either path, and
+    the same as embed() of the real payload gives.
     """
     try:
         entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
     except ValueError as exc:
         raise IoFailure(str(exc)) from exc
-    if original.pixels.size >= THREAD_MIN_PIXELS:
-        # perfbench/tracing.py keeps one span stack for all threads, so
-        # while the worker runs this thread calls no function it wraps.
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor") as worker:
-            pending = worker.submit(compute_descriptor, original)
-            layout = _layout(original)
-        descriptor = pending.result()
-    else:
-        descriptor, layout = compute_descriptor(original), _layout(original)
-    blob = encode_payload(Payload(descriptor=descriptor, locator=entry.locator, record=patient))
-    with _index_lock(index_path):
-        index = Index.load(index_path)
-        index.add(entry)
-        marked = _write(original, layout, blob)
-        try:
-            os.makedirs(os.fspath(store_dir), exist_ok=True)
-            try:
-                _publish(entry.locator, lambda tmp: save_pgm(tmp, marked), replace=False)
-            except FileExistsError as exc:
-                raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
-        except OSError as exc:
-            raise IoFailure(f"cannot store {entry.locator!r}: {exc}") from exc
-        index.save(index_path)
+    with contextlib.ExitStack() as cleanup:
+        staged = _StagedFile(cleanup, index_path, entry, patient)
+        if original.pixels.size >= THREAD_MIN_PIXELS:
+            # perfbench/tracing.py keeps one span stack for all threads, and
+            # mark() calls save_pgm, which it wraps, while the worker runs:
+            # in a traced run that span can take a worker span as parent.
+            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor") as worker:
+                pending = worker.submit(compute_descriptor, original)
+                staged.mark(original, store_dir)
+            descriptor = pending.result()
+        else:
+            descriptor = compute_descriptor(original)
+            staged.mark(original, store_dir)
+        staged.store(descriptor)
     return entry
+
+
+class _StagedFile:
+    """The stored file of one index_add, written around its descriptor.
+
+    The constructor encodes the payload with an all-zero descriptor: as
+    long as the real encoding, and different from it only in the CRC and
+    the descriptor. mark() opens (does not take) the writers' lock file,
+    marks the image with that provisional payload and writes it to a fresh
+    temporary beside the locator. store() rewrites there the rows that
+    _rewrite gives for the real payload, takes the lock, checks the id
+    against the index, links the file into place and appends the row.
+
+    The constructor and mark() keep their first error instead of raising
+    it, and store() raises it where the order of the errors puts it: the
+    encoding's and the lock file's before the index is read, PayloadTooLarge
+    and the temporary's IoFailure after the duplicate check. cleanup closes
+    the lock file and removes the temporary however the call ends.
+    """
+
+    def __init__(self, cleanup: contextlib.ExitStack, index_path, entry: IndexEntry, patient: PatientRecord):
+        self._cleanup, self._index_path, self._entry, self._patient = cleanup, index_path, entry, patient
+        self._lock = self._failure = None
+        try:
+            self._provisional = self._encode(np.zeros(BINS, np.uint8))
+        except LbpmarkdexError as exc:
+            self._failure = exc
+
+    def _encode(self, descriptor) -> bytes:
+        return encode_payload(Payload(descriptor=descriptor, locator=self._entry.locator, record=self._patient))
+
+    def _store_failure(self, exc: OSError) -> IoFailure:
+        failure = IoFailure(f"cannot store {self._entry.locator!r}: {exc}")
+        failure.__cause__ = exc
+        return failure
+
+    def mark(self, original: GrayImage, store_dir: str | os.PathLike) -> None:
+        if self._failure is not None:
+            return
+        try:
+            self._lock = _open_lock(self._index_path)
+            self._cleanup.callback(os.close, self._lock)
+            self._layout = _layout(original)
+            self._marked = _write(original, self._layout, self._provisional)
+            os.makedirs(os.fspath(store_dir), exist_ok=True)
+            self._tmp = self._cleanup.enter_context(_temporary(self._entry.locator))
+            save_pgm(self._tmp, self._marked)
+        except LbpmarkdexError as exc:
+            self._failure = exc
+        except OSError as exc:
+            self._failure = self._store_failure(exc)
+
+    def store(self, descriptor: np.ndarray) -> None:
+        if self._lock is None:
+            raise self._failure
+        if self._failure is None:
+            first, rows = _rewrite(self._marked, self._layout, self._provisional, self._encode(descriptor))
+            offset = len(_pgm_header(self._marked)) + first * self._marked.width
+            try:
+                fd = os.open(self._tmp, os.O_WRONLY)
+                try:
+                    if os.pwrite(fd, rows, offset) != rows.nbytes:
+                        raise OSError("short write")
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                self._failure = self._store_failure(exc)
+        fcntl.flock(self._lock, fcntl.LOCK_EX)
+        Index.load(self._index_path).add(self._entry)
+        if self._failure is not None:
+            raise self._failure
+        try:
+            os.link(self._tmp, self._entry.locator)
+        except FileExistsError as exc:
+            raise DuplicateId(f"image_id {self._entry.image_id!r} already has a stored file") from exc
+        except OSError as exc:
+            raise self._store_failure(exc)
+        _append_row(self._index_path, self._entry)
 
 
 def read_stored(locator: str | os.PathLike) -> Payload:

@@ -295,6 +295,33 @@ def _write(img: GrayImage, layout, data: bytes) -> GrayImage:
     )
 
 
+def _rewrite(marked: GrayImage, layout, old: bytes, new: bytes) -> tuple[int, np.ndarray]:
+    """(first, rows): the rows of embed(img, new) from row first on that
+    can differ from marked = _write(img, layout, old), where new is as long
+    as old. Every other row of the two images is the same.
+
+    A pair carrying bit b holds x0 + b as its x pixel, so only the stream
+    bits where old and new differ change, as x - old bit + new bit. The
+    stream reaches a pair through the slot order, which skips blocked
+    pairs. rows is a fresh array, a copy of just the rows touched: marked
+    stays as it is. It uses only the layout's blocked mask, its head and
+    its slot count, which _write leaves as they were.
+    """
+    _, _, blocked, bits, head, slots = layout
+    delta = np.unpackbits(np.frombuffer(new, np.uint8)).astype(np.int16)
+    delta -= np.unpackbits(np.frombuffer(old, np.uint8))
+    changed = np.flatnonzero(delta)
+    pairs = head.size + changed
+    if slots != bits.size:
+        pairs = np.flatnonzero(~blocked)[pairs]
+    row, column = np.divmod(pairs, bits.shape[1])
+    first, end = (int(row[0]), int(row[-1]) + 1) if row.size else (0, 0)
+    rows = marked.pixels[first:end].copy()
+    at = (row - first, 2 * column)
+    rows[at] = rows[at] + delta[changed]
+    return first, rows
+
+
 def _parse_stream(img: GrayImage, restore: bool = False):
     """(data, blocked, bits, saved_bits, expanded) of a marked image.
 

@@ -70,6 +70,15 @@ class TestWritePgm:
         img = GrayImage(rng.integers(0, 256, size=(9, 7)))
         assert write_pgm(img) == write_pgm(img)
 
+    @pytest.mark.parametrize(
+        "order, shape", [("C", (5, 7)), ("C", (1, 1)), ("F", (6, 9))], ids=["odd-width", "1x1", "column-major"]
+    )
+    def test_save_pgm_writes_the_bytes_of_write_pgm(self, tmp_path, order, shape):
+        pixels = np.random.default_rng(12).integers(0, 256, size=shape)
+        img = GrayImage(np.asarray(pixels, order=order))
+        save_pgm(tmp_path / "img.pgm", img)
+        assert (tmp_path / "img.pgm").read_bytes() == write_pgm(img)
+
 
 class TestReadPgm:
     def test_direct_decode(self):

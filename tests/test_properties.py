@@ -18,6 +18,7 @@ unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
 
 import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
@@ -39,11 +40,13 @@ from lbpmarkdex import (
     embed,
     encode_payload,
     extract,
+    index_add,
     lbp_histogram,
     lbp_map,
     read_pgm,
     read_stored,
     reduce_once,
+    save_pgm,
     write_pgm,
 )
 from lbpmarkdex.errors import (
@@ -60,8 +63,9 @@ from lbpmarkdex.errors import (
 )
 from lbpmarkdex.descriptor import _normalize, _row_distances
 from lbpmarkdex.lbp import NEIGHBOR_OFFSETS
+from lbpmarkdex import retrieval
 from lbpmarkdex.retrieval import rank_by_distance
-from lbpmarkdex.watermark import _layout, _pair_words, _slots, extract_data, rle_encode_map
+from lbpmarkdex.watermark import _layout, _pair_words, _rewrite, _slots, _write, extract_data, rle_encode_map
 
 from helpers import (
     TEXTURE_CLASSES,
@@ -568,6 +572,62 @@ def test_embed_reference_covers_blocked_and_unblocked_images():
     for img in images:
         payload = bytes(range(capacity(img) // 8))
         assert embed(img, payload).pixels.tobytes() == _reference_embed(img, payload).tobytes()
+
+
+@PROPERTY
+@given(st.one_of(_blocked_band_images(), _generated_images()), st.data())
+def test_rewrite_gives_the_rows_of_embed_of_the_new_data(img, data):
+    """The image marked with old data, with the rows _rewrite returns for
+    new data of the same length put in, is embed() of the new data."""
+    old = data.draw(st.binary(max_size=capacity(img) // 8))
+    new = data.draw(st.binary(min_size=len(old), max_size=len(old)))
+    layout = _layout(img)
+    try:
+        marked = _write(img, layout, old)
+    except PayloadTooLarge:
+        return
+    first, rows = _rewrite(marked, layout, old, new)
+    pixels = marked.pixels.copy()
+    pixels[first : first + len(rows)] = rows
+    assert pixels.tobytes() == embed(img, new).pixels.tobytes()
+
+
+@st.composite
+def _storable_images(draw):
+    """Smooth noise that mostly has room for a whole payload, with or
+    without a band of blocked pairs (y odd, x 0 or 255), which may fall
+    among the pairs that carry the descriptor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width, height = draw(st.integers(150, 280)), draw(st.integers(120, 200))
+    pixels = smooth_noise_image(rng, width, height).pixels.copy()
+    if draw(st.booleans()):
+        top = draw(st.integers(0, height - 1))
+        bottom = top + draw(st.integers(1, min(24, height - top)))
+        left = 2 * draw(st.integers(0, width // 2 - 1))
+        right = left + 2 * draw(st.integers(1, (width - left) // 2))
+        pixels[top:bottom, left:right:2] = draw(st.sampled_from([0, 255]))
+        pixels[top:bottom, left + 1 : right : 2] = 77
+    return GrayImage(pixels)
+
+
+@pytest.mark.parametrize("rule", [0, 1 << 60])  # every image on the worker; none
+@PROPERTY
+@given(_storable_images())
+def test_index_add_stores_embed_of_the_real_payload(rule, img):
+    record = PatientRecord("P0001", name="Ada", diagnostic="dx")
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "THREAD_MIN_PIXELS", rule)
+        store = os.path.join(root, "s")
+        locator = retrieval.locator_for(store, "a")
+        payload = Payload(descriptor=compute_descriptor(img), locator=locator, record=record)
+        expected = _outcome(embed, img, encode_payload(payload))
+        stored = _outcome(index_add, os.path.join(root, "i.tsv"), img, "a", record, store)
+        if isinstance(expected, type):
+            assert stored is expected
+            return
+        save_pgm(os.path.join(root, "expected.pgm"), expected)
+        with open(locator, "rb") as got, open(os.path.join(root, "expected.pgm"), "rb") as want:
+            assert got.read() == want.read()
 
 
 def _outcome(call, *args):

@@ -43,7 +43,7 @@ from lbpmarkdex.errors import (
     PayloadTooLarge,
     UnsupportedVersion,
 )
-from lbpmarkdex.watermark import _pair_words, _slots
+from lbpmarkdex.watermark import _layout, _pair_words, _slots
 
 from helpers import (
     flip_stream_bit,
@@ -291,6 +291,16 @@ class TestIndexAdd:
         assert [e.image_id for e in index.entries] == ["a", "b"]
         assert index.find("b") == entry
 
+    def test_add_appends_its_row_and_keeps_every_earlier_byte(self, tmp_path):
+        index_path = tmp_path / "i.tsv"
+        before = "# written by hand\n\na\tstore/a.pgm\r\nb\tstore/b.pgm\tcls\n"
+        index_path.write_text(before, encoding="utf-8", newline="")
+        inode = index_path.stat().st_ino
+        img = smooth_noise_image(np.random.default_rng(20), 160, 160)
+        entry = index_add(str(index_path), img, "c", sample_patient(0), str(tmp_path / "s"), "x")
+        assert index_path.read_bytes() == f"{before}c\t{entry.locator}\tx\n".encode("utf-8")
+        assert index_path.stat().st_ino == inode
+
 
 _WRITER = """
 import os, sys, time
@@ -444,6 +454,125 @@ class TestIndexAddThreads:
         assert Path(entry.locator).read_bytes() == stored
         assert os.listdir(store_dir) == ["a.pgm"]
         assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+
+    @pytest.mark.parametrize("failure", ["worker", "save_pgm", "stale_link", "lock"])
+    def test_failure_above_the_rule_leaves_no_file_row_or_temporary(self, tmp_path, monkeypatch, failure):
+        """A call that fails while or after the worker runs stores nothing,
+        adds no row, leaves no temporary name and no thread."""
+        index_path, store_dir = tmp_path / "i.tsv", tmp_path / "s"
+        rng = np.random.default_rng(44)
+        img = smooth_noise_image(rng, 512, 512)
+        kept = {}
+        if failure == "worker":
+            expected = ZeroDivisionError
+            monkeypatch.setattr(descriptor, "lbp_histogram", lambda level: 1 / 0)
+        elif failure == "save_pgm":
+
+            def disk_full(path, image):
+                Path(path).write_bytes(b"P5\n")
+                raise OSError(28, "No space left on device")
+
+            expected = IoFailure
+            monkeypatch.setattr(retrieval, "save_pgm", disk_full)
+        elif failure == "stale_link":
+            # A stale temporary of this pid, hard-linked to a stored file:
+            # the provisional write and the row rewrite must not reach it.
+            expected = DuplicateId
+            entry = index_add(str(index_path), smooth_noise_image(rng, 512, 512), "a", sample_patient(1), str(store_dir))
+            kept["a.pgm"] = Path(entry.locator).read_bytes()
+            Index().save(index_path)
+            os.link(entry.locator, f"{entry.locator}.tmp.{os.getpid()}")
+        else:
+            expected = IoFailure
+            (tmp_path / "i.tsv.lock").mkdir()
+        before = threading.active_count()
+        with pytest.raises(expected):
+            index_add(str(index_path), img, "a", sample_patient(0), str(store_dir))
+        assert threading.active_count() == before
+        stored = {p.name: p.read_bytes() for p in store_dir.iterdir()} if store_dir.exists() else {}
+        assert stored == kept
+        assert failure != "lock" or not store_dir.exists()
+        assert len(Index.load(index_path)) == 0
+        assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+
+    def test_store_write_failure_is_raised_after_the_worker_and_the_duplicate_check(self, tmp_path, monkeypatch):
+        """save_pgm fails while the worker runs; the error the serial order
+        raises first still wins: the worker's, then DuplicateId."""
+        index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
+        rng = np.random.default_rng(45)
+        index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(0), store_dir)
+
+        def disk_full(path, image):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(retrieval, "save_pgm", disk_full)
+        img = smooth_noise_image(rng, 512, 512)
+        with pytest.raises(DuplicateId):
+            index_add(index_path, img, "a", sample_patient(1), store_dir)
+        with pytest.raises(IoFailure, match="cannot store"):
+            index_add(index_path, img, "b", sample_patient(1), store_dir)
+        with pytest.raises(ImageTooSmall):
+            index_add(index_path, smooth_noise_image(rng, 1 << 15, 8), "b", sample_patient(1), store_dir)
+        assert os.listdir(store_dir) == ["a.pgm"]
+        assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+
+    def test_blocked_pairs_among_the_descriptor_bits(self, tmp_path):
+        """Blocked pairs in every row, so the slot order that maps the
+        rewritten stream bits to pairs skips some inside their span."""
+        rng = np.random.default_rng(46)
+        pixels = smooth_noise_image(rng, 512, 512).pixels.copy()
+        pixels[:, 0:64:2] = np.where(np.arange(512) % 2, 255, 0)[:, None]
+        pixels[:, 1:64:2] = 77
+        img = GrayImage(pixels)
+        record, locator = sample_patient(3), retrieval.locator_for(tmp_path / "s", "d")
+        real = encode_payload(Payload(descriptor=compute_descriptor(img), locator=locator, record=record))
+        zero = encode_payload(Payload(descriptor=np.zeros(256, np.int64), locator=locator, record=record))
+        differ = np.flatnonzero(np.unpackbits(np.frombuffer(real, np.uint8)) != np.unpackbits(np.frombuffer(zero, np.uint8)))
+        blocked = _slots(_pair_words(img))[0].ravel()
+        head = _layout(img)[4]
+        pairs = np.flatnonzero(~blocked)[head.size + differ]
+        assert blocked[pairs[0] : pairs[-1]].any()
+        entry = index_add(str(tmp_path / "i.tsv"), img, "d", record, str(tmp_path / "s"))
+        expected = tmp_path / "expected.pgm"
+        save_pgm(expected, embed(img, real))
+        assert Path(entry.locator).read_bytes() == expected.read_bytes()
+
+    def test_threads_adding_one_id_store_one_whole_file(self, tmp_path):
+        """Three threads of one process add the same id at once: one stores
+        its own image and row, the others get DuplicateId. Each writes its
+        temporary, before taking the lock, under a name of its own."""
+        rng = np.random.default_rng(47)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(6):
+                index_path, store_dir = str(tmp_path / f"i{trial}.tsv"), str(tmp_path / f"s{trial}")
+                images = [smooth_noise_image(rng, 512, 512) for _ in range(3)]
+                start, outcomes = threading.Barrier(3, timeout=60), [None] * 3
+
+                def add(k):
+                    start.wait()
+                    try:
+                        index_add(index_path, images[k], "same", sample_patient(k), store_dir)
+                        outcomes[k] = "stored"
+                    except DuplicateId:
+                        outcomes[k] = "duplicate"
+
+                threads = [threading.Thread(target=add, args=(k,)) for k in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(outcomes) == ["duplicate", "duplicate", "stored"]
+                winner = outcomes.index("stored")
+                locator = retrieval.locator_for(store_dir, "same")
+                assert restore_stored(locator) == images[winner]
+                assert read_stored(locator).record == sample_patient(winner)
+                assert os.listdir(store_dir) == ["same.pgm"]
+                assert [e.image_id for e in Index.load(index_path).entries] == ["same"]
+        finally:
+            sys.setswitchinterval(switch)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_indexes_after_a_threaded_call(self, tmp_path):
