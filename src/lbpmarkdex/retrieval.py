@@ -226,12 +226,22 @@ def _open_lock(index_path: str | os.PathLike) -> int:
         raise IoFailure(f"cannot open lock file {lock_path!r}: {exc}") from exc
 
 
+def _take_lock(fd: int, index_path: str | os.PathLike) -> None:
+    """Take the writers' lock of an index exclusively on fd, its lock file
+    as _open_lock opened it; blocks while another writer holds it."""
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    except OSError as exc:
+        lock_path = f"{os.fspath(index_path)}.lock"
+        raise IoFailure(f"cannot lock {lock_path!r}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _index_lock(index_path: str | os.PathLike):
     """Exclusive advisory lock serializing writers of one index file."""
     fd = _open_lock(index_path)
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
+        _take_lock(fd, index_path)
         yield
     finally:
         os.close(fd)
@@ -302,121 +312,94 @@ def index_add(
     single path component or that the index format cannot hold. Of the
     first three, ImageTooSmall is raised first and PayloadTooLarge last.
 
-    The stored file is written before the descriptor is known: the image
-    is marked with a provisional payload whose descriptor is all zeros and
-    written to a temporary, and once the descriptor is known only the rows
-    whose pairs carry the bits that differ (the descriptor's and the CRC's,
-    about 8.2k pairs) are rewritten in it. Then, under the writers' lock,
+    One sequence at every size. The stored file is written before the
+    descriptor is known: the payload is encoded with an all-zero
+    descriptor (as long as the real one, different only in the CRC and the
+    descriptor), the writers' lock file is opened (not locked), the image
+    is marked with that payload and written to a fresh temporary beside the
+    locator. Then the descriptor is taken, and only the rows whose pairs
+    carry the bits that differ (the descriptor's and the CRC's, about 8.2k
+    pairs) are rewritten in the temporary. Then, under the writers' lock,
     the id is checked against the index, the file is linked into place and
-    the row appended. The lock is not held while the descriptor is computed.
+    the row appended. The lock is not held while the descriptor is
+    computed. An error of the steps before the descriptor is kept and
+    raised where the serial order puts it: the descriptor's error first,
+    then the encoding's and the lock file's, before the index is read, then
+    DuplicateId, then PayloadTooLarge and the temporary's IoFailure. So a
+    call whose descriptor raises has by then created the index's directory,
+    its lock file and the store directory, though it leaves no stored file,
+    row or temporary.
 
-    An image of at least THREAD_MIN_PIXELS (2**18) pixels has its
-    descriptor (pyramid and LBP histograms) computed on a second thread
-    while this thread marks the image and writes the temporary; numpy's
-    large kernels release the GIL, so the two run at once. Below the rule
-    the thread costs more than it saves. The thread belongs to an executor
-    made for the call and is joined before the call returns or raises, so
-    no executor outlives the call; an exception it raised is raised here.
-    The stored bytes and the index row are the same on either path, and
-    the same as embed() of the real payload gives.
+    For an image of at least THREAD_MIN_PIXELS (2**18) pixels the
+    descriptor (pyramid and LBP histograms) is computed on a second thread
+    while this thread runs the steps before it; numpy's large kernels
+    release the GIL, so the two run at once. Below the rule the thread
+    costs more than it saves, so the descriptor is computed here, after
+    those steps, and no executor is made. The thread belongs to an
+    executor made for the call and is joined before the call returns or
+    raises, so no executor outlives the call; an exception it raised is
+    raised here. The stored bytes and the index row are the same on either
+    side of the rule, and the same as embed() of the real payload gives.
     """
     try:
         entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
     except ValueError as exc:
         raise IoFailure(str(exc)) from exc
+    locator = entry.locator
     with contextlib.ExitStack() as cleanup:
-        staged = _StagedFile(cleanup, index_path, entry, patient)
+        pending = None
         if original.pixels.size >= THREAD_MIN_PIXELS:
             # perfbench/tracing.py keeps one span stack for all threads, and
-            # mark() calls save_pgm, which it wraps, while the worker runs:
-            # in a traced run that span can take a worker span as parent.
-            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor") as worker:
-                pending = worker.submit(compute_descriptor, original)
-                staged.mark(original, store_dir)
-            descriptor = pending.result()
-        else:
-            descriptor = compute_descriptor(original)
-            staged.mark(original, store_dir)
-        staged.store(descriptor)
-    return entry
-
-
-class _StagedFile:
-    """The stored file of one index_add, written around its descriptor.
-
-    The constructor encodes the payload with an all-zero descriptor: as
-    long as the real encoding, and different from it only in the CRC and
-    the descriptor. mark() opens (does not take) the writers' lock file,
-    marks the image with that provisional payload and writes it to a fresh
-    temporary beside the locator. store() rewrites there the rows that
-    _rewrite gives for the real payload, takes the lock, checks the id
-    against the index, links the file into place and appends the row.
-
-    The constructor and mark() keep their first error instead of raising
-    it, and store() raises it where the order of the errors puts it: the
-    encoding's and the lock file's before the index is read, PayloadTooLarge
-    and the temporary's IoFailure after the duplicate check. cleanup closes
-    the lock file and removes the temporary however the call ends.
-    """
-
-    def __init__(self, cleanup: contextlib.ExitStack, index_path, entry: IndexEntry, patient: PatientRecord):
-        self._cleanup, self._index_path, self._entry, self._patient = cleanup, index_path, entry, patient
-        self._lock = self._failure = None
+            # this thread calls save_pgm, which it wraps, while the worker
+            # runs: in a traced run that span can take a worker span as parent.
+            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor")
+            pending = cleanup.enter_context(worker).submit(compute_descriptor, original)
+        lock = failure = None
         try:
-            self._provisional = self._encode(np.zeros(BINS, np.uint8))
-        except LbpmarkdexError as exc:
-            self._failure = exc
-
-    def _encode(self, descriptor) -> bytes:
-        return encode_payload(Payload(descriptor=descriptor, locator=self._entry.locator, record=self._patient))
-
-    def _store_failure(self, exc: OSError) -> IoFailure:
-        failure = IoFailure(f"cannot store {self._entry.locator!r}: {exc}")
-        failure.__cause__ = exc
-        return failure
-
-    def mark(self, original: GrayImage, store_dir: str | os.PathLike) -> None:
-        if self._failure is not None:
-            return
-        try:
-            self._lock = _open_lock(self._index_path)
-            self._cleanup.callback(os.close, self._lock)
-            self._layout = _layout(original)
-            self._marked = _write(original, self._layout, self._provisional)
+            provisional = encode_payload(Payload(np.zeros(BINS, np.uint8), locator, patient))
+            lock = _open_lock(index_path)
+            cleanup.callback(os.close, lock)
+            layout = _layout(original)
+            marked = _write(original, layout, provisional)
+            # Drop the pixels _write spent (x0, y0); _rewrite reads the rest.
+            # Alive through a descriptor computed on this thread, they lifted
+            # a 256² call's peak heap past glibc malloc's trim threshold:
+            # 239 page faults a call instead of none, and 0.2-0.5 ms.
+            layout = layout[2:]
             os.makedirs(os.fspath(store_dir), exist_ok=True)
-            self._tmp = self._cleanup.enter_context(_temporary(self._entry.locator))
-            save_pgm(self._tmp, self._marked)
-        except LbpmarkdexError as exc:
-            self._failure = exc
-        except OSError as exc:
-            self._failure = self._store_failure(exc)
-
-    def store(self, descriptor: np.ndarray) -> None:
-        if self._lock is None:
-            raise self._failure
-        if self._failure is None:
-            first, rows = _rewrite(self._marked, self._layout, self._provisional, self._encode(descriptor))
-            offset = len(_pgm_header(self._marked)) + first * self._marked.width
+            tmp = cleanup.enter_context(_temporary(locator))
+            save_pgm(tmp, marked)
+        except (LbpmarkdexError, OSError) as exc:
+            failure = exc
+        descriptor = compute_descriptor(original) if pending is None else pending.result()
+        if lock is None:
+            raise failure
+        if failure is None:
+            first, rows = _rewrite(marked, layout, provisional, encode_payload(Payload(descriptor, locator, patient)))
             try:
-                fd = os.open(self._tmp, os.O_WRONLY)
+                fd = os.open(tmp, os.O_WRONLY)
                 try:
-                    if os.pwrite(fd, rows, offset) != rows.nbytes:
+                    if os.pwrite(fd, rows, len(_pgm_header(marked)) + first * marked.width) != rows.nbytes:
                         raise OSError("short write")
                 finally:
                     os.close(fd)
             except OSError as exc:
-                self._failure = self._store_failure(exc)
-        fcntl.flock(self._lock, fcntl.LOCK_EX)
-        Index.load(self._index_path).add(self._entry)
-        if self._failure is not None:
-            raise self._failure
-        try:
-            os.link(self._tmp, self._entry.locator)
-        except FileExistsError as exc:
-            raise DuplicateId(f"image_id {self._entry.image_id!r} already has a stored file") from exc
-        except OSError as exc:
-            raise self._store_failure(exc)
-        _append_row(self._index_path, self._entry)
+                failure = exc
+        _take_lock(lock, index_path)
+        Index.load(index_path).add(entry)
+        if failure is None:
+            try:
+                os.link(tmp, locator)
+            except FileExistsError as exc:
+                raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
+            except OSError as exc:
+                failure = exc
+        if isinstance(failure, OSError):
+            raise IoFailure(f"cannot store {locator!r}: {failure}") from failure
+        if failure is not None:
+            raise failure
+        _append_row(index_path, entry)
+    return entry
 
 
 def read_stored(locator: str | os.PathLike) -> Payload:

@@ -305,9 +305,10 @@ def _rewrite(marked: GrayImage, layout, old: bytes, new: bytes) -> tuple[int, np
     stream reaches a pair through the slot order, which skips blocked
     pairs. rows is a fresh array, a copy of just the rows touched: marked
     stays as it is. It uses only the layout's blocked mask, its head and
-    its slot count, which _write leaves as they were.
+    its slot count, which _write leaves as they were, so layout[2:], the
+    layout without the pixels _write spent, will do as well.
     """
-    _, _, blocked, bits, head, slots = layout
+    *_, blocked, bits, head, slots = layout
     delta = np.unpackbits(np.frombuffer(new, np.uint8)).astype(np.int16)
     delta -= np.unpackbits(np.frombuffer(old, np.uint8))
     changed = np.flatnonzero(delta)

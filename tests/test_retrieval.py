@@ -1,5 +1,6 @@
 """Index file handling, the store pipeline, querying, and link repair."""
 
+import errno
 import fcntl
 import logging
 import os
@@ -37,6 +38,7 @@ from lbpmarkdex import descriptor, retrieval
 from lbpmarkdex.errors import (
     DuplicateId,
     EmptyIndex,
+    FieldTooLong,
     ImageTooSmall,
     IoFailure,
     OutOfRange,
@@ -251,6 +253,34 @@ class TestIndexAdd:
         assert os.listdir(store_dir) == []
         assert len(Index.load(tmp_path / "i.tsv")) == 0
 
+    def test_store_path_that_is_a_file_is_io_failure(self, tmp_path):
+        """makedirs' FileExistsError is the store's IoFailure, not DuplicateId."""
+        index_path, store_dir = tmp_path / "i.tsv", tmp_path / "s"
+        store_dir.write_bytes(b"")
+        img = smooth_noise_image(np.random.default_rng(22), 160, 160)
+        with pytest.raises(IoFailure, match="cannot store"):
+            index_add(str(index_path), img, "a", sample_patient(0), str(store_dir))
+        assert store_dir.read_bytes() == b""
+        assert len(Index.load(index_path)) == 0
+
+    def test_short_row_append_is_io_failure_and_relink_repairs_it(self, tmp_path, monkeypatch):
+        """A short write of the appended row (here, none of it written)
+        raises IoFailure once the file is linked into place: the stored file
+        stays, and relink lists it as repaired."""
+        index_path, store_dir = tmp_path / "i.tsv", str(tmp_path / "s")
+        img = smooth_noise_image(np.random.default_rng(21), 160, 160)
+        locator = retrieval.locator_for(store_dir, "a")
+        row, write = f"a\t{locator}\t\n".encode("utf-8"), os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: 0 if type(data) is bytes and data == row else write(fd, data))
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write index {str(index_path)!r}: short write")):
+            index_add(str(index_path), img, "a", sample_patient(0), store_dir)
+        monkeypatch.undo()
+        assert restore_stored(locator) == img
+        assert len(Index.load(index_path)) == 0
+        _, report = relink(store_dir, index_path)
+        assert report.repaired == [locator]
+        assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+
     def test_unopenable_lock_file_is_io_failure(self, tmp_path):
         index_path = tmp_path / "i.tsv"
         (tmp_path / "i.tsv.lock").mkdir()  # a directory cannot be opened for writing
@@ -375,6 +405,23 @@ class TestIndexAddThreads:
         record("lbp_histogram")
         return calls
 
+    @pytest.fixture(params=[256, 512], ids=["serial", "threaded"])
+    def side(self, request):
+        """The side of a square image indexed below the rule and of one
+        indexed at it."""
+        assert (request.param**2 >= retrieval.THREAD_MIN_PIXELS) == (request.param == 512)
+        return request.param
+
+    @pytest.fixture
+    def thin_shapes(self, side):
+        """Shapes of side**2 pixels each, so on the same side of the rule,
+        with a level-2 side of 2, 1 and 1: compute_descriptor raises
+        ImageTooSmall for each. The caller's layout accepts every one (the
+        single column has no pair), so the ImageTooSmall raised is the
+        descriptor's."""
+        pixels = side * side
+        return ((pixels // 8, 8), (1, pixels), (pixels, 1))
+
     @pytest.mark.parametrize(
         "width, height, blocked, threaded",
         [
@@ -430,23 +477,28 @@ class TestIndexAddThreads:
         index_add(str(tmp_path / "i.tsv"), img, "a", sample_patient(0), str(tmp_path / "s"))
         assert threading.active_count() == before
 
-    def test_error_order_above_the_rule(self, tmp_path):
-        """ImageTooSmall, then DuplicateId, then PayloadTooLarge."""
+    def test_error_order(self, tmp_path, side, thin_shapes):
+        """ImageTooSmall, then the encoding's FieldTooLong, then DuplicateId,
+        then PayloadTooLarge."""
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(42)
-        entry = index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(0), store_dir)
+        entry = index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
         stored = Path(entry.locator).read_bytes()
-        saturated = GrayImage(np.full((512, 512), 255))  # every pair blocked
-        # 2**18 pixels each, with a level-2 side of 2, 1 and 1. The caller's
-        # layout accepts every one (the single column has no pair), so the
-        # ImageTooSmall raised is the worker's.
-        for width, height in ((1 << 15, 8), (1, 1 << 18), (1 << 18, 1)):
+        saturated = GrayImage(np.full((side, side), 255))  # every pair blocked
+        # The locator, this directory plus "/a.pgm", passes the payload's
+        # limit of 65,535 UTF-8 bytes; the directory is never made.
+        long_store = str(tmp_path / ("x" * (1 << 16)))
+        for width, height in thin_shapes:
             thin = smooth_noise_image(rng, width, height)
-            with pytest.raises(ImageTooSmall):
-                index_add(index_path, thin, "a", sample_patient(1), store_dir)
+            for store in (store_dir, long_store):
+                with pytest.raises(ImageTooSmall):
+                    index_add(index_path, thin, "a", sample_patient(1), store)
             assert os.listdir(store_dir) == ["a.pgm"]
+        for img in (smooth_noise_image(rng, side, side), saturated):
+            with pytest.raises(FieldTooLong):
+                index_add(index_path, img, "a", sample_patient(1), long_store)
         with pytest.raises(DuplicateId):
-            index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(1), store_dir)
+            index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(1), store_dir)
         with pytest.raises(DuplicateId):
             index_add(index_path, saturated, "a", sample_patient(1), store_dir)
         with pytest.raises(PayloadTooLarge):
@@ -455,16 +507,17 @@ class TestIndexAddThreads:
         assert os.listdir(store_dir) == ["a.pgm"]
         assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
 
-    @pytest.mark.parametrize("failure", ["worker", "save_pgm", "stale_link", "lock"])
-    def test_failure_above_the_rule_leaves_no_file_row_or_temporary(self, tmp_path, monkeypatch, failure):
-        """A call that fails while or after the worker runs stores nothing,
-        adds no row, leaves no temporary name and no thread."""
+    @pytest.mark.parametrize("failure", ["descriptor", "save_pgm", "short_rewrite", "stale_link", "lock", "flock"])
+    def test_failure_leaves_no_file_row_or_temporary(self, tmp_path, monkeypatch, side, failure):
+        """A call that fails while or after the descriptor is computed
+        stores nothing, leaves the index as it was, and leaves no temporary
+        name and no thread."""
         index_path, store_dir = tmp_path / "i.tsv", tmp_path / "s"
         rng = np.random.default_rng(44)
-        img = smooth_noise_image(rng, 512, 512)
+        img = smooth_noise_image(rng, side, side)
         kept = {}
-        if failure == "worker":
-            expected = ZeroDivisionError
+        if failure == "descriptor":
+            expected, match = ZeroDivisionError, None
             monkeypatch.setattr(descriptor, "lbp_histogram", lambda level: 1 / 0)
         elif failure == "save_pgm":
 
@@ -472,47 +525,66 @@ class TestIndexAddThreads:
                 Path(path).write_bytes(b"P5\n")
                 raise OSError(28, "No space left on device")
 
-            expected = IoFailure
+            expected, match = IoFailure, "cannot store"
             monkeypatch.setattr(retrieval, "save_pgm", disk_full)
+        elif failure == "short_rewrite":
+            # The one pwrite is the rewrite of the rows that carry the
+            # descriptor and the CRC.
+            expected, match = IoFailure, "cannot store .*short write"
+            monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
         elif failure == "stale_link":
             # A stale temporary of this pid, hard-linked to a stored file:
             # the provisional write and the row rewrite must not reach it.
-            expected = DuplicateId
-            entry = index_add(str(index_path), smooth_noise_image(rng, 512, 512), "a", sample_patient(1), str(store_dir))
+            expected, match = DuplicateId, None
+            entry = index_add(str(index_path), smooth_noise_image(rng, side, side), "a", sample_patient(1), str(store_dir))
             kept["a.pgm"] = Path(entry.locator).read_bytes()
-            Index().save(index_path)
             os.link(entry.locator, f"{entry.locator}.tmp.{os.getpid()}")
-        else:
-            expected = IoFailure
+        elif failure == "lock":
+            expected, match = IoFailure, "cannot open lock file"
             (tmp_path / "i.tsv.lock").mkdir()
+        else:
+
+            def no_locks(fd, operation):
+                raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+            expected, match = IoFailure, re.escape(f"cannot lock {str(index_path) + '.lock'!r}")
+            monkeypatch.setattr(fcntl, "flock", no_locks)
+        rows = "# kept\nz\telsewhere/z.pgm\t\n"
+        index_path.write_text(rows, encoding="utf-8")
         before = threading.active_count()
-        with pytest.raises(expected):
+        with pytest.raises(expected, match=match):
             index_add(str(index_path), img, "a", sample_patient(0), str(store_dir))
         assert threading.active_count() == before
         stored = {p.name: p.read_bytes() for p in store_dir.iterdir()} if store_dir.exists() else {}
         assert stored == kept
         assert failure != "lock" or not store_dir.exists()
-        assert len(Index.load(index_path)) == 0
+        # One step order on both sides of the rule: the caller's steps,
+        # the store directory among them, run before the descriptor is taken.
+        assert failure != "descriptor" or store_dir.is_dir()
+        assert index_path.read_text(encoding="utf-8") == rows
         assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
-    def test_store_write_failure_is_raised_after_the_worker_and_the_duplicate_check(self, tmp_path, monkeypatch):
-        """save_pgm fails while the worker runs; the error the serial order
-        raises first still wins: the worker's, then DuplicateId."""
+    def test_store_write_failure_is_raised_after_the_descriptor_and_the_duplicate_check(
+        self, tmp_path, monkeypatch, side, thin_shapes
+    ):
+        """save_pgm fails before the descriptor is taken; the error the
+        serial order raises first still wins: the descriptor's, then
+        DuplicateId."""
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(45)
-        index_add(index_path, smooth_noise_image(rng, 512, 512), "a", sample_patient(0), store_dir)
+        index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
 
         def disk_full(path, image):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(retrieval, "save_pgm", disk_full)
-        img = smooth_noise_image(rng, 512, 512)
+        img = smooth_noise_image(rng, side, side)
         with pytest.raises(DuplicateId):
             index_add(index_path, img, "a", sample_patient(1), store_dir)
         with pytest.raises(IoFailure, match="cannot store"):
             index_add(index_path, img, "b", sample_patient(1), store_dir)
         with pytest.raises(ImageTooSmall):
-            index_add(index_path, smooth_noise_image(rng, 1 << 15, 8), "b", sample_patient(1), store_dir)
+            index_add(index_path, smooth_noise_image(rng, *thin_shapes[0]), "b", sample_patient(1), store_dir)
         assert os.listdir(store_dir) == ["a.pgm"]
         assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
 
@@ -899,6 +971,25 @@ class TestRelink:
         rebuilt, report = result["out"]
         assert report.repaired == [late]
         assert rebuilt.find("img005").locator == late
+
+    def test_lock_failure_is_io_failure_and_leaves_the_index(self, store, tmp_path, monkeypatch):
+        """flock failing (here ENOLCK) is an IoFailure naming the lock file,
+        raised before the index is rewritten: a rebuild would drop the
+        comment line."""
+        index_path, store_dir = self._clone_store(store, tmp_path)
+        Path(index_path).write_text("# kept\n" + Path(index_path).read_text(encoding="utf-8"), encoding="utf-8")
+        before = Path(index_path).read_bytes()
+        files = sorted(os.listdir(store_dir))
+
+        def no_locks(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        with pytest.raises(IoFailure, match=re.escape(f"cannot lock {index_path + '.lock'!r}")):
+            relink(store_dir, index_path)
+        assert Path(index_path).read_bytes() == before
+        assert sorted(os.listdir(store_dir)) == files
+        assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
     def test_empty_directory_empty_index(self, tmp_path):
         os.makedirs(tmp_path / "empty")
