@@ -176,29 +176,35 @@ def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
 
     Blank lines and lines starting with '#' are skipped. A line with a
     field count outside widths, or whose fields make() rejects with
-    ValueError, raises IoFailure naming source and the line number.
+    ValueError, raises IoFailure naming source and the line number; but
+    such a line that is last and not ended by "\n" is skipped with a
+    logged warning, since a writer ends every row it appends with "\n"
+    and that line is an append cut short or still in flight.
     """
     rows = []
     # Only the writer's "\n" (or "\r\n") ends a line: str.splitlines would
     # also split inside fields at characters such as U+0085 or "\f".
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         line = line.removesuffix("\r")
         if _skipped_line(line):
             continue
         fields = line.split("\t")
-        where = f"{source} line {lineno}"
-        if len(fields) not in widths:
-            expected = " or ".join(str(w) for w in widths)
-            raise IoFailure(f"{where} has {len(fields)} fields, expected {expected}")
         try:
+            if len(fields) not in widths:
+                raise ValueError(f"has {len(fields)} fields, expected {' or '.join(map(str, widths))}")
             rows.append(make(*fields))
         except ValueError as exc:
-            raise IoFailure(f"{where}: {exc}") from exc
+            if lineno < len(lines):
+                raise IoFailure(f"{source} line {lineno}: {exc}") from exc
+            logger.warning("skipping %s line %d, an unterminated last line: %s", source, lineno, exc)
     return rows
 
 
 def _load_tsv(path: str | os.PathLike, what: str, widths: tuple[int, ...], make) -> list:
-    """_parse_tsv over a UTF-8 file; undecodable bytes raise IoFailure."""
+    """_parse_tsv over a UTF-8 file. Undecodable bytes raise IoFailure,
+    except in a last line not ended by "\n", which is skipped as
+    _parse_tsv skips one that does not parse."""
     source = f"{what} {os.fspath(path)!r}"
     with open(path, "rb") as fh:
         data = fh.read()
@@ -206,7 +212,10 @@ def _load_tsv(path: str | os.PathLike, what: str, widths: tuple[int, ...], make)
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise IoFailure(f"{source} line {lineno} is not UTF-8: {exc}") from exc
+        if b"\n" in data[exc.start :]:
+            raise IoFailure(f"{source} line {lineno} is not UTF-8: {exc}") from exc
+        logger.warning("skipping %s line %d, an unterminated last line: not UTF-8: %s", source, lineno, exc)
+        text = data[: data.rfind(b"\n") + 1].decode("utf-8")
     return _parse_tsv(text, source, widths, make)
 
 
@@ -234,17 +243,6 @@ def _take_lock(fd: int, index_path: str | os.PathLike) -> None:
     except OSError as exc:
         lock_path = f"{os.fspath(index_path)}.lock"
         raise IoFailure(f"cannot lock {lock_path!r}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _index_lock(index_path: str | os.PathLike):
-    """Exclusive advisory lock serializing writers of one index file."""
-    fd = _open_lock(index_path)
-    try:
-        _take_lock(fd, index_path)
-        yield
-    finally:
-        os.close(fd)
 
 
 def _append_row(index_path: str | os.PathLike, entry: IndexEntry) -> None:
@@ -309,8 +307,7 @@ def index_add(
     is indexed or already has a stored file raises DuplicateId. Also raises
     ImageTooSmall (no three-level pyramid), PayloadTooLarge (image cannot
     carry its own payload) and IoFailure, including for an id that is not a
-    single path component or that the index format cannot hold. Of the
-    first three, ImageTooSmall is raised first and PayloadTooLarge last.
+    single path component or that the index format cannot hold.
 
     One sequence at every size. The stored file is written before the
     descriptor is known: the payload is encoded with an all-zero
@@ -322,13 +319,18 @@ def index_add(
     pairs) are rewritten in the temporary. Then, under the writers' lock,
     the id is checked against the index, the file is linked into place and
     the row appended. The lock is not held while the descriptor is
-    computed. An error of the steps before the descriptor is kept and
-    raised where the serial order puts it: the descriptor's error first,
-    then the encoding's and the lock file's, before the index is read, then
-    DuplicateId, then PayloadTooLarge and the temporary's IoFailure. So a
-    call whose descriptor raises has by then created the index's directory,
-    its lock file and the store directory, though it leaves no stored file,
-    row or temporary.
+    computed.
+
+    A call raises the error of the first step that fails, in that order:
+    the id (IoFailure), the encoding (FieldTooLong), the lock file
+    (IoFailure), the marking (PayloadTooLarge), the store directory and the
+    temporary (IoFailure), the descriptor (ImageTooSmall, or the worker's
+    own exception), the row rewrite, the lock (IoFailure), the index
+    (DuplicateId), the link (DuplicateId for an existing file, else
+    IoFailure) and the append (IoFailure). Every failing call leaves no
+    stored file, row or temporary; one that fails at the descriptor or
+    later has created the index's directory, its lock file and the store
+    directory.
 
     For an image of at least THREAD_MIN_PIXELS (2**18) pixels the
     descriptor (pyramid and LBP histograms) is computed on a second thread
@@ -338,8 +340,9 @@ def index_add(
     those steps, and no executor is made. The thread belongs to an
     executor made for the call and is joined before the call returns or
     raises, so no executor outlives the call; an exception it raised is
-    raised here. The stored bytes and the index row are the same on either
-    side of the rule, and the same as embed() of the real payload gives.
+    raised here unless a step before the descriptor failed first. The
+    stored bytes and the index row are the same on either side of the
+    rule, and the same as embed() of the real payload gives.
     """
     try:
         entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
@@ -354,50 +357,39 @@ def index_add(
             # runs: in a traced run that span can take a worker span as parent.
             worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor")
             pending = cleanup.enter_context(worker).submit(compute_descriptor, original)
-        lock = failure = None
+        provisional = encode_payload(Payload(np.zeros(BINS, np.uint8), locator, patient))
+        lock = _open_lock(index_path)
+        cleanup.callback(os.close, lock)
+        layout = _layout(original)
+        marked = _write(original, layout, provisional)
+        # Drop the pixels _write spent (x0, y0); _rewrite reads the rest.
+        # Alive through a descriptor computed on this thread, they lifted
+        # a 256² call's peak heap past glibc malloc's trim threshold:
+        # 239 page faults a call instead of none, and 0.2-0.5 ms.
+        layout = layout[2:]
         try:
-            provisional = encode_payload(Payload(np.zeros(BINS, np.uint8), locator, patient))
-            lock = _open_lock(index_path)
-            cleanup.callback(os.close, lock)
-            layout = _layout(original)
-            marked = _write(original, layout, provisional)
-            # Drop the pixels _write spent (x0, y0); _rewrite reads the rest.
-            # Alive through a descriptor computed on this thread, they lifted
-            # a 256² call's peak heap past glibc malloc's trim threshold:
-            # 239 page faults a call instead of none, and 0.2-0.5 ms.
-            layout = layout[2:]
             os.makedirs(os.fspath(store_dir), exist_ok=True)
             tmp = cleanup.enter_context(_temporary(locator))
             save_pgm(tmp, marked)
-        except (LbpmarkdexError, OSError) as exc:
-            failure = exc
+        except OSError as exc:
+            raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
         descriptor = compute_descriptor(original) if pending is None else pending.result()
-        if lock is None:
-            raise failure
-        if failure is None:
-            first, rows = _rewrite(marked, layout, provisional, encode_payload(Payload(descriptor, locator, patient)))
+        first, rows = _rewrite(marked, layout, provisional, encode_payload(Payload(descriptor, locator, patient)))
+        try:
+            fd = os.open(tmp, os.O_WRONLY)
             try:
-                fd = os.open(tmp, os.O_WRONLY)
-                try:
-                    if os.pwrite(fd, rows, len(_pgm_header(marked)) + first * marked.width) != rows.nbytes:
-                        raise OSError("short write")
-                finally:
-                    os.close(fd)
-            except OSError as exc:
-                failure = exc
-        _take_lock(lock, index_path)
-        Index.load(index_path).add(entry)
-        if failure is None:
+                if os.pwrite(fd, rows, len(_pgm_header(marked)) + first * marked.width) != rows.nbytes:
+                    raise OSError("short write")
+            finally:
+                os.close(fd)
+            _take_lock(lock, index_path)
+            Index.load(index_path).add(entry)
             try:
                 os.link(tmp, locator)
             except FileExistsError as exc:
                 raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
-            except OSError as exc:
-                failure = exc
-        if isinstance(failure, OSError):
-            raise IoFailure(f"cannot store {locator!r}: {failure}") from failure
-        if failure is not None:
-            raise failure
+        except OSError as exc:
+            raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
         _append_row(index_path, entry)
     return entry
 
@@ -509,7 +501,9 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     rebuilt: dict[str, IndexEntry] = {}
     # The whole rebuild holds the writers' lock: a row that index_add
     # appended after the old index was read would be lost by the save.
-    with _index_lock(index_path):
+    lock = _open_lock(index_path)
+    try:
+        _take_lock(lock, index_path)
         old = Index.load(index_path)
         try:
             names = sorted(os.listdir(store))
@@ -531,4 +525,6 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
                 report.repaired.append(path)
         new_index = Index(rebuilt[i] for i in sorted(rebuilt))
         new_index.save(index_path)
+    finally:
+        os.close(lock)
     return new_index, report

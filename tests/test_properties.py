@@ -8,8 +8,9 @@ ranking per query and like the exact N x N distance matrix it no longer
 fills, the ingest kernels (uint16 reduce, in-place LBP
 codes, folded histogram, scatter-free embed) equal plain reference forms,
 read_stored on damaged files agrees with a reference chain of copy, masked
-stream read and sliced decode, and index rows are accepted exactly by the
-row rule.
+stream read and sliced decode, index rows are accepted exactly by the
+row rule, and an index whose last row is cut at any byte can still be
+relinked and added to.
 
 Runs are derandomized so every run of the suite checks the same examples,
 unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
@@ -46,6 +47,7 @@ from lbpmarkdex import (
     read_pgm,
     read_stored,
     reduce_once,
+    relink,
     save_pgm,
     write_pgm,
 )
@@ -843,3 +845,44 @@ def test_index_entry_accepts_exactly_what_the_row_rule_accepts(image_id, locator
         return
     assert _reference_entry_ok(image_id, locator, class_label)
     assert Index.parse(Index([entry]).render()) == Index([entry])
+
+
+# A one-byte character, and two- and three-byte UTF-8 characters that a cut
+# can split.
+_TORN_IDS = ["b", "b\u00e9\u2713"]
+
+
+@pytest.fixture(scope="module")
+def torn_stores(tmp_path_factory):
+    """image_id -> (store, index bytes up to its last row, the last row),
+    for a store of two images indexed as "a" and image_id."""
+    stores = {}
+    for image_id in _TORN_IDS:
+        root = tmp_path_factory.mktemp("torn")
+        index_path, store = root / "i.tsv", str(root / "s")
+        for k, name in enumerate(("a", image_id)):
+            index_add(index_path, smooth_noise_image(np.random.default_rng(k), 160, 160), name, PatientRecord(f"P{k}"), store, "cls")
+        head, last, _ = index_path.read_bytes().rsplit(b"\n", 2)
+        stores[image_id] = (store, head + b"\n", last + b"\n")
+    return stores
+
+
+@pytest.mark.parametrize("image_id", _TORN_IDS, ids=["ascii", "non-ascii"])
+@PROPERTY
+@given(st.data())
+def test_an_index_cut_inside_its_last_row_can_be_relinked_and_added_to(torn_stores, image_id, data):
+    store, head, last = torn_stores[image_id]
+    cut = data.draw(st.integers(0, len(last) - 1), label="cut")
+    with tempfile.TemporaryDirectory() as root:
+        index_path = os.path.join(root, "i.tsv")
+        with open(index_path, "wb") as fh:
+            fh.write(head + last[:cut])
+        rebuilt, report = relink(store, index_path)
+        assert [e.image_id for e in rebuilt.entries] == sorted(["a", image_id])
+        assert report.unreadable == report.conflicting == []
+        with open(index_path, "wb") as fh:
+            fh.write(head + last[:cut])
+        img = smooth_noise_image(np.random.default_rng(2), 160, 160)
+        entry = index_add(index_path, img, "c", PatientRecord("P2"), os.path.join(root, "s"))
+        with open(index_path, "rb") as fh:
+            assert fh.read().endswith(f"\nc\t{entry.locator}\t\n".encode("utf-8"))

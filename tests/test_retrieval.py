@@ -81,6 +81,19 @@ class TestIndexFile:
         with pytest.raises(IoFailure):
             Index.parse("only_one_field\n")
 
+    def test_unterminated_last_line_that_does_not_parse_is_skipped(self, caplog):
+        """A writer ends every row with "\n": a last line without one that
+        does not parse is an append cut short, skipped with one warning."""
+        for torn in ("bbbb", "\tx", "b\tx\ty\tz"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+                assert Index.parse(f"a\tx\n{torn}") == Index([IndexEntry("a", "x")])
+            assert len(caplog.records) == 1
+            assert "index line 2, an unterminated last line" in caplog.records[0].getMessage()
+            with pytest.raises(IoFailure, match="index line 2"):
+                Index.parse(f"a\tx\n{torn}\n")
+        assert Index.parse("a\tx\nb\ty") == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
+
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateId):
             Index.parse("a\tx\na\ty\n")
@@ -416,9 +429,8 @@ class TestIndexAddThreads:
     def thin_shapes(self, side):
         """Shapes of side**2 pixels each, so on the same side of the rule,
         with a level-2 side of 2, 1 and 1: compute_descriptor raises
-        ImageTooSmall for each. The caller's layout accepts every one (the
-        single column has no pair), so the ImageTooSmall raised is the
-        descriptor's."""
+        ImageTooSmall for each. The single column has no pair, so marking
+        it raises PayloadTooLarge first; the other two carry the payload."""
         pixels = side * side
         return ((pixels // 8, 8), (1, pixels), (pixels, 1))
 
@@ -477,35 +489,64 @@ class TestIndexAddThreads:
         index_add(str(tmp_path / "i.tsv"), img, "a", sample_patient(0), str(tmp_path / "s"))
         assert threading.active_count() == before
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_stays_open(self, tmp_path, side):
+        """The lock file, the temporary's rewrite and the append each close
+        what they open, on success and on failure; so does relink."""
+        index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
+        rng = np.random.default_rng(48)
+        index_add(index_path, smooth_noise_image(rng, side, side), "w", sample_patient(0), store_dir)
+        before = len(os.listdir("/proc/self/fd"))
+        index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(1), store_dir)
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(DuplicateId):  # after the rewrite and the lock
+            index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(2), store_dir)
+        assert len(os.listdir("/proc/self/fd")) == before
+        relink(store_dir, index_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_error_order(self, tmp_path, side, thin_shapes):
-        """ImageTooSmall, then the encoding's FieldTooLong, then DuplicateId,
-        then PayloadTooLarge."""
+        """A call with faults at two neighbouring steps raises the error of
+        the earlier one: the id, the encoding, the lock file, the marking,
+        the store directory, the descriptor, the index, the link."""
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(42)
         entry = index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
-        stored = Path(entry.locator).read_bytes()
-        saturated = GrayImage(np.full((side, side), 255))  # every pair blocked
+        # A stored file whose row the index has lost.
+        kept = {"a.pgm": Path(entry.locator).read_bytes(), "c.pgm": b"kept"}
+        Path(store_dir, "c.pgm").write_bytes(kept["c.pgm"])
+        locked = str(tmp_path / "locked.tsv")
+        os.mkdir(locked + ".lock")  # a directory cannot be opened for writing
+        store_file = str(tmp_path / "file")
+        Path(store_file).write_bytes(b"")
         # The locator, this directory plus "/a.pgm", passes the payload's
         # limit of 65,535 UTF-8 bytes; the directory is never made.
         long_store = str(tmp_path / ("x" * (1 << 16)))
-        for width, height in thin_shapes:
-            thin = smooth_noise_image(rng, width, height)
-            for store in (store_dir, long_store):
-                with pytest.raises(ImageTooSmall):
-                    index_add(index_path, thin, "a", sample_patient(1), store)
-            assert os.listdir(store_dir) == ["a.pgm"]
-        for img in (smooth_noise_image(rng, side, side), saturated):
-            with pytest.raises(FieldTooLong):
-                index_add(index_path, img, "a", sample_patient(1), long_store)
-        with pytest.raises(DuplicateId):
-            index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(1), store_dir)
-        with pytest.raises(DuplicateId):
-            index_add(index_path, saturated, "a", sample_patient(1), store_dir)
-        with pytest.raises(PayloadTooLarge):
-            index_add(index_path, saturated, "b", sample_patient(1), store_dir)
-        assert Path(entry.locator).read_bytes() == stored
-        assert os.listdir(store_dir) == ["a.pgm"]
+        fits = smooth_noise_image(rng, side, side)
+        saturated = GrayImage(np.full((side, side), 255))  # every pair blocked
+        wide, column, row = (smooth_noise_image(rng, width, height) for width, height in thin_shapes)
+        cases = [
+            (index_path, saturated, "a/b", long_store, IoFailure, "not a single path component"),
+            (locked, saturated, "a", long_store, FieldTooLong, "locator is"),
+            (locked, saturated, "a", store_file, IoFailure, "cannot open lock file"),
+            (index_path, saturated, "a", store_file, PayloadTooLarge, None),
+            (index_path, column, "a", store_file, PayloadTooLarge, None),
+            (index_path, wide, "a", store_file, IoFailure, "cannot store"),
+            (index_path, wide, "a", store_dir, ImageTooSmall, None),
+            (index_path, row, "a", store_dir, ImageTooSmall, None),
+            (index_path, fits, "a", store_dir, DuplicateId, "already indexed"),
+            (index_path, fits, "c", store_dir, DuplicateId, "already has a stored file"),
+        ]
+        before = threading.active_count()
+        for index, img, image_id, store, expected, match in cases:
+            with pytest.raises(expected, match=match):
+                index_add(index, img, image_id, sample_patient(1), store)
+            assert threading.active_count() == before
+        assert {p.name: p.read_bytes() for p in Path(store_dir).iterdir()} == kept
         assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+        assert Path(store_file).read_bytes() == b""
+        assert not os.path.exists(long_store) and not os.path.exists(locked)
+        assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
     @pytest.mark.parametrize("failure", ["descriptor", "save_pgm", "short_rewrite", "stale_link", "lock", "flock"])
     def test_failure_leaves_no_file_row_or_temporary(self, tmp_path, monkeypatch, side, failure):
@@ -564,29 +605,53 @@ class TestIndexAddThreads:
         assert index_path.read_text(encoding="utf-8") == rows
         assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
-    def test_store_write_failure_is_raised_after_the_descriptor_and_the_duplicate_check(
-        self, tmp_path, monkeypatch, side, thin_shapes
-    ):
-        """save_pgm fails before the descriptor is taken; the error the
-        serial order raises first still wins: the descriptor's, then
-        DuplicateId."""
+    def test_store_failures_are_raised_at_their_step(self, tmp_path, monkeypatch, side, thin_shapes):
+        """Faults no input can make, each with a fault at a later step: the
+        write of the temporary, the row rewrite, the flock, the link (a
+        cross-device link, not an existing file) and the append. The
+        earlier step's error is raised."""
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(45)
-        index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
+        entry = index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
+        kept = {"a.pgm": Path(entry.locator).read_bytes()}
 
-        def disk_full(path, image):
-            raise OSError(28, "No space left on device")
+        def failing(code):
+            def fail(*args):
+                raise OSError(code, os.strerror(code))
 
-        monkeypatch.setattr(retrieval, "save_pgm", disk_full)
-        img = smooth_noise_image(rng, side, side)
-        with pytest.raises(DuplicateId):
-            index_add(index_path, img, "a", sample_patient(1), store_dir)
-        with pytest.raises(IoFailure, match="cannot store"):
-            index_add(index_path, img, "b", sample_patient(1), store_dir)
-        with pytest.raises(ImageTooSmall):
-            index_add(index_path, smooth_noise_image(rng, *thin_shapes[0]), "b", sample_patient(1), store_dir)
-        assert os.listdir(store_dir) == ["a.pgm"]
+            return fail
+
+        def short_append(path, entry):
+            raise IoFailure(f"cannot write index {path!r}: short write")
+
+        faults = {
+            "save": (retrieval, "save_pgm", failing(errno.ENOSPC)),
+            "rewrite": (os, "pwrite", lambda fd, data, offset: 0),
+            "flock": (fcntl, "flock", failing(errno.ENOLCK)),
+            "link": (os, "link", failing(errno.EXDEV)),
+            "append": (retrieval, "_append_row", short_append),
+        }
+        fits, thin = smooth_noise_image(rng, side, side), smooth_noise_image(rng, *thin_shapes[0])
+        cases = [
+            (("save",), thin, "b", IoFailure, "cannot store .*No space left"),
+            (("save",), fits, "a", IoFailure, "cannot store .*No space left"),
+            (("rewrite",), thin, "b", ImageTooSmall, None),
+            (("rewrite", "flock"), fits, "b", IoFailure, "cannot store .*short write"),
+            (("flock",), fits, "a", IoFailure, "cannot lock"),
+            (("link",), fits, "a", DuplicateId, "already indexed"),
+            (("link", "append"), fits, "b", IoFailure, "cannot store .*cross-device"),
+        ]
+        before = threading.active_count()
+        for names, img, image_id, expected, match in cases:
+            with monkeypatch.context() as patch:
+                for name in names:
+                    patch.setattr(*faults[name])
+                with pytest.raises(expected, match=match):
+                    index_add(index_path, img, image_id, sample_patient(1), store_dir)
+            assert threading.active_count() == before
+        assert {p.name: p.read_bytes() for p in Path(store_dir).iterdir()} == kept
         assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+        assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
     def test_blocked_pairs_among_the_descriptor_bits(self, tmp_path):
         """Blocked pairs in every row, so the slot order that maps the
@@ -845,6 +910,12 @@ class TestQueryByPatientId:
         hits = query_by_patient_id("P0002", store["index"])
         assert [entry.image_id for entry, _ in hits] == ["img002", "img003"]
 
+    def test_ids_out_of_index_order_come_back_ascending(self, store, tmp_path):
+        index_path = tmp_path / "idx.tsv"
+        Index(reversed(Index.load(store["index"]).entries)).save(index_path)
+        hits = query_by_patient_id("P0002", index_path)
+        assert [entry.image_id for entry, _ in hits] == ["img002", "img003"]
+
     def test_non_utf8_payload_skipped_with_warning(self, store, tmp_path, caplog):
         index_path = str(tmp_path / "idx.tsv")
         shutil.copy(store["index"], index_path)
@@ -859,6 +930,29 @@ class TestQueryByPatientId:
             "badtext" in rec.getMessage() and "MalformedStream" in rec.getMessage()
             for rec in caplog.records
         )
+
+
+class TestTornIndexTail:
+    @pytest.mark.parametrize("tail", [b"bbbb", b"b\xc3"], ids=["one-field", "cut-utf8"])
+    def test_every_verb_reads_past_a_torn_tail(self, store, tmp_path, caplog, tail):
+        """An append cut short leaves a last line without "\n": query,
+        find-patient, index_add and relink each skip it with one warning
+        naming the file and the line."""
+        index_path = tmp_path / "idx.tsv"
+        torn = Path(store["index"]).read_bytes().split(b"\n")[0] + b"\n" + tail
+        index_path.write_bytes(torn)
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            assert [r.image_id for r in query_by_image(store["originals"]["img000"], index_path, 1)] == ["img000"]
+            assert [e.image_id for e, _ in query_by_patient_id("P0000", index_path)] == ["img000"]
+            img = smooth_noise_image(np.random.default_rng(19), 160, 160)
+            entry = index_add(str(index_path), img, "new", sample_patient(9), str(tmp_path / "s"))
+            assert index_path.read_bytes() == torn + f"\nnew\t{entry.locator}\t\n".encode("utf-8")
+            index_path.write_bytes(torn)
+            rebuilt, _ = relink(store["dir"], index_path)
+        assert [e.image_id for e in rebuilt.entries] == sorted(store["originals"])
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 4
+        assert all(repr(str(index_path)) in w and "line 2, an unterminated last line" in w for w in warnings)
 
 
 class TestRelink:
