@@ -22,7 +22,7 @@ from .image_io import load_pgm, save_pgm
 from .payload import PatientRecord
 from .retrieval import (
     Index,
-    _load_tsv,
+    _parse_tsv,
     _publish,
     index_add,
     query_by_image,
@@ -261,9 +261,10 @@ def _cmd_relink(parser, args) -> int:
 
 
 def _load_labels(path: str) -> dict[str, str]:
-    """image_id -> class from a --labels file. A repeated id raises
-    IoFailure naming the file and line; an empty class, as in the index,
-    leaves the image unlabeled."""
+    """image_id -> class from a --labels file, parsed whole: nothing
+    appends to it, so an unterminated last line is read like any other.
+    A bad line or a repeated id raises IoFailure naming the file and line;
+    an empty class, as in the index, leaves the image unlabeled."""
     labels: dict[str, str] = {}
 
     def label(image_id: str, class_label: str) -> None:
@@ -271,7 +272,8 @@ def _load_labels(path: str) -> dict[str, str]:
             raise ValueError(f"image_id {image_id!r} is already labeled on an earlier line")
         labels[image_id] = class_label
 
-    _load_tsv(path, "labels", (2,), label)
+    with open(path, "rb") as fh:
+        _parse_tsv(fh.read(), f"labels {path!r}", (2,), label)
     return {i: c for i, c in labels.items() if c}
 
 

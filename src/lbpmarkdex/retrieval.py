@@ -10,11 +10,14 @@ the whole index from the files alone.
 Index file format: UTF-8 text, one entry per line,
 ``image_id <TAB> locator <TAB> class_label`` (class_label may be empty),
 ``#`` starts a comment line. Tabs and newlines are forbidden inside
-fields, and no entry may render as a blank or comment line. Writers
-serialize through an exclusive lock on ``<index>.lock``; readers never
-lock. index_add appends its row with one write, so comment lines and every
-earlier byte stay; relink rewrites the whole file atomically, so its
-rebuild keeps no comments.
+fields, and no entry may render as a blank or comment line. A line is a
+row only once its "\n" is written: readers skip what follows the last
+"\n", an append cut short or still in flight, with a logged warning.
+Writers serialize through an exclusive lock on ``<index>.lock``; readers
+never lock. index_add, under the lock, cuts such an unterminated tail and
+appends its row with one write, so comment lines and every earlier line
+stay; relink rewrites the whole file atomically, so its rebuild keeps no
+comments.
 """
 
 from __future__ import annotations
@@ -109,7 +112,16 @@ class Index:
 
     @classmethod
     def parse(cls, text: str) -> "Index":
-        return cls(_parse_tsv(text, "index", (2, 3), IndexEntry))
+        return cls._read(text.encode("utf-8"), "index")
+
+    @classmethod
+    def _read(cls, data: bytes, source: str) -> "Index":
+        """The rows of index bytes: the lines up to the last "\n". What
+        follows it is skipped with a logged warning."""
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            logger.warning("skipping %s line %d, an unterminated last line", source, data.count(b"\n") + 1)
+        return cls(_parse_tsv(data[:end], source, (2, 3), IndexEntry))
 
     def render(self) -> str:
         return "".join(_entry_line(e) for e in self._by_id.values())
@@ -118,11 +130,13 @@ class Index:
     def load(cls, path: str | os.PathLike) -> "Index":
         """Read the index file; a missing file is an empty index."""
         try:
-            return cls(_load_tsv(path, "index", (2, 3), IndexEntry))
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return cls()
         except OSError as exc:
             raise IoFailure(f"cannot read index {os.fspath(path)!r}: {exc}") from exc
+        return cls._read(data, f"index {os.fspath(path)!r}")
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
@@ -171,21 +185,23 @@ def _skipped_line(line: str) -> bool:
     return not stripped or stripped.startswith("#")
 
 
-def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
-    """make(*fields) for every data line of a tab-separated text.
+def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make) -> list:
+    """make(*fields) for every data line of tab-separated UTF-8 bytes.
 
-    Blank lines and lines starting with '#' are skipped. A line with a
-    field count outside widths, or whose fields make() rejects with
-    ValueError, raises IoFailure naming source and the line number; but
-    such a line that is last and not ended by "\n" is skipped with a
-    logged warning, since a writer ends every row it appends with "\n"
-    and that line is an append cut short or still in flight.
+    Blank lines and lines starting with '#' are skipped. Bytes that are
+    not UTF-8, a line with a field count outside widths, or one whose
+    fields make() rejects with ValueError raise IoFailure naming source
+    and the line number.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IoFailure(f"{source} line {lineno} is not UTF-8: {exc}") from exc
     rows = []
     # Only the writer's "\n" (or "\r\n") ends a line: str.splitlines would
     # also split inside fields at characters such as U+0085 or "\f".
-    lines = text.split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.removesuffix("\r")
         if _skipped_line(line):
             continue
@@ -195,66 +211,46 @@ def _parse_tsv(text: str, source: str, widths: tuple[int, ...], make) -> list:
                 raise ValueError(f"has {len(fields)} fields, expected {' or '.join(map(str, widths))}")
             rows.append(make(*fields))
         except ValueError as exc:
-            if lineno < len(lines):
-                raise IoFailure(f"{source} line {lineno}: {exc}") from exc
-            logger.warning("skipping %s line %d, an unterminated last line: %s", source, lineno, exc)
+            raise IoFailure(f"{source} line {lineno}: {exc}") from exc
     return rows
-
-
-def _load_tsv(path: str | os.PathLike, what: str, widths: tuple[int, ...], make) -> list:
-    """_parse_tsv over a UTF-8 file. Undecodable bytes raise IoFailure,
-    except in a last line not ended by "\n", which is skipped as
-    _parse_tsv skips one that does not parse."""
-    source = f"{what} {os.fspath(path)!r}"
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        if b"\n" in data[exc.start :]:
-            raise IoFailure(f"{source} line {lineno} is not UTF-8: {exc}") from exc
-        logger.warning("skipping %s line %d, an unterminated last line: not UTF-8: %s", source, lineno, exc)
-        text = data[: data.rfind(b"\n") + 1].decode("utf-8")
-    return _parse_tsv(text, source, widths, make)
 
 
 def _entry_line(entry: IndexEntry) -> str:
     return f"{entry.image_id}\t{entry.locator}\t{entry.class_label}\n"
 
 
-def _open_lock(index_path: str | os.PathLike) -> int:
-    """A descriptor of the writers' lock file of an index, <index>.lock,
-    opened but not locked. It creates the index's directory, as index_add
-    creates the store."""
+@contextlib.contextmanager
+def _writers_lock(index_path: str | os.PathLike):
+    """Hold the writers' lock of an index: an exclusive flock on its lock
+    file, <index>.lock, created with the index's directory (as index_add
+    creates the store) if missing. Blocks while another writer holds it;
+    released and closed on exit."""
     lock_path = f"{os.fspath(index_path)}.lock"
     try:
         os.makedirs(os.path.dirname(lock_path) or ".", exist_ok=True)
-        return os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
     except OSError as exc:
         raise IoFailure(f"cannot open lock file {lock_path!r}: {exc}") from exc
-
-
-def _take_lock(fd: int, index_path: str | os.PathLike) -> None:
-    """Take the writers' lock of an index exclusively on fd, its lock file
-    as _open_lock opened it; blocks while another writer holds it."""
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-    except OSError as exc:
-        lock_path = f"{os.fspath(index_path)}.lock"
-        raise IoFailure(f"cannot lock {lock_path!r}: {exc}") from exc
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise IoFailure(f"cannot lock {lock_path!r}: {exc}") from exc
+        yield
+    finally:
+        os.close(fd)
 
 
 def _append_row(index_path: str | os.PathLike, entry: IndexEntry) -> None:
-    """Append entry's row to the index file with one write, after a "\n"
-    if the file does not end in one; the caller holds the writers' lock."""
+    """Append entry's row to the index file with one write, first cutting
+    an unterminated tail (what follows the last "\n", which no reader
+    takes for a row); the caller holds the writers' lock."""
     try:
         fd = os.open(index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             row = _entry_line(entry).encode("utf-8")
-            end = os.fstat(fd).st_size
-            if end and os.pread(fd, 1, end - 1) != b"\n":
-                row = b"\n" + row
+            data = os.pread(fd, os.fstat(fd).st_size, 0)
+            os.ftruncate(fd, data.rfind(b"\n") + 1)
             if os.write(fd, row) != len(row):
                 raise OSError("short write")
         finally:
@@ -299,8 +295,9 @@ def index_add(
     class_label: str = "",
 ) -> IndexEntry:
     """Watermark an image with its own descriptor and record, store it, and
-    append the entry's row to the index file (earlier bytes, comment lines
-    included, stay as they are).
+    append the entry's row to the index file (earlier lines, comment lines
+    included, stay as they are; an unterminated last line, which no reader
+    takes for a row, is replaced).
 
     The original image is not kept anywhere; restore_stored() recovers it
     from the stored file, which is therefore never overwritten: an id that
@@ -312,25 +309,25 @@ def index_add(
     One sequence at every size. The stored file is written before the
     descriptor is known: the payload is encoded with an all-zero
     descriptor (as long as the real one, different only in the CRC and the
-    descriptor), the writers' lock file is opened (not locked), the image
-    is marked with that payload and written to a fresh temporary beside the
-    locator. Then the descriptor is taken, and only the rows whose pairs
-    carry the bits that differ (the descriptor's and the CRC's, about 8.2k
-    pairs) are rewritten in the temporary. Then, under the writers' lock,
-    the id is checked against the index, the file is linked into place and
-    the row appended. The lock is not held while the descriptor is
-    computed.
+    descriptor), the image is marked with that payload and written to a
+    fresh temporary beside the locator. Then the descriptor is taken, and
+    only the rows whose pairs carry the bits that differ (the descriptor's
+    and the CRC's, about 8.2k pairs) are rewritten in the temporary. Then
+    the writers' lock file is opened and locked, and under the lock the id
+    is checked against the index, the file is linked into place and the
+    row appended. The lock is not held while the descriptor is computed.
 
     A call raises the error of the first step that fails, in that order:
-    the id (IoFailure), the encoding (FieldTooLong), the lock file
-    (IoFailure), the marking (PayloadTooLarge), the store directory and the
-    temporary (IoFailure), the descriptor (ImageTooSmall, or the worker's
-    own exception), the row rewrite, the lock (IoFailure), the index
+    the id (IoFailure), the encoding (FieldTooLong), the marking
+    (PayloadTooLarge), the store directory and the temporary (IoFailure),
+    the descriptor (ImageTooSmall, or the worker's own exception), the row
+    rewrite, the lock file and its lock (IoFailure), the index
     (DuplicateId), the link (DuplicateId for an existing file, else
     IoFailure) and the append (IoFailure). Every failing call leaves no
-    stored file, row or temporary; one that fails at the descriptor or
-    later has created the index's directory, its lock file and the store
-    directory.
+    stored file, row or temporary; one that fails at the store directory
+    or later may have created the store directory, and one that fails at
+    the index or later has created the index's directory and its lock
+    file.
 
     For an image of at least THREAD_MIN_PIXELS (2**18) pixels the
     descriptor (pyramid and LBP histograms) is computed on a second thread
@@ -358,8 +355,6 @@ def index_add(
             worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lbpmarkdex-descriptor")
             pending = cleanup.enter_context(worker).submit(compute_descriptor, original)
         provisional = encode_payload(Payload(np.zeros(BINS, np.uint8), locator, patient))
-        lock = _open_lock(index_path)
-        cleanup.callback(os.close, lock)
         layout = _layout(original)
         marked = _write(original, layout, provisional)
         # Drop the pixels _write spent (x0, y0); _rewrite reads the rest.
@@ -382,7 +377,7 @@ def index_add(
                     raise OSError("short write")
             finally:
                 os.close(fd)
-            _take_lock(lock, index_path)
+            cleanup.enter_context(_writers_lock(index_path))
             Index.load(index_path).add(entry)
             try:
                 os.link(tmp, locator)
@@ -501,9 +496,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     rebuilt: dict[str, IndexEntry] = {}
     # The whole rebuild holds the writers' lock: a row that index_add
     # appended after the old index was read would be lost by the save.
-    lock = _open_lock(index_path)
-    try:
-        _take_lock(lock, index_path)
+    with _writers_lock(index_path):
         old = Index.load(index_path)
         try:
             names = sorted(os.listdir(store))
@@ -525,6 +518,4 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
                 report.repaired.append(path)
         new_index = Index(rebuilt[i] for i in sorted(rebuilt))
         new_index.save(index_path)
-    finally:
-        os.close(lock)
     return new_index, report

@@ -707,6 +707,29 @@ class TestEvaluateVerb:
             f"IoFailure: labels {str(labels_path)!r} line 4: image_id 'ga0' is already labeled on an earlier line\n"
         )
 
+    def test_labels_file_is_parsed_whole(self, cli_store, tmp_path, capsys):
+        """Nothing appends to a --labels file, so an unterminated last line
+        is read like any other: one that parses labels its image, one that
+        does not is an IoFailure naming the file and the line."""
+        outputs = []
+        for end in ("\n", ""):
+            labels_path = tmp_path / f"labels{len(end)}.tsv"
+            labels_path.write_text(f"ga0\tg\nga1\tg\nsb0\ts\nsb1\ts{end}", encoding="utf-8")
+            code = run(["evaluate", "--labels", str(labels_path), "--cutoffs", "1", "--index", cli_store["index"]])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert {line.split(",")[0] for line in outputs[1].splitlines()[1:]} == {"g", "s"}
+        labels_path = tmp_path / "torn.tsv"
+        for torn, detail in [(b"sb1", "has 1 fields, expected 2"), (b"sb1\t\xfe", "is not UTF-8")]:
+            labels_path.write_bytes(b"ga0\tg\nga1\tg\n" + torn)
+            code = run(["evaluate", "--labels", str(labels_path), "--cutoffs", "1", "--index", cli_store["index"]])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith(f"IoFailure: labels {str(labels_path)!r} line 3")
+            assert detail in captured.err
+
     def test_empty_labels_class_is_unlabeled(self, cli_store, tmp_path, capsys):
         """As in the index, an empty class leaves the image out of the
         evaluation instead of scoring a class named ''."""

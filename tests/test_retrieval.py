@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -82,21 +83,31 @@ class TestIndexFile:
             Index.parse("only_one_field\n")
 
     def test_unterminated_last_line_that_does_not_parse_is_skipped(self, caplog):
-        """A writer ends every row with "\n": a last line without one that
-        does not parse is an append cut short, skipped with one warning."""
-        for torn in ("bbbb", "\tx", "b\tx\ty\tz"):
+        """A line is a row only once its "\n" is written: a last line
+        without one is an append cut short or still in flight, skipped with
+        one warning. So is one that parses, since a row cut after a tab
+        ("a\tx\ttum" of "a\tx\ttumour") parses too."""
+        for torn in ("bbbb", "\tx", "b\tx\ty\tz", "b\ty", "a\tx\ttum"):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
                 assert Index.parse(f"a\tx\n{torn}") == Index([IndexEntry("a", "x")])
             assert len(caplog.records) == 1
             assert "index line 2, an unterminated last line" in caplog.records[0].getMessage()
+        for bad in ("bbbb", "\tx", "b\tx\ty\tz"):
             with pytest.raises(IoFailure, match="index line 2"):
-                Index.parse(f"a\tx\n{torn}\n")
-        assert Index.parse("a\tx\nb\ty") == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
+                Index.parse(f"a\tx\n{bad}\n")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            assert Index.parse("a\tx\nb\ty\n") == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
+        assert caplog.records == []
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateId):
             Index.parse("a\tx\na\ty\n")
+
+    def test_an_index_equals_only_an_index(self):
+        assert (Index() == 0) is False
+        assert (Index() != ()) is True
 
     def test_tabs_in_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -295,12 +306,26 @@ class TestIndexAdd:
         assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
     def test_unopenable_lock_file_is_io_failure(self, tmp_path):
+        """The lock file is opened where the lock is taken, after the
+        temporary is written: the store directory is made but holds no file."""
         index_path = tmp_path / "i.tsv"
         (tmp_path / "i.tsv.lock").mkdir()  # a directory cannot be opened for writing
         img = smooth_noise_image(np.random.default_rng(16), 160, 160)
         with pytest.raises(IoFailure, match="cannot open lock file"):
             index_add(str(index_path), img, "a", sample_patient(0), str(tmp_path / "s"))
-        assert not (tmp_path / "s").exists()
+        assert os.listdir(tmp_path / "s") == []
+        assert not index_path.exists()
+
+    def test_new_index_and_lock_file_are_rw_r__r__(self, tmp_path):
+        index_path = tmp_path / "i.tsv"
+        img = smooth_noise_image(np.random.default_rng(16), 160, 160)
+        umask = os.umask(0o022)
+        try:
+            index_add(str(index_path), img, "a", sample_patient(0), str(tmp_path / "s"))
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(index_path.stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "i.tsv.lock").stat().st_mode) == 0o644
 
     def test_writers_create_a_missing_index_directory(self, tmp_path):
         index_path = tmp_path / "new" / "deeper" / "i.tsv"
@@ -324,15 +349,15 @@ class TestIndexAdd:
         assert Index.load(index_path) == rebuilt
 
     def test_index_without_final_newline_takes_a_new_row(self, tmp_path):
-        # The format lets the last row end without "\n"; a new row must not
-        # be glued onto it.
+        # A complete row without its "\n" cannot be told from one cut after
+        # a tab, so it is no row: the next add replaces it with its own.
         index_path = tmp_path / "i.tsv"
         index_path.write_text("a\tstore/a.pgm", encoding="utf-8")
+        assert len(Index.load(index_path)) == 0
         img = smooth_noise_image(np.random.default_rng(18), 160, 160)
         entry = index_add(str(index_path), img, "b", sample_patient(0), str(tmp_path / "s"))
-        index = Index.load(index_path)
-        assert [e.image_id for e in index.entries] == ["a", "b"]
-        assert index.find("b") == entry
+        assert index_path.read_bytes() == f"b\t{entry.locator}\t\n".encode("utf-8")
+        assert Index.load(index_path).entries == (entry,)
 
     def test_add_appends_its_row_and_keeps_every_earlier_byte(self, tmp_path):
         index_path = tmp_path / "i.tsv"
@@ -507,16 +532,19 @@ class TestIndexAddThreads:
 
     def test_error_order(self, tmp_path, side, thin_shapes):
         """A call with faults at two neighbouring steps raises the error of
-        the earlier one: the id, the encoding, the lock file, the marking,
-        the store directory, the descriptor, the index, the link."""
+        the earlier one: the id, the encoding, the marking, the store
+        directory, the descriptor, the lock, the index, the link."""
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(42)
         entry = index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
         # A stored file whose row the index has lost.
         kept = {"a.pgm": Path(entry.locator).read_bytes(), "c.pgm": b"kept"}
         Path(store_dir, "c.pgm").write_bytes(kept["c.pgm"])
+        # An index that already holds "a", whose lock file is a directory,
+        # which cannot be opened for writing.
         locked = str(tmp_path / "locked.tsv")
-        os.mkdir(locked + ".lock")  # a directory cannot be opened for writing
+        Path(locked).write_text(f"a\t{entry.locator}\t\n", encoding="utf-8")
+        os.mkdir(locked + ".lock")
         store_file = str(tmp_path / "file")
         Path(store_file).write_bytes(b"")
         # The locator, this directory plus "/a.pgm", passes the payload's
@@ -528,12 +556,12 @@ class TestIndexAddThreads:
         cases = [
             (index_path, saturated, "a/b", long_store, IoFailure, "not a single path component"),
             (locked, saturated, "a", long_store, FieldTooLong, "locator is"),
-            (locked, saturated, "a", store_file, IoFailure, "cannot open lock file"),
-            (index_path, saturated, "a", store_file, PayloadTooLarge, None),
+            (locked, saturated, "a", store_file, PayloadTooLarge, None),
             (index_path, column, "a", store_file, PayloadTooLarge, None),
             (index_path, wide, "a", store_file, IoFailure, "cannot store"),
-            (index_path, wide, "a", store_dir, ImageTooSmall, None),
-            (index_path, row, "a", store_dir, ImageTooSmall, None),
+            (locked, wide, "a", store_dir, ImageTooSmall, None),
+            (locked, row, "a", store_dir, ImageTooSmall, None),
+            (locked, fits, "a", store_dir, IoFailure, "cannot open lock file"),
             (index_path, fits, "a", store_dir, DuplicateId, "already indexed"),
             (index_path, fits, "c", store_dir, DuplicateId, "already has a stored file"),
         ]
@@ -545,7 +573,8 @@ class TestIndexAddThreads:
         assert {p.name: p.read_bytes() for p in Path(store_dir).iterdir()} == kept
         assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
         assert Path(store_file).read_bytes() == b""
-        assert not os.path.exists(long_store) and not os.path.exists(locked)
+        assert Path(locked).read_text(encoding="utf-8") == f"a\t{entry.locator}\t\n"
+        assert not os.path.exists(long_store)
         assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
     @pytest.mark.parametrize("failure", ["descriptor", "save_pgm", "short_rewrite", "stale_link", "lock", "flock"])
@@ -596,12 +625,10 @@ class TestIndexAddThreads:
         with pytest.raises(expected, match=match):
             index_add(str(index_path), img, "a", sample_patient(0), str(store_dir))
         assert threading.active_count() == before
-        stored = {p.name: p.read_bytes() for p in store_dir.iterdir()} if store_dir.exists() else {}
-        assert stored == kept
-        assert failure != "lock" or not store_dir.exists()
         # One step order on both sides of the rule: the caller's steps,
-        # the store directory among them, run before the descriptor is taken.
-        assert failure != "descriptor" or store_dir.is_dir()
+        # the store directory among them, run before the descriptor is
+        # taken and the lock file opened.
+        assert {p.name: p.read_bytes() for p in store_dir.iterdir()} == kept
         assert index_path.read_text(encoding="utf-8") == rows
         assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
@@ -937,7 +964,8 @@ class TestTornIndexTail:
     def test_every_verb_reads_past_a_torn_tail(self, store, tmp_path, caplog, tail):
         """An append cut short leaves a last line without "\n": query,
         find-patient, index_add and relink each skip it with one warning
-        naming the file and the line."""
+        naming the file and the line, and index_add cuts it before its
+        own row."""
         index_path = tmp_path / "idx.tsv"
         torn = Path(store["index"]).read_bytes().split(b"\n")[0] + b"\n" + tail
         index_path.write_bytes(torn)
@@ -946,7 +974,8 @@ class TestTornIndexTail:
             assert [e.image_id for e, _ in query_by_patient_id("P0000", index_path)] == ["img000"]
             img = smooth_noise_image(np.random.default_rng(19), 160, 160)
             entry = index_add(str(index_path), img, "new", sample_patient(9), str(tmp_path / "s"))
-            assert index_path.read_bytes() == torn + f"\nnew\t{entry.locator}\t\n".encode("utf-8")
+            # The add replaced the torn tail with its row.
+            assert index_path.read_bytes() == torn[: -len(tail)] + f"new\t{entry.locator}\t\n".encode("utf-8")
             index_path.write_bytes(torn)
             rebuilt, _ = relink(store["dir"], index_path)
         assert [e.image_id for e in rebuilt.entries] == sorted(store["originals"])
