@@ -112,7 +112,9 @@ class Index:
 
     @classmethod
     def parse(cls, text: str) -> "Index":
-        return cls._read(text.encode("utf-8"), "index")
+        # A lone surrogate, which no UTF-8 file holds, fails the decode in
+        # _parse_tsv: IoFailure naming its line.
+        return cls._read(text.encode("utf-8", "surrogatepass"), "index")
 
     @classmethod
     def _read(cls, data: bytes, source: str) -> "Index":

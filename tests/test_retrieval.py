@@ -101,6 +101,10 @@ class TestIndexFile:
             assert Index.parse("a\tx\nb\ty\n") == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
         assert caplog.records == []
 
+    def test_lone_surrogate_is_io_failure_naming_its_line(self):
+        with pytest.raises(IoFailure, match="index line 2 is not UTF-8"):
+            Index.parse("a\tx\n\ud800\ty\n")
+
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateId):
             Index.parse("a\tx\na\ty\n")
