@@ -13,11 +13,13 @@ Index file format: UTF-8 text, one entry per line,
 fields, and no entry may render as a blank or comment line. A line is a
 row only once its "\n" is written: readers skip what follows the last
 "\n", an append cut short or still in flight, with a logged warning.
-Writers serialize through an exclusive lock on ``<index>.lock``; readers
-never lock. index_add, under the lock, cuts such an unterminated tail and
-appends its row with one write, so comment lines and every earlier line
-stay; relink rewrites the whole file atomically, so its rebuild keeps no
-comments.
+_rows() is that rule, for every reader and writer. Writers serialize
+through an exclusive lock on ``<index>.lock``; readers never lock.
+index_add, under the lock, reads the index bytes once, checks its id
+against them without parsing a row, cuts such an unterminated tail and
+appends its row with one write, so comment lines and every earlier line,
+a bad one included, stay; relink rewrites the whole file atomically, so
+its rebuild keeps no comments.
 """
 
 from __future__ import annotations
@@ -85,12 +87,9 @@ class Index:
     def __init__(self, entries=()) -> None:
         self._by_id: dict[str, IndexEntry] = {}
         for entry in entries:
-            self.add(entry)
-
-    def add(self, entry: IndexEntry) -> None:
-        if entry.image_id in self._by_id:
-            raise DuplicateId(f"image_id {entry.image_id!r} already indexed")
-        self._by_id[entry.image_id] = entry
+            if entry.image_id in self._by_id:
+                raise DuplicateId(f"image_id {entry.image_id!r} already indexed")
+            self._by_id[entry.image_id] = entry
 
     def find(self, image_id: str) -> IndexEntry | None:
         return self._by_id.get(image_id)
@@ -114,16 +113,7 @@ class Index:
     def parse(cls, text: str) -> "Index":
         # A lone surrogate, which no UTF-8 file holds, fails the decode in
         # _parse_tsv: IoFailure naming its line.
-        return cls._read(text.encode("utf-8", "surrogatepass"), "index")
-
-    @classmethod
-    def _read(cls, data: bytes, source: str) -> "Index":
-        """The rows of index bytes: the lines up to the last "\n". What
-        follows it is skipped with a logged warning."""
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            logger.warning("skipping %s line %d, an unterminated last line", source, data.count(b"\n") + 1)
-        return cls(_parse_tsv(data[:end], source, (2, 3), IndexEntry))
+        return cls(_parse_tsv(_rows(text.encode("utf-8", "surrogatepass"), "index"), "index", (2, 3), IndexEntry))
 
     def render(self) -> str:
         return "".join(_entry_line(e) for e in self._by_id.values())
@@ -138,7 +128,8 @@ class Index:
             return cls()
         except OSError as exc:
             raise IoFailure(f"cannot read index {os.fspath(path)!r}: {exc}") from exc
-        return cls._read(data, f"index {os.fspath(path)!r}")
+        source = f"index {os.fspath(path)!r}"
+        return cls(_parse_tsv(_rows(data, source), source, (2, 3), IndexEntry))
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
@@ -179,6 +170,16 @@ def _temporary(path: str):
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+
+
+def _rows(data: bytes, source: str) -> bytes:
+    """The rows of index bytes: the lines up to the last "\n". What
+    follows it, an append cut short or still being written, is no row and
+    is skipped with a logged warning."""
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        logger.warning("skipping %s line %d, an unterminated last line", source, data.count(b"\n") + 1)
+    return data[:end]
 
 
 def _skipped_line(line: str) -> bool:
@@ -243,32 +244,21 @@ def _writers_lock(index_path: str | os.PathLike):
         os.close(fd)
 
 
-def _append_row(index_path: str | os.PathLike, entry: IndexEntry) -> None:
-    """Append entry's row to the index file with one write, first cutting
-    an unterminated tail (what follows the last "\n", which no reader
-    takes for a row); the caller holds the writers' lock."""
-    try:
-        fd = os.open(index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            row = _entry_line(entry).encode("utf-8")
-            data = os.pread(fd, os.fstat(fd).st_size, 0)
-            os.ftruncate(fd, data.rfind(b"\n") + 1)
-            if os.write(fd, row) != len(row):
-                raise OSError("short write")
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise IoFailure(f"cannot write index {os.fspath(index_path)!r}: {exc}") from exc
-
-
 def _new_entry(image_id: str, locator: str, class_label: str) -> IndexEntry:
     """The IndexEntry a writer may add: its id must also be a single path
     component (not '.' or '..', no '/' or NUL), since it names a stored
-    file. Raises ValueError otherwise. Loading an index does not apply
-    this rule, so relink can still repair an old index with such a row."""
+    file, and not all whitespace, since a line that starts with such an id
+    and a tab may be a comment (" \t# note"). So every line that starts
+    with "<id>\t" is that id's row, which index_add's duplicate check
+    relies on. Raises ValueError otherwise. Loading an index does not
+    apply this rule, so relink can still repair an old index with such a
+    row."""
     if image_id in (".", "..") or "/" in image_id or "\0" in image_id:
         raise ValueError(f"image_id {image_id!r} is not a single path component")
-    return IndexEntry(image_id, locator, class_label)
+    entry = IndexEntry(image_id, locator, class_label)
+    if not image_id.strip():
+        raise ValueError(f"image_id {image_id!r} is all whitespace")
+    return entry
 
 
 # index_add computes the descriptor on a second thread for an image of at
@@ -315,21 +305,29 @@ def index_add(
     fresh temporary beside the locator. Then the descriptor is taken, and
     only the rows whose pairs carry the bits that differ (the descriptor's
     and the CRC's, about 8.2k pairs) are rewritten in the temporary. Then
-    the writers' lock file is opened and locked, and under the lock the id
-    is checked against the index, the file is linked into place and the
-    row appended. The lock is not held while the descriptor is computed.
+    the writers' lock file is opened and locked. Under the lock the index
+    file is opened (created if missing) and read once; the id is indexed
+    if a line of those bytes, up to the last "\n", starts with "<id>\t".
+    No row is parsed, so a bad row elsewhere does not stop the add. Then
+    the file is linked into place, the index is cut to its last "\n" and
+    the row written with one write. The lock is not held while the
+    descriptor is computed.
 
     A call raises the error of the first step that fails, in that order:
-    the id (IoFailure), the encoding (FieldTooLong), the marking
-    (PayloadTooLarge), the store directory and the temporary (IoFailure),
-    the descriptor (ImageTooSmall, or the worker's own exception), the row
-    rewrite, the lock file and its lock (IoFailure), the index
+    the id and its row's encoding (IoFailure), the payload encoding
+    (FieldTooLong), the marking (PayloadTooLarge), the store directory and
+    the temporary (IoFailure), the descriptor (ImageTooSmall, or the
+    worker's own exception), the row rewrite, the lock file and its lock,
+    opening and reading the index (IoFailure), the duplicate check
     (DuplicateId), the link (DuplicateId for an existing file, else
-    IoFailure) and the append (IoFailure). Every failing call leaves no
-    stored file, row or temporary; one that fails at the store directory
-    or later may have created the store directory, and one that fails at
-    the index or later has created the index's directory and its lock
-    file.
+    IoFailure) and the index write (IoFailure). A call that fails before
+    the index write leaves no stored file, row or temporary; one that
+    fails at the index write leaves the stored file without a row, which
+    relink lists as repaired. One that fails at the store directory or
+    later may have created the store directory; one that fails after the
+    lock file is opened has created the index's directory and the lock
+    file, and one that fails at the link or later has created the index
+    file, empty if it was missing.
 
     For an image of at least THREAD_MIN_PIXELS (2**18) pixels the
     descriptor (pyramid and LBP histograms) is computed on a second thread
@@ -345,9 +343,10 @@ def index_add(
     """
     try:
         entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
+        row = _entry_line(entry).encode("utf-8")
     except ValueError as exc:
         raise IoFailure(str(exc)) from exc
-    locator = entry.locator
+    locator, index = entry.locator, os.fspath(index_path)
     with contextlib.ExitStack() as cleanup:
         pending = None
         if original.pixels.size >= THREAD_MIN_PIXELS:
@@ -380,14 +379,25 @@ def index_add(
             finally:
                 os.close(fd)
             cleanup.enter_context(_writers_lock(index_path))
-            Index.load(index_path).add(entry)
+        except OSError as exc:
+            raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
+        try:
+            fd = os.open(index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            cleanup.callback(os.close, fd)
+            kept = _rows(os.pread(fd, os.fstat(fd).st_size, 0), f"index {index!r}")
+            if f"\n{image_id}\t".encode("utf-8") in b"\n" + kept:
+                raise DuplicateId(f"image_id {image_id!r} already indexed")
             try:
                 os.link(tmp, locator)
             except FileExistsError as exc:
                 raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
+            except OSError as exc:
+                raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
+            os.ftruncate(fd, len(kept))
+            if os.write(fd, row) != len(row):
+                raise OSError("short write")
         except OSError as exc:
-            raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
-        _append_row(index_path, entry)
+            raise IoFailure(f"cannot write index {index!r}: {exc}") from exc
     return entry
 
 

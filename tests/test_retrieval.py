@@ -639,8 +639,8 @@ class TestIndexAddThreads:
     def test_store_failures_are_raised_at_their_step(self, tmp_path, monkeypatch, side, thin_shapes):
         """Faults no input can make, each with a fault at a later step: the
         write of the temporary, the row rewrite, the flock, the link (a
-        cross-device link, not an existing file) and the append. The
-        earlier step's error is raised."""
+        cross-device link, not an existing file) and the index write (a
+        short os.write of the row). The earlier step's error is raised."""
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(45)
         entry = index_add(index_path, smooth_noise_image(rng, side, side), "a", sample_patient(0), store_dir)
@@ -652,15 +652,12 @@ class TestIndexAddThreads:
 
             return fail
 
-        def short_append(path, entry):
-            raise IoFailure(f"cannot write index {path!r}: short write")
-
         faults = {
             "save": (retrieval, "save_pgm", failing(errno.ENOSPC)),
             "rewrite": (os, "pwrite", lambda fd, data, offset: 0),
             "flock": (fcntl, "flock", failing(errno.ENOLCK)),
             "link": (os, "link", failing(errno.EXDEV)),
-            "append": (retrieval, "_append_row", short_append),
+            "append": (os, "write", lambda fd, data: 0),
         }
         fits, thin = smooth_noise_image(rng, side, side), smooth_noise_image(rng, *thin_shapes[0])
         cases = [
