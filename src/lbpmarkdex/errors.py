@@ -58,7 +58,10 @@ class ChecksumMismatch(LbpmarkdexError):
 # --- watermarking ---------------------------------------------------------
 
 class OutOfRange(LbpmarkdexError):
-    """A difference pair cannot be mapped back to pixels in [0, 255]."""
+    """A value outside the range its field allows: a difference pair that
+    cannot be mapped back to pixels in [0, 255], a birthday field or
+    descriptor bin out of range, or a text field holding a character
+    UTF-8 cannot encode (a lone surrogate)."""
 
 
 class PayloadTooLarge(LbpmarkdexError):

@@ -58,7 +58,10 @@ _BIRTHDAY = struct.Struct(">HBB")
 
 
 def _check_text(value: str, name: str) -> bytes:
-    encoded = value.encode("utf-8")
+    try:
+        encoded = value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, as in a non-UTF-8 argv byte
+        raise OutOfRange(f"{name} is not UTF-8 text: {exc}") from exc
     if len(encoded) > _MAX_TEXT:
         raise FieldTooLong(f"{name} is {len(encoded)} UTF-8 bytes, limit is {_MAX_TEXT}")
     return encoded

@@ -121,15 +121,7 @@ class Index:
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Index":
         """Read the index file; a missing file is an empty index."""
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return cls()
-        except OSError as exc:
-            raise IoFailure(f"cannot read index {os.fspath(path)!r}: {exc}") from exc
-        source = f"index {os.fspath(path)!r}"
-        return cls(_parse_tsv(_rows(data, source), source, (2, 3), IndexEntry))
+        return cls(_load_rows(path, IndexEntry))
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
@@ -182,39 +174,52 @@ def _rows(data: bytes, source: str) -> bytes:
     return data[:end]
 
 
+def _load_rows(path: str | os.PathLike, make, bad=None) -> list:
+    """_parse_tsv(..., make, bad) of the rows (see _rows) of the index
+    file at path; a missing file has none."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return []
+    except OSError as exc:
+        raise IoFailure(f"cannot read index {os.fspath(path)!r}: {exc}") from exc
+    source = f"index {os.fspath(path)!r}"
+    return _parse_tsv(_rows(data, source), source, (2, 3), make, bad)
+
+
 def _skipped_line(line: str) -> bool:
     """True for a blank line or a comment: what _parse_tsv skips."""
     stripped = line.strip()
     return not stripped or stripped.startswith("#")
 
 
-def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make) -> list:
+def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None) -> list:
     """make(*fields) for every data line of tab-separated UTF-8 bytes.
 
-    Blank lines and lines starting with '#' are skipped. Bytes that are
-    not UTF-8, a line with a field count outside widths, or one whose
-    fields make() rejects with ValueError raise IoFailure naming source
-    and the line number.
+    Blank lines and lines starting with '#' are skipped. A line that is
+    not UTF-8, has a field count outside widths, or whose fields make()
+    rejects with ValueError is bad: it raises IoFailure naming source and
+    the line number, or, if bad is given, is skipped after bad(message).
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise IoFailure(f"{source} line {lineno} is not UTF-8: {exc}") from exc
     rows = []
     # Only the writer's "\n" (or "\r\n") ends a line: str.splitlines would
     # also split inside fields at characters such as U+0085 or "\f".
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
-        if _skipped_line(line):
-            continue
-        fields = line.split("\t")
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
         try:
+            line = line.decode("utf-8").removesuffix("\r")
+            if _skipped_line(line):
+                continue
+            fields = line.split("\t")
             if len(fields) not in widths:
                 raise ValueError(f"has {len(fields)} fields, expected {' or '.join(map(str, widths))}")
             rows.append(make(*fields))
-        except ValueError as exc:
-            raise IoFailure(f"{source} line {lineno}: {exc}") from exc
+        except ValueError as exc:  # UnicodeDecodeError among them
+            kind = " is not UTF-8" if isinstance(exc, UnicodeDecodeError) else ""
+            message = f"{source} line {lineno}{kind}: {exc}"
+            if bad is None:
+                raise IoFailure(message) from exc
+            bad(message)
     return rows
 
 
@@ -496,12 +501,16 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     Every readable watermarked PGM in store_dir becomes an entry whose id
     is the stem of its embedded locator and whose locator is the file's
     actual path. Class labels of ids already present in the old index are
-    preserved. The rebuilt index replaces the file at index_path. The
-    report lists files that changed or created their row (repaired), files
-    the scan skips (unreadable: no parseable payload, or an empty
+    preserved. The old index is read only for those labels, and leniently:
+    a row that is bad, not UTF-8 or repeats an earlier id is skipped with
+    one warning naming the file and the line, and an id on more than one
+    row keeps no label. The rebuilt index replaces the file at index_path.
+    The report lists files that changed or created their row (repaired),
+    files the scan skips (unreadable: no parseable payload, or an empty
     descriptor) and files whose id was already claimed by an earlier file
-    or whose id index_add would refuse or whose path the index cannot hold
-    (conflicting).
+    or whose id index_add would refuse or whose path the index cannot
+    hold (conflicting). A file whose id lost its old row counts as
+    repaired.
     """
     store = os.fspath(store_dir)
     report = RelinkReport()
@@ -509,7 +518,15 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     # The whole rebuild holds the writers' lock: a row that index_add
     # appended after the old index was read would be lost by the save.
     with _writers_lock(index_path):
-        old = Index.load(index_path)
+        old: dict[str, IndexEntry | None] = {}
+
+        def old_row(*fields) -> None:
+            entry = IndexEntry(*fields)
+            if old.setdefault(entry.image_id, entry) is not entry:
+                old[entry.image_id] = None
+                raise ValueError(f"repeats image_id {entry.image_id!r}")
+
+        _load_rows(index_path, old_row, lambda message: logger.warning("relink skips %s", message))
         try:
             names = sorted(os.listdir(store))
         except OSError as exc:
@@ -517,7 +534,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
         files = ((n, os.path.join(store, n)) for n in names if n.endswith(".pgm"))
         for _, path, payload in _scan_payloads(files, report.unreadable):
             image_id = os.path.splitext(os.path.basename(payload.locator))[0]
-            previous = old.find(image_id)
+            previous = old.get(image_id)
             try:
                 entry = _new_entry(image_id, path, previous.class_label if previous else "")
             except ValueError:

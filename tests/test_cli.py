@@ -141,7 +141,7 @@ class TestIndexVerb:
         assert err.startswith("DuplicateId")
 
     @pytest.mark.parametrize(
-        "image_id", ["../up", "a/b", ".", "..", "x\0y", "a\tb", "a\nb", "", "#a", "\x85#a"]
+        "image_id", ["../up", "a/b", ".", "..", "x\0y", "a\tb", "a\nb", "", "#a", "\x85#a", "  ", "b\udcff"]
     )
     def test_bad_id_exits_one_and_writes_nothing(self, cli_store, tmp_path, capsys, image_id):
         image = tmp_path / "in.pgm"
@@ -159,6 +159,18 @@ class TestIndexVerb:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("IoFailure")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("option", ["--patient-id", "--name", "--diagnostic"])
+    def test_non_utf8_record_field_exits_one_and_writes_nothing(self, cli_store, tmp_path, capsys, option):
+        # A non-UTF-8 argv byte reaches the program as a lone surrogate.
+        image = tmp_path / "in.pgm"
+        shutil.copy(cli_store["inputs"] / "ga0.pgm", image)
+        before = _tree(tmp_path)
+        args = ["index", "--id", "a", "--image", str(image), "--store", str(tmp_path / "store")]
+        code = run([*args, "--patient-id", "P1", option, "\udcff", "--index", str(tmp_path / "index.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("OutOfRange")
         assert _tree(tmp_path) == before
 
     def test_index_equal_store_rejected(self, tmp_path):

@@ -71,6 +71,12 @@ class TestPatientRecord:
             PatientRecord(patient_id="€" * 21846)
 
 
+    @pytest.mark.parametrize("field", ["patient_id", "name", "diagnostic"])
+    def test_lone_surrogate_is_out_of_range(self, field):
+        # What a non-UTF-8 byte of a command-line argument decodes to.
+        with pytest.raises(OutOfRange, match=f"{field} is not UTF-8 text"):
+            PatientRecord(**{"patient_id": "p", field: "a\udcff"})
+
     def test_default_birthday_round_trips(self):
         record = PatientRecord("P1")
         assert (record.birth_year, record.birth_month, record.birth_day) == (0, 1, 1)
@@ -90,6 +96,10 @@ class TestPayloadValidation:
             Payload(
                 descriptor=[2 ** 32] + [0] * 255, locator="", record=PatientRecord("p")
             )
+
+    def test_locator_with_a_lone_surrogate_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="locator is not UTF-8 text"):
+            Payload(descriptor=[0] * 256, locator="s/\ud800.pgm", record=PatientRecord("p"))
 
     def test_accepts_numpy_descriptor(self):
         payload = Payload(

@@ -55,7 +55,9 @@ from lbpmarkdex.errors import (
     BadCutoff,
     BadMagic,
     ChecksumMismatch,
+    DuplicateId,
     ImageTooSmall,
+    IoFailure,
     LbpmarkdexError,
     LengthMismatch,
     MalformedStream,
@@ -894,3 +896,72 @@ def test_an_index_cut_inside_its_last_row_can_be_relinked_and_added_to(torn_stor
             assert fh.read() == head + f"c\t{entry.locator}\t\n".encode("utf-8")
         index_add(index_path, smooth_noise_image(rng, 160, 160), "d", PatientRecord("P3"), os.path.join(root, "s"))
         relink(store, index_path)
+
+
+# Ids of one to three characters: letters, a two- and a three-byte UTF-8
+# character, and what decides whether a line is a row: " ", "#" and U+0085
+# (whitespace to str.strip()), so one id can be another with a leading
+# space or a longer one's prefix.
+_INDEX_ID = st.text(st.sampled_from(["a", "b", "\u00e9", "\u2713", " ", "#", "\x85"]), min_size=1, max_size=3)
+_NOT_ROWS = ["", "\t", "\x85", "#", "# note", "\t#x"]
+
+
+@st.composite
+def _index_files(draw):
+    """(index bytes that Index.load reads, their row ids, other line
+    prefixes): rows with unique ids, comment and blank lines, some led by
+    a whitespace "id" and a tab (" \t# a comment"), "\n" or "\r\n"
+    endings, and maybe an unterminated tail, which may be a whole row
+    without its newline."""
+    lines, ids, prefixes = [], [], []
+    for k in range(draw(st.integers(0, 6))):
+        image_id = draw(_INDEX_ID)
+        if draw(st.booleans()):
+            label = draw(st.sampled_from(["", "L", "\u00e9"]))
+            try:
+                IndexEntry(image_id, f"s/{k}.pgm", label)
+            except ValueError:
+                continue
+            if image_id in ids:
+                continue
+            ids.append(image_id)
+            line = f"{image_id}\ts/{k}.pgm\t{label}"
+        elif draw(st.booleans()) and not image_id.strip():
+            prefixes.append(image_id)
+            line = f"{image_id}\t{draw(st.sampled_from(_NOT_ROWS))}"
+        else:
+            line = draw(st.sampled_from(_NOT_ROWS))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    tail = draw(st.sampled_from(["", "{}", "{}\t", "{}\ts/t.pgm", "{}\ts/t.pgm\tL\r"])).format(draw(_INDEX_ID))
+    return "".join(lines + [tail]).encode("utf-8"), ids, prefixes
+
+
+@PROPERTY
+@given(_index_files(), st.data())
+def test_index_add_refuses_exactly_the_ids_index_load_finds(index_file, data):
+    """index_add's duplicate check reads bytes, not rows: it must raise
+    DuplicateId exactly when Index.load finds the id, and otherwise write
+    the rows up to the last newline followed by its own row. The only
+    other refusal here is of an id that alone reads as blank or a comment."""
+    raw, ids, prefixes = index_file
+    known = ids + prefixes
+    image_id = data.draw(st.sampled_from(known) | _INDEX_ID if known else _INDEX_ID, label="image_id")
+    with tempfile.TemporaryDirectory() as root:
+        index_path, store = os.path.join(root, "i.tsv"), os.path.join(root, "s")
+        with open(index_path, "wb") as fh:
+            fh.write(raw)
+        indexed = image_id in Index.load(index_path)
+        img = smooth_noise_image(np.random.default_rng(len(raw)), 160, 160)
+        outcome = _outcome(index_add, index_path, img, image_id, PatientRecord("P0"), store)
+        with open(index_path, "rb") as fh:
+            written = fh.read()
+        if outcome is IoFailure:
+            assert not image_id.strip() or image_id.strip().startswith("#")
+            assert written == raw
+            return
+        assert (outcome is DuplicateId) == indexed
+        if indexed:
+            assert written == raw
+            return
+        assert written == raw[: raw.rfind(b"\n") + 1] + f"{image_id}\t{outcome.locator}\t\n".encode("utf-8")
+        assert Index.load(index_path).find(image_id) == outcome

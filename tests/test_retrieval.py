@@ -363,6 +363,55 @@ class TestIndexAdd:
         assert index_path.read_bytes() == f"b\t{entry.locator}\t\n".encode("utf-8")
         assert Index.load(index_path).entries == (entry,)
 
+    @pytest.mark.parametrize(
+        "image_id, class_label, store_name",
+        [("b\udc80", "", "s"), ("b", "\udc80", "s"), ("b", "", "s\udcff")],
+        ids=["id", "label", "store"],
+    )
+    def test_lone_surrogate_raises_before_any_file(self, tmp_path, image_id, class_label, store_name):
+        """A lone surrogate (what a non-UTF-8 byte of a command-line
+        argument decodes to) in the id, the label or the store path: the
+        row is encoded in the id step, so the call makes no file, row,
+        temporary or lock file, and the id can still be added."""
+        index_path = tmp_path / "i.tsv"
+        index_path.write_bytes(b"a\ts/a.pgm\t\n")
+        img = smooth_noise_image(np.random.default_rng(23), 160, 160)
+        with pytest.raises(IoFailure, match="surrogates not allowed"):
+            index_add(str(index_path), img, image_id, sample_patient(0), str(tmp_path / store_name), class_label)
+        assert [p.name for p in tmp_path.iterdir()] == ["i.tsv"]
+        assert index_path.read_bytes() == b"a\ts/a.pgm\t\n"
+        entry = index_add(str(index_path), img, "b", sample_patient(0), str(tmp_path / "s"))
+        assert Index.load(index_path).entries[1] == entry
+
+    def test_all_whitespace_id_is_refused(self, tmp_path):
+        """A line that starts with "  \t" may be a comment, as here, so the
+        byte check for "<id>\t" could not tell it from a row: writers
+        refuse such an id before any file is made."""
+        index_path = tmp_path / "i.tsv"
+        index_path.write_text("  \t# a comment\n", encoding="utf-8")
+        img = smooth_noise_image(np.random.default_rng(24), 160, 160)
+        for image_id in ("  ", "\x85"):
+            with pytest.raises(IoFailure, match="all whitespace"):
+                index_add(str(index_path), img, image_id, sample_patient(0), str(tmp_path / "s"))
+        assert [p.name for p in tmp_path.iterdir()] == ["i.tsv"]
+
+    def test_add_builds_no_index(self, tmp_path, monkeypatch):
+        """The duplicate check reads the index bytes: it neither loads nor
+        builds an Index."""
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("index_add built an Index")
+
+        monkeypatch.setattr(Index, "load", no_index)
+        monkeypatch.setattr(Index, "__init__", no_index)
+        index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
+        rng = np.random.default_rng(25)
+        entry = index_add(index_path, smooth_noise_image(rng, 160, 160), "a", sample_patient(0), store_dir)
+        with pytest.raises(DuplicateId, match="already indexed"):
+            index_add(index_path, smooth_noise_image(rng, 160, 160), "a", sample_patient(1), store_dir)
+        monkeypatch.undo()
+        assert Index.load(index_path).entries == (entry,)
+
     def test_add_appends_its_row_and_keeps_every_earlier_byte(self, tmp_path):
         index_path = tmp_path / "i.tsv"
         before = "# written by hand\n\na\tstore/a.pgm\r\nb\tstore/b.pgm\tcls\n"
@@ -1022,6 +1071,40 @@ class TestRelink:
         rebuilt, report = relink(store_dir, index_path)
         assert ".." not in rebuilt and len(rebuilt) == 6
         assert report.conflicting == []
+
+    def test_bad_and_repeated_rows_block_neither_index_add_nor_relink(self, store, tmp_path, caplog):
+        """A row with one field, a row that is not UTF-8 and a second row of
+        one id: Index.load refuses the index, but index_add still appends
+        (it parses no row) and relink rebuilds it. Each skipped row gets
+        one warning naming the file and the line, and the repeated id
+        keeps no label."""
+        index_path, store_dir = self._clone_store(store, tmp_path)
+        rows = Path(index_path).read_bytes().splitlines(keepends=True)
+        labelled = [row.replace(b"\t\n", b"\tL\n") for row in rows[:3]]
+        repeated = labelled[1].replace(b"\tL\n", b"\tM\n")
+        before = b"".join([labelled[0], b"\xff\tx\n", labelled[1], repeated, labelled[2], *rows[3:], b"bbbb\n"])
+        Path(index_path).write_bytes(before)
+        with pytest.raises(IoFailure, match="line 2 is not UTF-8"):
+            Index.load(index_path)
+        img = smooth_noise_image(np.random.default_rng(26), 160, 160)
+        entry = index_add(index_path, img, "new", sample_patient(9), store_dir, "N")
+        assert Path(index_path).read_bytes() == before + f"new\t{entry.locator}\tN\n".encode("utf-8")
+        with pytest.raises(DuplicateId, match="already indexed"):
+            index_add(index_path, img, "img001", sample_patient(9), store_dir)
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            rebuilt, report = relink(store_dir, index_path)
+        warnings = [r.getMessage() for r in caplog.records]
+        source = f"index {index_path!r}"
+        assert warnings == [
+            f"relink skips {source} line 2 is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            f"relink skips {source} line 4: repeats image_id 'img001'",
+            f"relink skips {source} line 9: has 1 fields, expected 2 or 3",
+        ]
+        labels = {e.image_id: e.class_label for e in rebuilt.entries}
+        assert labels == {"img000": "L", "img001": "", "img002": "L", "img003": "", "img004": "", "img005": "", "new": "N"}
+        assert report.repaired == [rebuilt.find("img001").locator]
+        assert report.unreadable == report.conflicting == []
+        assert Index.load(index_path) == rebuilt
 
     def test_non_watermarked_file_listed_unreadable(self, store, tmp_path):
         rng = np.random.default_rng(9)
