@@ -265,15 +265,8 @@ def _load_labels(path: str) -> dict[str, str]:
     appends to it, so an unterminated last line is read like any other.
     A bad line or a repeated id raises IoFailure naming the file and line;
     an empty class, as in the index, leaves the image unlabeled."""
-    labels: dict[str, str] = {}
-
-    def label(image_id: str, class_label: str) -> None:
-        if image_id in labels:
-            raise ValueError(f"image_id {image_id!r} is already labeled on an earlier line")
-        labels[image_id] = class_label
-
     with open(path, "rb") as fh:
-        _parse_tsv(fh.read(), f"labels {path!r}", (2,), label)
+        labels = _parse_tsv(fh.read(), f"labels {path!r}", (2,), lambda image_id, label: label)
     return {i: c for i, c in labels.items() if c}
 
 

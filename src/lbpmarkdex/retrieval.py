@@ -110,24 +110,15 @@ class Index:
         return self._by_id == other._by_id
 
     @classmethod
-    def parse(cls, text: str) -> "Index":
-        # A lone surrogate, which no UTF-8 file holds, fails the decode in
-        # _parse_tsv: IoFailure naming its line.
-        return cls(_parse_tsv(_rows(text.encode("utf-8", "surrogatepass"), "index"), "index", (2, 3), IndexEntry))
-
-    def render(self) -> str:
-        return "".join(_entry_line(e) for e in self._by_id.values())
-
-    @classmethod
     def load(cls, path: str | os.PathLike) -> "Index":
         """Read the index file; a missing file is an empty index."""
-        return cls(_load_rows(path, IndexEntry))
+        return cls(_load_rows(path).values())
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
-        path = os.fspath(path)
+        path, text = os.fspath(path), "".join(map(_entry_line, self._by_id.values()))
         try:
-            _publish(path, lambda tmp: Path(tmp).write_text(self.render(), encoding="utf-8"), replace=True)
+            _publish(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"), replace=True)
         except OSError as exc:
             raise IoFailure(f"cannot write index {path!r}: {exc}") from exc
 
@@ -174,18 +165,18 @@ def _rows(data: bytes, source: str) -> bytes:
     return data[:end]
 
 
-def _load_rows(path: str | os.PathLike, make, bad=None) -> list:
-    """_parse_tsv(..., make, bad) of the rows (see _rows) of the index
-    file at path; a missing file has none."""
+def _load_rows(path: str | os.PathLike, bad=None) -> dict[str, IndexEntry]:
+    """_parse_tsv(..., IndexEntry, bad) of the rows (see _rows) of the
+    index file at path; a missing file has none."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        return []
+        return {}
     except OSError as exc:
         raise IoFailure(f"cannot read index {os.fspath(path)!r}: {exc}") from exc
     source = f"index {os.fspath(path)!r}"
-    return _parse_tsv(_rows(data, source), source, (2, 3), make, bad)
+    return _parse_tsv(_rows(data, source), source, (2, 3), IndexEntry, bad)
 
 
 def _skipped_line(line: str) -> bool:
@@ -194,15 +185,19 @@ def _skipped_line(line: str) -> bool:
     return not stripped or stripped.startswith("#")
 
 
-def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None) -> list:
-    """make(*fields) for every data line of tab-separated UTF-8 bytes.
+def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None) -> dict:
+    """{first field: make(*fields)} for every data line of tab-separated
+    UTF-8 bytes.
 
     Blank lines and lines starting with '#' are skipped. A line that is
-    not UTF-8, has a field count outside widths, or whose fields make()
-    rejects with ValueError is bad: it raises IoFailure naming source and
-    the line number, or, if bad is given, is skipped after bad(message).
+    not UTF-8, has a field count outside widths, whose fields make()
+    rejects with ValueError, or whose first field (its image_id) an
+    earlier row has, is bad: it raises IoFailure naming source and the
+    line number, or, if bad is given, is skipped after bad(message). A
+    skipped repeat drops the earlier row as well, so an id on more than
+    one row keeps none.
     """
-    rows = []
+    rows, first = {}, {}
     # Only the writer's "\n" (or "\r\n") ends a line: str.splitlines would
     # also split inside fields at characters such as U+0085 or "\f".
     for lineno, line in enumerate(data.split(b"\n"), start=1):
@@ -213,7 +208,11 @@ def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None
             fields = line.split("\t")
             if len(fields) not in widths:
                 raise ValueError(f"has {len(fields)} fields, expected {' or '.join(map(str, widths))}")
-            rows.append(make(*fields))
+            row, key = make(*fields), fields[0]
+            if first.setdefault(key, lineno) != lineno:
+                rows.pop(key, None)
+                raise ValueError(f"repeats image_id {key!r} of line {first[key]}")
+            rows[key] = row
         except ValueError as exc:  # UnicodeDecodeError among them
             kind = " is not UTF-8" if isinstance(exc, UnicodeDecodeError) else ""
             message = f"{source} line {lineno}{kind}: {exc}"
@@ -518,15 +517,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     # The whole rebuild holds the writers' lock: a row that index_add
     # appended after the old index was read would be lost by the save.
     with _writers_lock(index_path):
-        old: dict[str, IndexEntry | None] = {}
-
-        def old_row(*fields) -> None:
-            entry = IndexEntry(*fields)
-            if old.setdefault(entry.image_id, entry) is not entry:
-                old[entry.image_id] = None
-                raise ValueError(f"repeats image_id {entry.image_id!r}")
-
-        _load_rows(index_path, old_row, lambda message: logger.warning("relink skips %s", message))
+        old = _load_rows(index_path, lambda message: logger.warning("relink skips %s", message))
         try:
             names = sorted(os.listdir(store))
         except OSError as exc:

@@ -718,7 +718,7 @@ class TestEvaluateVerb:
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            f"IoFailure: labels {str(labels_path)!r} line 4: image_id 'ga0' is already labeled on an earlier line\n"
+            f"IoFailure: labels {str(labels_path)!r} line 4: repeats image_id 'ga0' of line 1\n"
         )
 
     def test_unterminated_last_labels_line_is_read(self, cli_store, tmp_path, capsys):

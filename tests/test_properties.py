@@ -846,7 +846,10 @@ def test_index_entry_accepts_exactly_what_the_row_rule_accepts(image_id, locator
         assert not _reference_entry_ok(image_id, locator, class_label)
         return
     assert _reference_entry_ok(image_id, locator, class_label)
-    assert Index.parse(Index([entry]).render()) == Index([entry])
+    with tempfile.TemporaryDirectory() as root:
+        index_path = os.path.join(root, "i.tsv")
+        Index([entry]).save(index_path)
+        assert Index.load(index_path) == Index([entry])
 
 
 # A one-byte character, and two- and three-byte UTF-8 characters that a cut

@@ -58,56 +58,56 @@ from helpers import (
 )
 
 
-class TestIndexFile:
-    def test_parse_render_round_trip(self):
-        index = Index(
-            [
-                IndexEntry("a", "store/a.pgm", "classA"),
-                IndexEntry("b", "store/b.pgm", ""),
-            ]
-        )
-        assert Index.parse(index.render()) == index
+def _index_file(tmp_path, text: str) -> Path:
+    """An index file at tmp_path / "i.tsv" holding text."""
+    path = tmp_path / "i.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
-    def test_parse_skips_comments_and_blanks(self):
+
+class TestIndexFile:
+    def test_parse_skips_comments_and_blanks(self, tmp_path):
         text = "# heading\n\na\tstore/a.pgm\t\n   \nb\tstore/b.pgm\tx\n"
-        index = Index.parse(text)
+        index = Index.load(_index_file(tmp_path, text))
         assert len(index) == 2
         assert index.find("b").class_label == "x"
 
-    def test_two_field_lines_allowed(self):
-        index = Index.parse("a\tstore/a.pgm\n")
+    def test_two_field_lines_allowed(self, tmp_path):
+        index = Index.load(_index_file(tmp_path, "a\tstore/a.pgm\n"))
         assert index.find("a").class_label == ""
 
-    def test_malformed_line_rejected(self):
+    def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(IoFailure):
-            Index.parse("only_one_field\n")
+            Index.load(_index_file(tmp_path, "only_one_field\n"))
 
-    def test_unterminated_last_line_that_does_not_parse_is_skipped(self, caplog):
+    def test_unterminated_last_line_that_does_not_parse_is_skipped(self, tmp_path, caplog):
         """A line is a row only once its "\n" is written: a last line
         without one is an append cut short or still in flight, skipped with
         one warning. So is one that parses, since a row cut after a tab
         ("a\tx\ttum" of "a\tx\ttumour") parses too."""
+        source = f"index {str(tmp_path / 'i.tsv')!r}"
         for torn in ("bbbb", "\tx", "b\tx\ty\tz", "b\ty", "a\tx\ttum"):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
-                assert Index.parse(f"a\tx\n{torn}") == Index([IndexEntry("a", "x")])
+                assert Index.load(_index_file(tmp_path, f"a\tx\n{torn}")) == Index([IndexEntry("a", "x")])
             assert len(caplog.records) == 1
-            assert "index line 2, an unterminated last line" in caplog.records[0].getMessage()
+            assert f"{source} line 2, an unterminated last line" in caplog.records[0].getMessage()
         for bad in ("bbbb", "\tx", "b\tx\ty\tz"):
-            with pytest.raises(IoFailure, match="index line 2"):
-                Index.parse(f"a\tx\n{bad}\n")
+            with pytest.raises(IoFailure, match=re.escape(f"{source} line 2")):
+                Index.load(_index_file(tmp_path, f"a\tx\n{bad}\n"))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
-            assert Index.parse("a\tx\nb\ty\n") == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
+            index = Index.load(_index_file(tmp_path, "a\tx\nb\ty\n"))
+            assert index == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
         assert caplog.records == []
 
-    def test_lone_surrogate_is_io_failure_naming_its_line(self):
-        with pytest.raises(IoFailure, match="index line 2 is not UTF-8"):
-            Index.parse("a\tx\n\ud800\ty\n")
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateId):
-            Index.parse("a\tx\na\ty\n")
+    def test_duplicate_rejected(self, tmp_path):
+        """A second row of an id is a bad line: IoFailure naming the file,
+        the repeat and the id's first line."""
+        path = _index_file(tmp_path, "a\tx\n# note\nb\ty\na\tx\tL\n")
+        with pytest.raises(IoFailure) as raised:
+            Index.load(path)
+        assert str(raised.value) == f"index {str(path)!r} line 4: repeats image_id 'a' of line 1"
 
     def test_an_index_equals_only_an_index(self):
         assert (Index() == 0) is False
@@ -126,29 +126,29 @@ class TestIndexFile:
     @pytest.mark.parametrize(
         "fields", [("#a", "x"), ("\x85#x", "x"), (" #a", "x"), (" ", "#x"), (" ", " ")]
     )
-    def test_row_read_as_comment_or_blank_rejected(self, fields):
+    def test_row_read_as_comment_or_blank_rejected(self, tmp_path, fields):
         # Such a row would be written but skipped by every later load.
-        assert Index.parse(f"{fields[0]}\t{fields[1]}\t\n") == Index()
+        assert Index.load(_index_file(tmp_path, f"{fields[0]}\t{fields[1]}\t\n")) == Index()
         with pytest.raises(ValueError):
             IndexEntry(*fields)
 
-    def test_crlf_lines_read(self):
-        index = Index.parse("a\tstore/a.pgm\tL\r\nb\tstore/b.pgm\r\n")
+    def test_crlf_lines_read(self, tmp_path):
+        index = Index.load(_index_file(tmp_path, "a\tstore/a.pgm\tL\r\nb\tstore/b.pgm\r\n"))
         assert [e.image_id for e in index.entries] == ["a", "b"]
         assert index.find("a").class_label == "L"
         assert index.find("b").locator == "store/b.pgm"
 
-    def test_only_newline_ends_a_row(self):
+    def test_only_newline_ends_a_row(self, tmp_path):
         # str.splitlines would also break at U+0085, U+2028, \x1c and \f
         text = "a\x85b\ts/1.pgm\nc\u2028d\ts/2.pgm\ne\x1cf\fg\ts/3.pgm\n"
-        index = Index.parse(text)
+        index = Index.load(_index_file(tmp_path, text))
         assert [e.image_id for e in index.entries] == ["a\x85b", "c\u2028d", "e\x1cf\fg"]
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert len(Index.load(tmp_path / "absent.tsv")) == 0
 
     def test_save_load_round_trip(self, tmp_path):
-        index = Index([IndexEntry("a", "s/a.pgm", "L")])
+        index = Index([IndexEntry("a", "s/a.pgm", "L"), IndexEntry("b", "s/b.pgm", "")])
         path = tmp_path / "idx.tsv"
         index.save(path)
         assert Index.load(path) == index
@@ -1097,7 +1097,7 @@ class TestRelink:
         source = f"index {index_path!r}"
         assert warnings == [
             f"relink skips {source} line 2 is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
-            f"relink skips {source} line 4: repeats image_id 'img001'",
+            f"relink skips {source} line 4: repeats image_id 'img001' of line 3",
             f"relink skips {source} line 9: has 1 fields, expected 2 or 3",
         ]
         labels = {e.image_id: e.class_label for e in rebuilt.entries}
