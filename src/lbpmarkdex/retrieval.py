@@ -10,7 +10,10 @@ the whole index from the files alone.
 Index file format: UTF-8 text, one entry per line,
 ``image_id <TAB> locator <TAB> class_label`` (class_label may be empty),
 ``#`` starts a comment line. Tabs and newlines are forbidden inside
-fields, and no entry may render as a blank or comment line. A line is a
+fields, every field is UTF-8 text, and no entry may render as a blank or
+comment line. An id has one row: _parse_tsv, the one row reader of index
+and --labels files, takes a repeat for a bad line that names both lines
+(IoFailure, or a warning and neither row for relink). A line is a
 row only once its "\n" is written: readers skip what follows the last
 "\n", an append cut short or still in flight, with a logged warning.
 _rows() is that rule, for every reader and writer. Writers serialize
@@ -65,6 +68,10 @@ class IndexEntry:
             value = getattr(self, name)
             if "\t" in value or "\n" in value or "\r" in value:
                 raise ValueError(f"{name} may not contain tabs or newlines: {value!r}")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{name} is not UTF-8 text: {exc}") from None
         if not self.image_id:
             raise ValueError("image_id may not be empty")
         # The row starts with the id: unless the id alone reads as blank or
@@ -82,7 +89,8 @@ class RankedResult:
 
 
 class Index:
-    """In-memory view of the index file; entries are unique by image_id."""
+    """In-memory view of the index file; entries are unique by image_id
+    (DuplicateId for entries a caller passes in twice)."""
 
     def __init__(self, entries=()) -> None:
         self._by_id: dict[str, IndexEntry] = {}
@@ -116,7 +124,7 @@ class Index:
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
-        path, text = os.fspath(path), "".join(map(_entry_line, self._by_id.values()))
+        path, text = os.fspath(path), "".join(map(_entry_line, self.entries))
         try:
             _publish(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"), replace=True)
         except OSError as exc:
@@ -190,9 +198,9 @@ def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None
     UTF-8 bytes.
 
     Blank lines and lines starting with '#' are skipped. A line that is
-    not UTF-8, has a field count outside widths, whose fields make()
-    rejects with ValueError, or whose first field (its image_id) an
-    earlier row has, is bad: it raises IoFailure naming source and the
+    not UTF-8, has a field count outside widths, has fields make()
+    rejects with ValueError, or repeats the first field (the image_id)
+    of an earlier row is bad: it raises IoFailure naming source and the
     line number, or, if bad is given, is skipped after bad(message). A
     skipped repeat drops the earlier row as well, so an id on more than
     one row keeps none.

@@ -332,6 +332,22 @@ class TestBadTsvFiles:
         assert err.startswith("IoFailure")
         assert str(index_path) in err and "line 2" in err
 
+    @pytest.mark.parametrize("verb", ["find-patient", "query", "evaluate"])
+    def test_repeated_index_id_names_both_lines(self, cli_store, tmp_path, capsys, verb):
+        """A second row of an id stops every reader of the index with an
+        IoFailure naming the file and both lines, not DuplicateId."""
+        index_path = tmp_path / "index.tsv"
+        index_path.write_bytes(b"a\ts/a.pgm\t\na\ts/a.pgm\tL\n")
+        args = {
+            "find-patient": ["--patient-id", "P"],
+            "query": ["--image", str(cli_store["inputs"] / "ga0.pgm")],
+            "evaluate": ["--cutoffs", "1"],
+        }[verb]
+        code = run([verb, *args, "--index", str(index_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"IoFailure: index {str(index_path)!r} line 2: repeats image_id 'a' of line 1\n"
+
     @pytest.mark.parametrize(
         "content",
         [b"ga0\tg\nga1\t\xfe\n", b"ga0\tg\nga1\tg\textra\n", b"ga0\tg\nga1", b"ga0\tg\nga1\t\xfe"],

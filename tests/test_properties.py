@@ -9,8 +9,9 @@ fills, the ingest kernels (uint16 reduce, in-place LBP
 codes, folded histogram, scatter-free embed) equal plain reference forms,
 read_stored on damaged files agrees with a reference chain of copy, masked
 stream read and sliced decode, index rows are accepted exactly by the
-row rule, and an index whose last row is cut at any byte can still be
-relinked and added to.
+row rule, an index whose last row is cut at any byte can still be
+relinked and added to, and a repeated id is a bad line naming its first
+line.
 
 Runs are derandomized so every run of the suite checks the same examples,
 unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
@@ -968,3 +969,51 @@ def test_index_add_refuses_exactly_the_ids_index_load_finds(index_file, data):
             return
         assert written == raw[: raw.rfind(b"\n") + 1] + f"{image_id}\t{outcome.locator}\t\n".encode("utf-8")
         assert Index.load(index_path).find(image_id) == outcome
+
+
+@st.composite
+def _index_files_with_repeats(draw):
+    """(index bytes, {line number: image_id} of its rows): rows drawn from
+    a few ids, so that some repeat, mixed with comment and blank lines
+    (some led by a whitespace "id" and a tab), "\n" or "\r\n" endings."""
+    lines, rows = [], {}
+    for lineno in range(1, draw(st.integers(0, 8)) + 1):
+        if draw(st.booleans()):
+            rows[lineno] = draw(st.sampled_from(["a", "b", "é", " c"]))
+            line = f"{rows[lineno]}\ts/{lineno}.pgm\t{draw(st.sampled_from(['', 'L']))}"
+        else:
+            line = draw(st.sampled_from(_NOT_ROWS + [" \t# note"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines).encode("utf-8"), rows
+
+
+@PROPERTY
+@given(_index_files_with_repeats())
+def test_a_repeated_id_is_a_bad_line_naming_its_first_line(index_file):
+    """Index.load raises IoFailure naming the first repeat and its id's
+    first line exactly when some id repeats; the lenient read keeps
+    exactly the ids on one row, with one bad call per extra row."""
+    raw, rows = index_file
+    first, repeats = {}, []
+    for lineno, image_id in rows.items():
+        if first.setdefault(image_id, lineno) != lineno:
+            repeats.append(f"line {lineno}: repeats image_id {image_id!r} of line {first[image_id]}")
+    with tempfile.TemporaryDirectory() as root:
+        index_path = os.path.join(root, "i.tsv")
+        with open(index_path, "wb") as fh:
+            fh.write(raw)
+        source = f"index {index_path!r}"
+        try:
+            loaded = Index.load(index_path)
+        except IoFailure as exc:
+            assert repeats and str(exc) == f"{source} {repeats[0]}"
+        else:
+            assert not repeats
+            assert [e.image_id for e in loaded.entries] == list(first)
+        bad = []
+        kept = retrieval._load_rows(index_path, bad.append)
+    ids = list(rows.values())
+    once = [i for i in first if ids.count(i) == 1]
+    assert list(kept) == once
+    assert [kept[i].locator for i in once] == [f"s/{first[i]}.pgm" for i in once]
+    assert bad == [f"{source} {message}" for message in repeats]

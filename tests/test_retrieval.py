@@ -97,8 +97,7 @@ class TestIndexFile:
                 Index.load(_index_file(tmp_path, f"a\tx\n{bad}\n"))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
-            index = Index.load(_index_file(tmp_path, "a\tx\nb\ty\n"))
-            assert index == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
+            assert Index.load(_index_file(tmp_path, "a\tx\nb\ty\n")) == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
         assert caplog.records == []
 
     def test_duplicate_rejected(self, tmp_path):
@@ -364,19 +363,20 @@ class TestIndexAdd:
         assert Index.load(index_path).entries == (entry,)
 
     @pytest.mark.parametrize(
-        "image_id, class_label, store_name",
-        [("b\udc80", "", "s"), ("b", "\udc80", "s"), ("b", "", "s\udcff")],
+        "image_id, class_label, store_name, field",
+        [("b\udc80", "", "s", "image_id"), ("b", "\udc80", "s", "class_label"), ("b", "", "s\udcff", "locator")],
         ids=["id", "label", "store"],
     )
-    def test_lone_surrogate_raises_before_any_file(self, tmp_path, image_id, class_label, store_name):
+    def test_lone_surrogate_raises_before_any_file(self, tmp_path, image_id, class_label, store_name, field):
         """A lone surrogate (what a non-UTF-8 byte of a command-line
         argument decodes to) in the id, the label or the store path: the
-        row is encoded in the id step, so the call makes no file, row,
-        temporary or lock file, and the id can still be added."""
+        entry's field check names the field in the id step, so the call
+        makes no file, row, temporary or lock file, and the id can still
+        be added."""
         index_path = tmp_path / "i.tsv"
         index_path.write_bytes(b"a\ts/a.pgm\t\n")
         img = smooth_noise_image(np.random.default_rng(23), 160, 160)
-        with pytest.raises(IoFailure, match="surrogates not allowed"):
+        with pytest.raises(IoFailure, match=f"^{field} is not UTF-8 text: .* surrogates not allowed$"):
             index_add(str(index_path), img, image_id, sample_patient(0), str(tmp_path / store_name), class_label)
         assert [p.name for p in tmp_path.iterdir()] == ["i.tsv"]
         assert index_path.read_bytes() == b"a\ts/a.pgm\t\n"
@@ -1133,6 +1133,19 @@ class TestRelink:
         assert entry is not None
         assert entry.locator == os.path.join(store_dir, "zz-moved.pgm")
         assert report.repaired == [os.path.join(store_dir, "zz-moved.pgm")]
+
+    def test_file_name_that_is_not_utf8_conflicts(self, store, tmp_path):
+        """A stored file whose name is not UTF-8 (a lone surrogate in the
+        str path) cannot have a row: relink lists it as conflicting and
+        writes the other rows."""
+        index_path, store_dir = self._clone_store(store, tmp_path)
+        odd = os.path.join(store_dir, os.fsdecode(b"\xff.pgm"))
+        os.rename(os.path.join(store_dir, "img005.pgm"), odd)
+        rebuilt, report = relink(store_dir, index_path)
+        assert report.conflicting == [odd]
+        assert report.repaired == report.unreadable == []
+        assert "img005" not in rebuilt and len(rebuilt) == 5
+        assert Index.load(index_path) == rebuilt
 
     def test_duplicate_payload_id_conflicts(self, store, tmp_path):
         index_path, store_dir = self._clone_store(store, tmp_path)
