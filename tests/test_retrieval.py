@@ -152,6 +152,16 @@ class TestIndexFile:
         index.save(path)
         assert Index.load(path) == index
 
+    def test_parse_render_round_trip(self, tmp_path):
+        # The written text form: one tab-separated line per entry, an empty
+        # label kept as a trailing tab; read back, it is the same index.
+        index = Index([IndexEntry("a", "store/a.pgm", "classA"), IndexEntry("b", "store/b.pgm", "")])
+        path = tmp_path / "idx.tsv"
+        index.save(path)
+        text = path.read_text(encoding="utf-8")
+        assert text == "a\tstore/a.pgm\tclassA\nb\tstore/b.pgm\t\n"
+        assert Index.load(_index_file(tmp_path, text)) == index
+
     def test_load_of_a_directory_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure, match="cannot read index"):
             Index.load(tmp_path)
