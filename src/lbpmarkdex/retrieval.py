@@ -7,22 +7,25 @@ is a disposable accelerator: queries read descriptors from the payloads
 (never recomputing texture on watermarked pixels) and relink() can rebuild
 the whole index from the files alone.
 
-Index file format: UTF-8 text, one entry per line,
-``image_id <TAB> locator <TAB> class_label`` (class_label may be empty),
-``#`` starts a comment line. Tabs and newlines are forbidden inside
-fields, every field is UTF-8 text, and no entry may render as a blank or
-comment line. An id has one row: _parse_tsv, the one row reader of index
-and --labels files, takes a repeat for a bad line that names both lines
-(IoFailure, or a warning and neither row for relink). A line is a
-row only once its "\n" is written: readers skip what follows the last
-"\n", an append cut short or still in flight, with a logged warning.
-_rows() is that rule, for every reader and writer. Writers serialize
-through an exclusive lock on ``<index>.lock``; readers never lock.
-index_add, under the lock, reads the index bytes once, checks its id
-against them without parsing a row, cuts such an unterminated tail and
-appends its row with one write, so comment lines and every earlier line,
-a bad one included, stay; relink rewrites the whole file atomically, so
-its rebuild keeps no comments.
+Index file format: UTF-8 text, one entry per line, ``image_id <TAB>
+locator <TAB> class_label`` (class_label may be empty), ``#`` starts a
+comment line. Tabs and newlines are forbidden inside fields and every
+field is UTF-8 text. IndexEntry holds the one id rule, for readers and
+writers alike: an id names one file (not empty, ``.`` or ``..``, no
+``/`` or NUL), is not all whitespace and does not start with ``#`` after
+leading whitespace, so its row reads as neither blank nor a comment. A
+row whose id breaks it is a bad line. An id has one row: _parse_tsv, the
+one row reader of index and --labels files, takes a repeat for a bad
+line that names both lines (IoFailure, or a warning and neither row for
+relink). A line is a row only once its "\n" is written: readers skip
+what follows the last "\n", an append cut short or still in flight, with
+a logged warning. _rows() is that rule, for every reader and writer.
+Writers serialize through an exclusive lock on ``<index>.lock``; readers
+never lock. index_add, under the lock, reads the index bytes once,
+checks its id against them without parsing a row, cuts such an
+unterminated tail and appends its row with one write, so comment lines
+and every earlier line, a bad one included, stay; relink rewrites the
+whole file atomically, so its rebuild keeps no comments.
 """
 
 from __future__ import annotations
@@ -74,9 +77,16 @@ class IndexEntry:
                 raise ValueError(f"{name} is not UTF-8 text: {exc}") from None
         if not self.image_id:
             raise ValueError("image_id may not be empty")
-        # The row starts with the id: unless the id alone reads as blank or
-        # a comment, its first non-whitespace character decides for the row.
-        if _skipped_line(self.image_id) and _skipped_line(_entry_line(self)):
+        # The id names a stored file, <id>.pgm.
+        if self.image_id in (".", "..") or "/" in self.image_id or "\0" in self.image_id:
+            raise ValueError(f"image_id {self.image_id!r} is not a single path component")
+        # The row starts with the id, so its first non-whitespace character
+        # decides whether the row reads as a comment. An all-whitespace id
+        # would leave that to the next field (" \t# note" is a comment), and
+        # index_add, which finds a row by its "<id>\t" start, relies on it.
+        if not self.image_id.strip():
+            raise ValueError(f"image_id {self.image_id!r} is all whitespace")
+        if _skipped_line(self.image_id):
             raise ValueError(f"row of image_id {self.image_id!r} would read as a blank or comment line")
 
 
@@ -125,10 +135,17 @@ class Index:
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
         path, text = os.fspath(path), "".join(map(_entry_line, self.entries))
-        try:
+        with _io_failure(f"cannot write index {path!r}"):
             _publish(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"), replace=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot write index {path!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _io_failure(what: str):
+    """Raise IoFailure("<what>: <os error>") for an OSError of the block."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"{what}: {exc}") from exc
 
 
 def _publish(path: str, write, replace: bool) -> None:
@@ -241,36 +258,15 @@ def _writers_lock(index_path: str | os.PathLike):
     creates the store) if missing. Blocks while another writer holds it;
     released and closed on exit."""
     lock_path = f"{os.fspath(index_path)}.lock"
-    try:
+    with _io_failure(f"cannot open lock file {lock_path!r}"):
         os.makedirs(os.path.dirname(lock_path) or ".", exist_ok=True)
         fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-    except OSError as exc:
-        raise IoFailure(f"cannot open lock file {lock_path!r}: {exc}") from exc
     try:
-        try:
+        with _io_failure(f"cannot lock {lock_path!r}"):
             fcntl.flock(fd, fcntl.LOCK_EX)
-        except OSError as exc:
-            raise IoFailure(f"cannot lock {lock_path!r}: {exc}") from exc
         yield
     finally:
         os.close(fd)
-
-
-def _new_entry(image_id: str, locator: str, class_label: str) -> IndexEntry:
-    """The IndexEntry a writer may add: its id must also be a single path
-    component (not '.' or '..', no '/' or NUL), since it names a stored
-    file, and not all whitespace, since a line that starts with such an id
-    and a tab may be a comment (" \t# note"). So every line that starts
-    with "<id>\t" is that id's row, which index_add's duplicate check
-    relies on. Raises ValueError otherwise. Loading an index does not
-    apply this rule, so relink can still repair an old index with such a
-    row."""
-    if image_id in (".", "..") or "/" in image_id or "\0" in image_id:
-        raise ValueError(f"image_id {image_id!r} is not a single path component")
-    entry = IndexEntry(image_id, locator, class_label)
-    if not image_id.strip():
-        raise ValueError(f"image_id {image_id!r} is all whitespace")
-    return entry
 
 
 # index_add computes the descriptor on a second thread for an image of at
@@ -307,8 +303,8 @@ def index_add(
     from the stored file, which is therefore never overwritten: an id that
     is indexed or already has a stored file raises DuplicateId. Also raises
     ImageTooSmall (no three-level pyramid), PayloadTooLarge (image cannot
-    carry its own payload) and IoFailure, including for an id that is not a
-    single path component or that the index format cannot hold.
+    carry its own payload) and IoFailure, including for an id, label or
+    store path that IndexEntry refuses.
 
     One sequence at every size. The stored file is written before the
     descriptor is known: the payload is encoded with an all-zero
@@ -354,7 +350,7 @@ def index_add(
     rule, and the same as embed() of the real payload gives.
     """
     try:
-        entry = _new_entry(image_id, locator_for(store_dir, image_id), class_label)
+        entry = IndexEntry(image_id, locator_for(store_dir, image_id), class_label)
         row = _entry_line(entry).encode("utf-8")
     except ValueError as exc:
         raise IoFailure(str(exc)) from exc
@@ -375,15 +371,13 @@ def index_add(
         # a 256² call's peak heap past glibc malloc's trim threshold:
         # 239 page faults a call instead of none, and 0.2-0.5 ms.
         layout = layout[2:]
-        try:
+        with _io_failure(f"cannot store {locator!r}"):
             os.makedirs(os.fspath(store_dir), exist_ok=True)
             tmp = cleanup.enter_context(_temporary(locator))
             save_pgm(tmp, marked)
-        except OSError as exc:
-            raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
         descriptor = compute_descriptor(original) if pending is None else pending.result()
         first, rows = _rewrite(marked, layout, provisional, encode_payload(Payload(descriptor, locator, patient)))
-        try:
+        with _io_failure(f"cannot store {locator!r}"):
             fd = os.open(tmp, os.O_WRONLY)
             try:
                 if os.pwrite(fd, rows, len(_pgm_header(marked)) + first * marked.width) != rows.nbytes:
@@ -391,25 +385,20 @@ def index_add(
             finally:
                 os.close(fd)
             cleanup.enter_context(_writers_lock(index_path))
-        except OSError as exc:
-            raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
-        try:
+        with _io_failure(f"cannot write index {index!r}"):
             fd = os.open(index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             cleanup.callback(os.close, fd)
             kept = _rows(os.pread(fd, os.fstat(fd).st_size, 0), f"index {index!r}")
             if f"\n{image_id}\t".encode("utf-8") in b"\n" + kept:
                 raise DuplicateId(f"image_id {image_id!r} already indexed")
-            try:
-                os.link(tmp, locator)
-            except FileExistsError as exc:
-                raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
-            except OSError as exc:
-                raise IoFailure(f"cannot store {locator!r}: {exc}") from exc
+            with _io_failure(f"cannot store {locator!r}"):
+                try:
+                    os.link(tmp, locator)
+                except FileExistsError as exc:
+                    raise DuplicateId(f"image_id {image_id!r} already has a stored file") from exc
             os.ftruncate(fd, len(kept))
             if os.write(fd, row) != len(row):
                 raise OSError("short write")
-        except OSError as exc:
-            raise IoFailure(f"cannot write index {index!r}: {exc}") from exc
     return entry
 
 
@@ -515,8 +504,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     The report lists files that changed or created their row (repaired),
     files the scan skips (unreadable: no parseable payload, or an empty
     descriptor) and files whose id was already claimed by an earlier file
-    or whose id index_add would refuse or whose path the index cannot
-    hold (conflicting). A file whose id lost its old row counts as
+    or whose id or path IndexEntry refuses (conflicting). A file whose id lost its old row counts as
     repaired.
     """
     store = os.fspath(store_dir)
@@ -526,16 +514,14 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     # appended after the old index was read would be lost by the save.
     with _writers_lock(index_path):
         old = _load_rows(index_path, lambda message: logger.warning("relink skips %s", message))
-        try:
+        with _io_failure(f"cannot scan store {store!r}"):
             names = sorted(os.listdir(store))
-        except OSError as exc:
-            raise IoFailure(f"cannot scan store {store!r}: {exc}") from exc
         files = ((n, os.path.join(store, n)) for n in names if n.endswith(".pgm"))
         for _, path, payload in _scan_payloads(files, report.unreadable):
             image_id = os.path.splitext(os.path.basename(payload.locator))[0]
             previous = old.get(image_id)
             try:
-                entry = _new_entry(image_id, path, previous.class_label if previous else "")
+                entry = IndexEntry(image_id, path, previous.class_label if previous else "")
             except ValueError:
                 entry = None
             if entry is None or image_id in rebuilt:

@@ -823,19 +823,23 @@ def test_class_mean_pr_equals_the_exact_matrix_ranking_on_600_textures():
 
 
 def _reference_entry_ok(image_id, locator, class_label):
-    """The IndexEntry rule, checked character by character on the rendered
-    row: no tab, CR or LF in any field, a non-empty id, and a row that
-    reads as neither blank nor a comment."""
+    """The one IndexEntry rule, character by character: no tab, CR or LF
+    in any field, and an id that names one file (not empty, "." or "..",
+    no "/" or NUL) whose first non-whitespace character exists and is not
+    "#", so its row reads as neither blank nor a comment."""
     fields = (image_id, locator, class_label)
-    if any(ch in value for value in fields for ch in ("\t", "\n", "\r")) or not image_id:
+    if any(ch in value for value in fields for ch in ("\t", "\n", "\r")):
         return False
-    stripped = f"{image_id}\t{locator}\t{class_label}\n".strip()
-    return bool(stripped) and not stripped.startswith("#")
+    if image_id in ("", ".", "..") or "/" in image_id or "\0" in image_id:
+        return False
+    return next((ch for ch in image_id if not ch.isspace()), "#") != "#"
 
 
-# Separators, comment marks and characters that str.strip() or
-# str.splitlines() treat as whitespace or line breaks.
-_ROW_FIELD = st.text(st.sampled_from(["\t", "\r", "\n", "#", " ", "\x85", "\u2028", "\x1c", "\f", "a", "é"]), max_size=4)
+# Separators, comment marks, path separators and characters that
+# str.strip() or str.splitlines() treat as whitespace or line breaks.
+_ROW_FIELD = st.text(
+    st.sampled_from(["\t", "\r", "\n", "#", " ", "\x85", "\u2028", "\x1c", "\f", "/", ".", "\0", "a", "é"]), max_size=4
+)
 
 
 @PROPERTY

@@ -1073,14 +1073,23 @@ class TestRelink:
         assert rebuilt == before
         assert report.repaired == []
 
-    def test_old_row_with_an_id_index_add_refuses_loads_and_is_dropped(self, store, tmp_path):
+    def test_old_row_with_an_id_index_add_refuses_is_a_bad_line(self, store, tmp_path, caplog):
+        """A row whose id IndexEntry refuses, one neither index_add nor
+        relink can write: Index.load refuses the index naming the line,
+        and relink skips the row with one warning and rebuilds the index
+        it would rebuild without it."""
         index_path, store_dir = self._clone_store(store, tmp_path)
+        before = Index.load(index_path)
         with open(index_path, "a", encoding="utf-8") as fh:
             fh.write(f"..\t{os.path.join(store_dir, 'x.pgm')}\t\n")
-        assert ".." in Index.load(index_path)
-        rebuilt, report = relink(store_dir, index_path)
-        assert ".." not in rebuilt and len(rebuilt) == 6
-        assert report.conflicting == []
+        message = f"index {index_path!r} line 7: image_id '..' is not a single path component"
+        with pytest.raises(IoFailure, match=f"^{re.escape(message)}$"):
+            Index.load(index_path)
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            rebuilt, report = relink(store_dir, index_path)
+        assert [r.getMessage() for r in caplog.records] == [f"relink skips {message}"]
+        assert rebuilt == before and Index.load(index_path) == before
+        assert report == retrieval.RelinkReport()
 
     def test_bad_and_repeated_rows_block_neither_index_add_nor_relink(self, store, tmp_path, caplog):
         """A row with one field, a row that is not UTF-8 and a second row of
