@@ -173,6 +173,12 @@ def _format_birthday(record: PatientRecord) -> str:
     return f"{record.birth_year:04d}-{record.birth_month:02d}-{record.birth_day:02d}"
 
 
+def _shown(path: str) -> str:
+    """path as a UTF-8 text stream prints it, a strict one included: a
+    file-name byte that is not UTF-8 shows as \\xNN."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _cmd_index(parser, args) -> int:
     index_path = _need_index(parser, args)
     if os.path.abspath(index_path) == os.path.abspath(args.store):
@@ -243,7 +249,7 @@ def _create_out(path: str, write) -> None:
 def _cmd_restore(parser, args) -> int:
     original = restore_stored(_entry_for(parser, args))
     _create_out(args.out, lambda tmp: save_pgm(tmp, original))
-    print(args.out)
+    print(_shown(args.out))
     return 0
 
 
@@ -256,7 +262,7 @@ def _cmd_relink(parser, args) -> int:
     print(f"conflicting\t{len(report.conflicting)}")
     for kind in ("repaired", "unreadable", "conflicting"):
         for path in getattr(report, kind):
-            print(f"{kind}\t{path}")
+            print(f"{kind}\t{_shown(path)}")
     return 0
 
 

@@ -504,8 +504,8 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
     The report lists files that changed or created their row (repaired),
     files the scan skips (unreadable: no parseable payload, or an empty
     descriptor) and files whose id was already claimed by an earlier file
-    or whose id or path IndexEntry refuses (conflicting). A file whose id lost its old row counts as
-    repaired.
+    or whose id or path IndexEntry refuses (conflicting). A file whose id
+    lost its old row counts as repaired.
     """
     store = os.fspath(store_dir)
     report = RelinkReport()

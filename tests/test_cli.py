@@ -348,6 +348,20 @@ class TestBadTsvFiles:
         assert (code, captured.out) == (1, "")
         assert captured.err == f"IoFailure: index {str(index_path)!r} line 2: repeats image_id 'a' of line 1\n"
 
+    @pytest.mark.parametrize("verb", ["find-patient", "query"])
+    def test_row_whose_id_index_refuses(self, cli_store, tmp_path, capsys, verb):
+        """An old row of an id that neither index nor relink writes is a
+        bad line for every reader; relink drops it."""
+        index_path = tmp_path / "index.tsv"
+        rows = Path(cli_store["index"]).read_bytes()
+        index_path.write_bytes(rows + b"..\ts/x.pgm\t\n")
+        args = {"find-patient": ["--patient-id", "P"], "query": ["--image", str(cli_store["inputs"] / "ga0.pgm")]}[verb]
+        code = run([verb, *args, "--index", str(index_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        line = rows.count(b"\n") + 1
+        assert captured.err == f"IoFailure: index {str(index_path)!r} line {line}: image_id '..' is not a single path component\n"
+
     @pytest.mark.parametrize(
         "content",
         [b"ga0\tg\nga1\t\xfe\n", b"ga0\tg\nga1\tg\textra\n", b"ga0\tg\nga1", b"ga0\tg\nga1\t\xfe"],
@@ -433,6 +447,12 @@ class TestExtractVerb:
         assert fields["locator"].endswith("sb1.pgm")
         assert int(fields["descriptor_total"]) > 0
 
+    def test_prints_every_record_field(self, cli_store, capsys):
+        code = run(["extract", "--id", "ga0", "--index", cli_store["index"]])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[1:5] == ["patient_id\tPSHARED", "name\tName of ga0", "birthday\t1961-02-03", "diagnostic\troutine scan"]
+
     def test_extract_by_file_path(self, cli_store, capsys):
         locator = Index.load(cli_store["index"]).find("ga1").locator
         code = run(["extract", "--image", locator])
@@ -477,6 +497,14 @@ class TestRestoreVerb:
         assert capsys.readouterr().out.strip() == str(out_path)
         original_bytes = (cli_store["inputs"] / "sb0.pgm").read_bytes()
         assert out_path.read_bytes() == original_bytes
+
+    def test_out_name_that_is_not_utf8_prints_escaped(self, cli_store, tmp_path, capsys):
+        # A command-line byte that is not UTF-8 reaches argv as a surrogate;
+        # capsys encodes standard output strictly, as a UTF-8 terminal does.
+        out_path = os.fsencode(tmp_path) + b"/o\xff.pgm"
+        code = run(["restore", "--id", "sb0", "--out", os.fsdecode(out_path), "--index", cli_store["index"]])
+        assert (code, capsys.readouterr().out) == (0, f"{tmp_path}/o\\xff.pgm\n")
+        assert Path(os.fsdecode(out_path)).read_bytes() == (cli_store["inputs"] / "sb0.pgm").read_bytes()
 
     def test_restore_from_file_path(self, cli_store, tmp_path):
         locator = Index.load(cli_store["index"]).find("ga0").locator
@@ -627,6 +655,18 @@ class TestLoggingPerCall:
         assert (root.level, root.handlers) == root_before
 
 
+    def test_package_logger_level_is_restored(self, cli_store, capsys):
+        log = logging.getLogger("lbpmarkdex")
+        before = log.level
+        log.setLevel(logging.ERROR)
+        try:
+            for verbose in (["-v"], ["-vv"], []):
+                assert run([*verbose, "capacity", "--image", str(cli_store["inputs"] / "ga0.pgm")]) == 0
+                assert log.level == logging.ERROR
+        finally:
+            log.setLevel(before)
+
+
 class TestRelinkVerb:
     def test_rebuild_after_index_loss(self, cli_store, tmp_path, capsys):
         store_copy = tmp_path / "store"
@@ -679,6 +719,40 @@ class TestRelinkVerb:
         assert lines[:4] == ["indexed\t4", "repaired\t4", "unreadable\t0", "conflicting\t1"]
         assert f"conflicting\t{odd}" in lines
         assert [e.image_id for e in Index.load(new_index).entries] == ["ga0", "ga1", "sb0", "sb1"]
+
+
+    @staticmethod
+    def _store_of_one_non_utf8_name(cli_store, tmp_path):
+        """A store whose one file, a copy of ga0's, is named b"\\xff.pgm",
+        and the text relink prints for it: the file is listed as
+        conflicting (an index row is UTF-8 text), its name byte as \\xff."""
+        store = tmp_path / "store"
+        store.mkdir()
+        shutil.copyfile(Index.load(cli_store["index"]).find("ga0").locator, os.fsencode(store) + b"/\xff.pgm")
+        out = "indexed\t0\nrepaired\t0\nunreadable\t0\nconflicting\t1\n" + f"conflicting\t{store}/\\xff.pgm\n"
+        return store, out
+
+    def test_a_file_name_that_is_not_utf8_prints_escaped(self, cli_store, tmp_path, capsys):
+        # capsys encodes standard output strictly, as a UTF-8 terminal does.
+        store, out = self._store_of_one_non_utf8_name(cli_store, tmp_path)
+        code = run(["relink", "--store", str(store), "--index", str(tmp_path / "i.tsv")])
+        assert (code, capsys.readouterr().out) == (0, out)
+        assert Index.load(tmp_path / "i.tsv") == Index()
+
+    @pytest.mark.parametrize(
+        "env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}], ids=["strict-utf8", "c-locale"]
+    )
+    def test_a_file_name_that_is_not_utf8_prints_escaped_in_a_child_process(self, cli_store, tmp_path, env):
+        """Strict UTF-8 output and the C locale (whose output escapes
+        surrogates) print the same text."""
+        store, out = self._store_of_one_non_utf8_name(cli_store, tmp_path)
+        inherited = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+        env = dict(inherited, PYTHONPATH=str(Path(lbpmarkdex.__file__).parents[1]), **env)
+        argv = ["relink", "--store", str(store), "--index", str(tmp_path / "i.tsv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "from lbpmarkdex.cli import main; main()", *argv], capture_output=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode("utf-8"), b"")
 
 
 class TestEvaluateVerb:

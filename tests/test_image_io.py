@@ -55,6 +55,18 @@ class TestGrayImage:
         assert a == b
         assert a != c
 
+    def test_equals_only_an_image(self):
+        img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+        assert (img == 0) is False and img != 0 and img != "GrayImage(2x2)"
+
+    def test_equal_images_hash_equal(self):
+        a = GrayImage(np.arange(6, dtype=np.uint8).reshape(2, 3))
+        b = GrayImage(np.arange(6).reshape(2, 3))
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+    def test_repr_is_width_by_height(self):
+        assert repr(GrayImage(np.zeros((2, 3), dtype=np.uint8))) == "GrayImage(3x2)"
+
 
 class TestWritePgm:
     def test_canonical_single_pixel(self):

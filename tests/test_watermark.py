@@ -548,6 +548,19 @@ class TestStreamRejections:
                 read(img)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("value, slots", [(100, 8), (255, 0)], ids=["8-slots", "all-blocked"])
+    def test_too_few_slots_for_the_header(self, value, slots):
+        # A 4 x 4 image has 8 pairs; a pair of 255s holds no stream bit.
+        self._assert_rejected(
+            GrayImage(np.full((4, 4), value)), f"{slots} writable slots cannot hold a 33-bit stream header"
+        )
+
+    def test_map_length_past_the_stream(self):
+        marked = embed(smooth_noise_image(np.random.default_rng(72), 24, 24), b"xyz")
+        tampered = write_stream_bits(marked, 1, int_bits(0xFFFFFFFF, 32))
+        slots = len(changeable_pair_scan(tampered.pixels)[0])
+        self._assert_rejected(tampered, f"declared map body of 4294967295 bits exceeds the {slots}-slot stream")
+
     def test_map_length_not_word_aligned(self):
         marked = embed(smooth_noise_image(np.random.default_rng(69), 24, 24), b"xyz")
         tampered = write_stream_bits(marked, 1, int_bits(17, 32))
