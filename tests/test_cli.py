@@ -351,7 +351,7 @@ class TestBadTsvFiles:
     @pytest.mark.parametrize("verb", ["find-patient", "query"])
     def test_row_whose_id_index_refuses(self, cli_store, tmp_path, capsys, verb):
         """An old row of an id that neither index nor relink writes is a
-        bad line for every reader; relink drops it."""
+        bad line for every reader, named by file and line."""
         index_path = tmp_path / "index.tsv"
         rows = Path(cli_store["index"]).read_bytes()
         index_path.write_bytes(rows + b"..\ts/x.pgm\t\n")
@@ -654,7 +654,6 @@ class TestLoggingPerCall:
         assert host_messages == [errs[0].rstrip("\n")] * 2
         assert (root.level, root.handlers) == root_before
 
-
     def test_package_logger_level_is_restored(self, cli_store, capsys):
         log = logging.getLogger("lbpmarkdex")
         before = log.level
@@ -719,7 +718,6 @@ class TestRelinkVerb:
         assert lines[:4] == ["indexed\t4", "repaired\t4", "unreadable\t0", "conflicting\t1"]
         assert f"conflicting\t{odd}" in lines
         assert [e.image_id for e in Index.load(new_index).entries] == ["ga0", "ga1", "sb0", "sb1"]
-
 
     @staticmethod
     def _store_of_one_non_utf8_name(cli_store, tmp_path):
