@@ -8,7 +8,7 @@ code whose effect nothing can observe, or a note that it is equivalent.
 
     python tests/tools/mutate_statements.py src/lbpmarkdex/cli.py
     python tests/tools/mutate_statements.py src/lbpmarkdex/image_io.py \\
-        --lines 80-95 -- -x -q tests/test_image_io.py tests
+        -- -x -q tests/test_image_io.py tests
 
 Arguments after ``--`` go to pytest (default ``-x -q tests``); naming the
 module's own test file before ``tests`` kills most mutants sooner, since
@@ -17,8 +17,11 @@ pytest ignores a path given twice. The work copy holds ``src/``,
 entry point from pyproject.toml, so without it every mutant would fail
 that test and none would survive. Docstrings, ``pass`` and ``__future__``
 imports are not mutated. A statement that shares a line with another one
-is skipped and listed. Mutants run one at a time; the probe gates nothing
-and exits 0 unless its own arguments are wrong.
+is skipped and listed. Mutants run one at a time; one that runs past
+TIMEOUT seconds is stopped and listed as a timeout, not a survivor. The
+probe gates nothing: it exits 0 after a full run, 2 when its own
+arguments are wrong and 1 when the unmutated work copy fails its tests
+or runs past TIMEOUT.
 
 The file is not named test_*.py, so pytest does not collect it.
 """
@@ -37,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 600  # seconds one pytest run may take
 
 
 def _is_docstring(node: ast.stmt) -> bool:
@@ -85,16 +89,6 @@ def _mutant(lines: list[str], node: ast.stmt) -> str:
     return "".join(lines[: first - 1] + replacement + lines[node.end_lineno :])
 
 
-def _line_filter(text: str | None):
-    if text is None:
-        return lambda lineno: True
-    ranges = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        ranges.append((int(low), int(high or low)))
-    return lambda lineno: any(low <= lineno <= high for low, high in ranges)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     pytest_args = ["-x", "-q", "tests"]
@@ -103,10 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         argv, pytest_args = argv[:at], argv[at + 1 :]
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("modules", nargs="+", help="source files under src/ to mutate")
-    parser.add_argument("--lines", help="only statements starting on these lines, e.g. 80-95,120")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds before a mutant counts as killed")
     args = parser.parse_args(argv)
-    wanted = _line_filter(args.lines)
 
     work = Path(tempfile.mkdtemp(prefix="mutate-statements-"))
     try:
@@ -120,7 +111,10 @@ def main(argv: list[str] | None = None) -> int:
         # share a cache entry, and the second would run the first's code.
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *pytest_args]
-        baseline = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=args.timeout)
+        try:
+            baseline = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            sys.exit(f"the unmutated work copy takes over {TIMEOUT} s; nothing to probe")
         if baseline.returncode != 0:
             sys.stderr.write(baseline.stdout.decode(errors="replace")[-2000:])
             sys.exit("the unmutated work copy fails its tests; nothing to probe")
@@ -133,8 +127,6 @@ def main(argv: list[str] | None = None) -> int:
             nodes = sorted(_statements(ast.parse(text)), key=lambda n: (n.lineno, n.col_offset))
             try:
                 for node in nodes:
-                    if not wanted(node.lineno):
-                        continue
                     shown = f"{relative}:{node.lineno}  {lines[node.lineno - 1].strip()[:70]}"
                     if not _own_lines(lines, node):
                         print(f"skipped   {shown}", flush=True)
@@ -143,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                     total += 1
                     started = time.monotonic()
                     try:
-                        run = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=args.timeout)
+                        run = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
                         outcome = "SURVIVED" if run.returncode == 0 else "killed"
                     except subprocess.TimeoutExpired:
                         outcome = "timeout"
