@@ -3,7 +3,9 @@
 Verbs: index, query, find-patient, extract, restore, relink, evaluate,
 capacity. Exit status is 0 on success, 1 on a domain error (the error
 class name goes to standard error), 2 on usage errors. The environment
-variable LBPMARKDEX_INDEX supplies the default for --index.
+variable LBPMARKDEX_INDEX supplies the default for --index. Every line
+goes out through _write, so text a stream cannot encode is escaped, not
+an error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .image_io import load_pgm, save_pgm
 from .payload import PatientRecord
 from .retrieval import (
     Index,
+    _io_failure,
     _parse_tsv,
     _publish,
     index_add,
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--birthday",
         type=_birthday,
         default=(0, 1, 1),
-        help="ISO date YYYY-MM-DD",
+        help="ISO date YYYY-MM-DD; month 1-12 and day 1-31 are checked, not the calendar",
     )
     p.add_argument("--diagnostic", default="")
     p.add_argument("--class-label", default="", help="optional label for evaluation")
@@ -162,8 +165,7 @@ def _entry_for(parser, args) -> str:
     """Locator of the target image for verbs taking --id or --image."""
     if args.image:
         return args.image
-    index = Index.load(_need_index(parser, args))
-    entry = index.find(args.id)
+    entry = Index.load(_need_index(parser, args)).get(args.id)
     if entry is None:
         raise LbpmarkdexError(f"image id {args.id!r} not in index")
     return entry.locator
@@ -173,13 +175,25 @@ def _format_birthday(record: PatientRecord) -> str:
     return f"{record.birth_year:04d}-{record.birth_month:02d}-{record.birth_day:02d}"
 
 
-def _shown(path: str) -> str:
-    """path as a UTF-8 text stream prints it, a strict one included: a
-    file-name byte that is not UTF-8 shows as \\xNN."""
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+def _write(stream, text: str) -> None:
+    """Write text to stream as the stream's encoding can hold it, a strict
+    one included: a file-name byte that is not UTF-8 (a surrogateescape
+    character) shows as \\xNN, and a character the encoding lacks as
+    \\xNN, \\uNNNN or \\UNNNNNNNN. Text the stream can encode is written
+    unchanged; a stream without an encoding (io.StringIO) takes any text."""
+    encoding = stream.encoding or "utf-8"
+    text = text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
-def _cmd_index(parser, args) -> int:
+class _LogHandler(logging.StreamHandler):
+    """A StreamHandler whose records go out through _write."""
+
+    def emit(self, record) -> None:
+        _write(self.stream, self.format(record) + self.terminator)
+
+
+def _cmd_index(parser, args) -> str:
     index_path = _need_index(parser, args)
     if os.path.abspath(index_path) == os.path.abspath(args.store):
         parser.error("--index and --store must be distinct paths")
@@ -200,70 +214,62 @@ def _cmd_index(parser, args) -> int:
         args.store,
         class_label=args.class_label,
     )
-    print(entry.locator)
-    return 0
+    return entry.locator + "\n"
 
 
-def _cmd_query(parser, args) -> int:
+def _cmd_query(parser, args) -> str:
     results = query_by_image(load_pgm(args.image), _need_index(parser, args), args.k)
-    for rank, result in enumerate(results, start=1):
-        print(f"{rank}\t{result.image_id}\t{result.distance:.6f}")
-    return 0
+    return "".join(f"{rank}\t{r.image_id}\t{r.distance:.6f}\n" for rank, r in enumerate(results, start=1))
 
 
-def _cmd_find_patient(parser, args) -> int:
+def _cmd_find_patient(parser, args) -> str:
     hits = query_by_patient_id(args.patient_id, _need_index(parser, args))
-    for entry, record in hits:
-        print(
-            f"{entry.image_id}\t{record.patient_id}\t{record.name}"
-            f"\t{_format_birthday(record)}\t{record.diagnostic}"
-        )
-    return 0
+    return "".join(
+        f"{entry.image_id}\t{record.patient_id}\t{record.name}"
+        f"\t{_format_birthday(record)}\t{record.diagnostic}\n"
+        for entry, record in hits
+    )
 
 
-def _cmd_extract(parser, args) -> int:
+def _cmd_extract(parser, args) -> str:
     payload = read_stored(_entry_for(parser, args))
     record = payload.record
-    print(f"locator\t{payload.locator}")
-    print(f"patient_id\t{record.patient_id}")
-    print(f"name\t{record.name}")
-    print(f"birthday\t{_format_birthday(record)}")
-    print(f"diagnostic\t{record.diagnostic}")
-    print(f"descriptor_total\t{payload.descriptor.sum()}")
+    text = (
+        f"locator\t{payload.locator}\n"
+        f"patient_id\t{record.patient_id}\n"
+        f"name\t{record.name}\n"
+        f"birthday\t{_format_birthday(record)}\n"
+        f"diagnostic\t{record.diagnostic}\n"
+        f"descriptor_total\t{payload.descriptor.sum()}\n"
+    )
     if args.descriptor:
-        print("descriptor\t" + " ".join(str(v) for v in payload.descriptor))
-    return 0
+        text += "descriptor\t" + " ".join(str(v) for v in payload.descriptor) + "\n"
+    return text
 
 
 def _create_out(path: str, write) -> None:
     """Create the --out file whole. An existing file is never replaced: it
     may be a stored original (the restore source itself, under any name)."""
-    try:
-        _publish(path, write, replace=False)
-    except FileExistsError:
-        raise IoFailure(f"--out {path!r} already exists; refusing to replace it") from None
-    except OSError as exc:
-        raise IoFailure(f"cannot write --out {path!r}: {exc}") from exc
+    with _io_failure(f"cannot write --out {path!r}"):
+        try:
+            _publish(path, write, replace=False)
+        except FileExistsError:
+            raise IoFailure(f"--out {path!r} already exists; refusing to replace it") from None
 
 
-def _cmd_restore(parser, args) -> int:
+def _cmd_restore(parser, args) -> str:
     original = restore_stored(_entry_for(parser, args))
     _create_out(args.out, lambda tmp: save_pgm(tmp, original))
-    print(_shown(args.out))
-    return 0
+    return args.out + "\n"
 
 
-def _cmd_relink(parser, args) -> int:
+def _cmd_relink(parser, args) -> str:
     index_path = _need_index(parser, args)
     index, report = relink(args.store, index_path)
-    print(f"indexed\t{len(index)}")
-    print(f"repaired\t{len(report.repaired)}")
-    print(f"unreadable\t{len(report.unreadable)}")
-    print(f"conflicting\t{len(report.conflicting)}")
-    for kind in ("repaired", "unreadable", "conflicting"):
-        for path in getattr(report, kind):
-            print(f"{kind}\t{_shown(path)}")
-    return 0
+    kinds = ("repaired", "unreadable", "conflicting")
+    lines = [f"indexed\t{len(index)}"] + [f"{kind}\t{len(getattr(report, kind))}" for kind in kinds]
+    lines += [f"{kind}\t{path}" for kind in kinds for path in getattr(report, kind)]
+    return "".join(line + "\n" for line in lines)
 
 
 def _load_labels(path: str) -> dict[str, str]:
@@ -276,28 +282,27 @@ def _load_labels(path: str) -> dict[str, str]:
     return {i: c for i, c in labels.items() if c}
 
 
-def _cmd_evaluate(parser, args) -> int:
+def _cmd_evaluate(parser, args) -> str:
     index = Index.load(_need_index(parser, args))
     if args.labels:
         labels = _load_labels(args.labels)
     else:
         labels = {
-            e.image_id: e.class_label for e in index.entries if e.class_label
+            e.image_id: e.class_label for e in index.values() if e.class_label
         }
-    labeled = [e for e in index.entries if e.image_id in labels]
+    labeled = [e for e in index.values() if e.image_id in labels]
     rows = class_mean_pr(stored_descriptors(labeled), labels, args.cutoffs)
-    if args.out:
-        _create_out(args.out, lambda tmp: write_pr_csv(tmp, rows))
-    else:
-        sys.stdout.write(render_pr_csv(rows))
-    return 0
+    if not args.out:
+        return render_pr_csv(rows)
+    _create_out(args.out, lambda tmp: write_pr_csv(tmp, rows))
+    return ""
 
 
-def _cmd_capacity(parser, args) -> int:
-    print(watermark.capacity(load_pgm(args.image)))
-    return 0
+def _cmd_capacity(parser, args) -> str:
+    return f"{watermark.capacity(load_pgm(args.image))}\n"
 
 
+# Each verb returns the text of its standard output, which run() writes.
 _COMMANDS = {
     "index": _cmd_index,
     "query": _cmd_query,
@@ -323,17 +328,18 @@ def run(argv: list[str] | None = None) -> int:
     # The package logger still propagates, so handlers the host program put
     # on the root logger see them too; the root logger is left alone.
     log = logging.getLogger(__package__)
-    handler = logging.StreamHandler(sys.stderr)
+    handler = _LogHandler(sys.stderr)
     saved_level = log.level
     log.addHandler(handler)
     log.setLevel([logging.WARNING, logging.INFO, logging.DEBUG][min(args.verbose, 2)])
     try:
-        return _COMMANDS[args.command](parser, args)
+        _write(sys.stdout, _COMMANDS[args.command](parser, args))
+        return 0
     except LbpmarkdexError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"{type(exc).__name__}: {exc}\n")
         return 1
     except OSError as exc:
-        print(f"IoFailure: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"IoFailure: {exc}\n")
         return 1
     finally:
         log.removeHandler(handler)

@@ -7,6 +7,10 @@ is a disposable accelerator: queries read descriptors from the payloads
 (never recomputing texture on watermarked pixels) and relink() can rebuild
 the whole index from the files alone.
 
+Index is that file's rows as a plain dict, image_id -> IndexEntry in row
+order, with two methods: Index.load reads the file (a missing file is an
+empty index) and save rewrites it atomically.
+
 Index file format: UTF-8 text, one entry per line, ``image_id <TAB>
 locator <TAB> class_label`` (class_label may be empty), ``#`` starts a
 comment line. Tabs and newlines are forbidden inside fields and every
@@ -98,43 +102,17 @@ class RankedResult:
     distance: float
 
 
-class Index:
-    """In-memory view of the index file; entries are unique by image_id
-    (DuplicateId for entries a caller passes in twice)."""
-
-    def __init__(self, entries=()) -> None:
-        self._by_id: dict[str, IndexEntry] = {}
-        for entry in entries:
-            if entry.image_id in self._by_id:
-                raise DuplicateId(f"image_id {entry.image_id!r} already indexed")
-            self._by_id[entry.image_id] = entry
-
-    def find(self, image_id: str) -> IndexEntry | None:
-        return self._by_id.get(image_id)
-
-    @property
-    def entries(self) -> tuple[IndexEntry, ...]:
-        return tuple(self._by_id.values())
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._by_id
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Index):
-            return NotImplemented
-        return self._by_id == other._by_id
+class Index(dict):
+    """The index file's rows as a dict, image_id -> IndexEntry, in row order."""
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Index":
         """Read the index file; a missing file is an empty index."""
-        return cls(_load_rows(path).values())
+        return cls(_load_rows(path))
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically rewrite the index file (write-temp-then-rename)."""
-        path, text = os.fspath(path), "".join(map(_entry_line, self.entries))
+        path, text = os.fspath(path), "".join(map(_entry_line, self.values()))
         with _io_failure(f"cannot write index {path!r}"):
             _publish(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"), replace=True)
 
@@ -193,14 +171,13 @@ def _rows(data: bytes, source: str) -> bytes:
 def _load_rows(path: str | os.PathLike, bad=None) -> dict[str, IndexEntry]:
     """_parse_tsv(..., IndexEntry, bad) of the rows (see _rows) of the
     index file at path; a missing file has none."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        return {}
-    except OSError as exc:
-        raise IoFailure(f"cannot read index {os.fspath(path)!r}: {exc}") from exc
     source = f"index {os.fspath(path)!r}"
+    with _io_failure(f"cannot read {source}"):
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return {}
     return _parse_tsv(_rows(data, source), source, (2, 3), IndexEntry, bad)
 
 
@@ -461,10 +438,10 @@ def query_by_image(query: GrayImage, index_path: str | os.PathLike, k: int) -> l
     if k < 1:
         raise OutOfRange(f"k must be at least 1, got {k}")
     index = Index.load(index_path)
-    if len(index) == 0:
+    if not index:
         raise EmptyIndex("cannot query an empty index")
     query_desc = compute_descriptor(query)
-    ranked = rank_by_distance(query_desc, stored_descriptors(index.entries))
+    ranked = rank_by_distance(query_desc, stored_descriptors(index.values()))
     return [RankedResult(i, d) for d, i in ranked[:k]]
 
 
@@ -472,9 +449,9 @@ def query_by_patient_id(pid: str, index_path: str | os.PathLike) -> list[tuple[I
     """All indexed images whose embedded patient_id matches pid exactly,
     in ascending image_id order. Broken entries are skipped and logged."""
     index = Index.load(index_path)
-    scan = _scan_payloads((e.image_id, e.locator) for e in index.entries)
+    scan = _scan_payloads((e.image_id, e.locator) for e in index.values())
     hits = [
-        (index.find(image_id), payload.record)
+        (index[image_id], payload.record)
         for image_id, _, payload in scan
         if payload.record.patient_id == pid
     ]
@@ -530,6 +507,6 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
             rebuilt[image_id] = entry
             if previous is None or previous.locator != path:
                 report.repaired.append(path)
-        new_index = Index(rebuilt[i] for i in sorted(rebuilt))
+        new_index = Index(sorted(rebuilt.items()))
         new_index.save(index_path)
     return new_index, report

@@ -325,9 +325,9 @@ class TestAcceptance:
         index = Index.load(index_path)
         descriptors = {
             e.image_id: read_stored(e.locator).descriptor
-            for e in index.entries
+            for e in index.values()
         }
-        labels = {e.image_id: e.class_label for e in index.entries}
+        labels = {e.image_id: e.class_label for e in index.values()}
         rows = class_mean_pr(descriptors, labels, [1, 5, 10])
         at_ten = [p for _, k, p, _ in rows if k == 10]
         mean_precision = sum(at_ten) / len(at_ten)

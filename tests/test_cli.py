@@ -105,7 +105,7 @@ class TestIndexVerb:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip().endswith("solo.pgm")
-        assert Index.load(tmp_path / "idx.tsv").find("solo") is not None
+        assert Index.load(tmp_path / "idx.tsv").get("solo") is not None
 
     def test_creates_a_missing_index_directory(self, tmp_path, capsys):
         rng = np.random.default_rng(32)
@@ -123,7 +123,7 @@ class TestIndexVerb:
             ]
         )
         assert (code, capsys.readouterr().err) == (0, "")
-        assert Index.load(index_path).find("solo") is not None
+        assert Index.load(index_path).get("solo") is not None
 
     def test_duplicate_id_exits_one(self, cli_store, capsys):
         code = run(
@@ -219,6 +219,18 @@ class TestIndexVerb:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("OutOfRange")
+
+    def test_birthday_is_range_checked_not_calendar_checked(self, tmp_path, capsys):
+        """Month 1-12 and day 1-31 are checked, as the v1 wire format
+        allows, so 2020-02-30 is stored and printed back as given."""
+        path = tmp_path / "in.pgm"
+        save_pgm(path, smooth_noise_image(np.random.default_rng(32), 160, 160))
+        index_path = str(tmp_path / "i.tsv")
+        argv = ["--image", str(path), "--store", str(tmp_path / "s"), "--patient-id", "P", "--index", index_path]
+        assert run(["index", "--id", "x", "--birthday", "2020-02-30", *argv]) == 0
+        capsys.readouterr()
+        assert run(["extract", "--id", "x", "--index", index_path]) == 0
+        assert "birthday\t2020-02-30" in capsys.readouterr().out.splitlines()
 
 
 class TestQueryVerb:
@@ -454,7 +466,7 @@ class TestExtractVerb:
         assert lines[1:5] == ["patient_id\tPSHARED", "name\tName of ga0", "birthday\t1961-02-03", "diagnostic\troutine scan"]
 
     def test_extract_by_file_path(self, cli_store, capsys):
-        locator = Index.load(cli_store["index"]).find("ga1").locator
+        locator = Index.load(cli_store["index"]).get("ga1").locator
         code = run(["extract", "--image", locator])
         out = capsys.readouterr().out
         assert code == 0
@@ -507,7 +519,7 @@ class TestRestoreVerb:
         assert Path(os.fsdecode(out_path)).read_bytes() == (cli_store["inputs"] / "sb0.pgm").read_bytes()
 
     def test_restore_from_file_path(self, cli_store, tmp_path):
-        locator = Index.load(cli_store["index"]).find("ga0").locator
+        locator = Index.load(cli_store["index"]).get("ga0").locator
         out_path = tmp_path / "back.pgm"
         assert run(["restore", "--image", locator, "--out", str(out_path)]) == 0
         assert load_pgm(out_path) == cli_store["images"]["ga0"][0]
@@ -519,7 +531,7 @@ class TestRestoreVerb:
         shutil.copytree(cli_store["store"], store_copy)
         source = store_copy / "sb0.pgm"
         index_path = tmp_path / "index.tsv"
-        Index([IndexEntry("sb0", str(source))]).save(index_path)
+        Index({"sb0": IndexEntry("sb0", str(source))}).save(index_path)
         out_path = {
             "same": source,
             "dotted": store_copy / "." / ".." / "store" / "sb0.pgm",
@@ -563,7 +575,7 @@ class TestRestoreVerb:
         # One flipped bit in the payload body: extract() alone still rebuilds
         # the original pixels, but a file whose payload fails its checksum
         # is rejected, not restored.
-        marked = load_pgm(Index.load(cli_store["index"]).find("sb0").locator)
+        marked = load_pgm(Index.load(cli_store["index"]).get("sb0").locator)
         body_start = parse_wire(marked.pixels.astype(np.int64))["data_start"] + 8 * 16
         tampered = flip_stream_bit(marked, body_start + 3)
         assert extract(tampered)[1] == cli_store["images"]["sb0"][0]
@@ -624,7 +636,7 @@ class TestLoggingPerCall:
         # one missing file; the second call asks for -v.
         gone = tmp_path / "gone.pgm"
         index_path = tmp_path / "index.tsv"
-        Index([*Index.load(cli_store["index"]).entries, IndexEntry("gone", str(gone))]).save(index_path)
+        Index({**Index.load(cli_store["index"]), "gone": IndexEntry("gone", str(gone))}).save(index_path)
         levels = []
 
         def spy(*args):
@@ -682,7 +694,7 @@ class TestRelinkVerb:
         assert lines[2] == "unreadable\t0"
         assert lines[3] == "conflicting\t0"
         rebuilt = Index.load(new_index)
-        assert sorted(e.image_id for e in rebuilt.entries) == [
+        assert sorted(e.image_id for e in rebuilt.values()) == [
             "ga0",
             "ga1",
             "sb0",
@@ -693,7 +705,7 @@ class TestRelinkVerb:
         new_index = tmp_path / "db" / "rebuilt.tsv"
         code = run(["relink", "--store", cli_store["store"], "--index", str(new_index)])
         assert (code, capsys.readouterr().err) == (0, "")
-        assert [e.image_id for e in Index.load(new_index).entries] == ["ga0", "ga1", "sb0", "sb1"]
+        assert [e.image_id for e in Index.load(new_index).values()] == ["ga0", "ga1", "sb0", "sb1"]
 
     @pytest.mark.parametrize(
         "name, locator",
@@ -717,7 +729,7 @@ class TestRelinkVerb:
         assert code == 0
         assert lines[:4] == ["indexed\t4", "repaired\t4", "unreadable\t0", "conflicting\t1"]
         assert f"conflicting\t{odd}" in lines
-        assert [e.image_id for e in Index.load(new_index).entries] == ["ga0", "ga1", "sb0", "sb1"]
+        assert [e.image_id for e in Index.load(new_index).values()] == ["ga0", "ga1", "sb0", "sb1"]
 
     @staticmethod
     def _store_of_one_non_utf8_name(cli_store, tmp_path):
@@ -726,7 +738,7 @@ class TestRelinkVerb:
         conflicting (an index row is UTF-8 text), its name byte as \\xff."""
         store = tmp_path / "store"
         store.mkdir()
-        shutil.copyfile(Index.load(cli_store["index"]).find("ga0").locator, os.fsencode(store) + b"/\xff.pgm")
+        shutil.copyfile(Index.load(cli_store["index"]).get("ga0").locator, os.fsencode(store) + b"/\xff.pgm")
         out = "indexed\t0\nrepaired\t0\nunreadable\t0\nconflicting\t1\n" + f"conflicting\t{store}/\\xff.pgm\n"
         return store, out
 
@@ -753,6 +765,88 @@ class TestRelinkVerb:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode("utf-8"), b"")
 
 
+def _run_on(encoding: str, argv: list[str]) -> tuple[int, bytes, bytes]:
+    """run(argv) with standard output and error strict text streams of
+    encoding: (exit status, the bytes written to each)."""
+    buffers = io.BytesIO(), io.BytesIO()
+    out, err = (io.TextIOWrapper(b, encoding=encoding, errors="strict", newline="\n") for b in buffers)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out.flush()
+    err.flush()
+    return code, buffers[0].getvalue(), buffers[1].getvalue()
+
+
+@pytest.fixture(scope="module")
+def accented_store(tmp_path_factory):
+    """Two images indexed on a strict ASCII standard output: ids "é0" and
+    "é1", patient "José", label "clé", store directory "störe"."""
+    root = tmp_path_factory.mktemp("accented")
+    index_path, store = str(root / "index.tsv"), str(root / "db" / "störe")
+    printed = []
+    for i in range(2):
+        path = root / f"in{i}.pgm"
+        save_pgm(path, smooth_noise_image(np.random.default_rng(60 + i), 160, 160))
+        argv = ["index", "--id", f"é{i}", "--image", str(path), "--store", store, "--patient-id", "P1"]
+        printed.append(_run_on("ascii", [*argv, "--name", "José", "--class-label", "clé", "--index", index_path]))
+    return {"root": root, "index": index_path, "store": store, "printed": printed}
+
+
+class TestOutputEncoding:
+    """Every verb writes text a strict stream cannot encode escaped
+    (\\xNN, \\uNNNN), and exits as it would on a UTF-8 stream."""
+
+    def test_index_prints_a_non_ascii_store_path_escaped(self, accented_store):
+        store = accented_store["store"].encode("ascii", "backslashreplace")
+        assert accented_store["printed"] == [(0, store + b"/\\xe9%d.pgm\n" % i, b"") for i in range(2)]
+        assert list(Index.load(accented_store["index"])) == ["é0", "é1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find-patient", "--patient-id", "P1"],
+            ["extract", "--id", "é0"],
+            ["query", "--image", "in0.pgm", "--k", "2"],
+            ["evaluate", "--cutoffs", "1"],
+            ["relink", "--store", "db/störe"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_verb_prints_escaped_on_a_strict_ascii_stream(self, accented_store, tmp_path, argv):
+        root = accented_store["root"]
+        argv = [str(root / a) if a in ("in0.pgm", "db/störe") else a for a in argv]
+        results = []
+        for encoding in ("utf-8", "ascii"):
+            index_path = accented_store["index"]
+            if argv[0] == "relink":  # a fresh index each time, so every file is listed as repaired
+                index_path = str(tmp_path / f"{encoding}.tsv")
+            results.append(_run_on(encoding, [*argv, "--index", index_path]))
+        (code, utf8, err), ascii_result = results
+        assert (code, err) == (0, b"")
+        assert any(byte >= 0x80 for byte in utf8)
+        assert ascii_result == (0, utf8.decode("utf-8").encode("ascii", "backslashreplace"), b"")
+
+    def test_find_patient_prints_escaped_under_strict_ascii_in_a_child_process(self, accented_store):
+        inherited = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+        env = dict(inherited, PYTHONPATH=str(Path(lbpmarkdex.__file__).parents[1]), PYTHONIOENCODING="ascii:strict")
+        argv = ["find-patient", "--patient-id", "P1", "--index", accented_store["index"]]
+        proc = subprocess.run(
+            [sys.executable, "-c", "from lbpmarkdex.cli import main; main()", *argv], capture_output=True, env=env
+        )
+        lines = [b"\\xe9%d\tP1\tJos\\xe9\t0000-01-01\t\n" % i for i in range(2)]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"".join(lines), b"")
+
+    def test_an_error_and_a_warning_print_escaped(self, accented_store, tmp_path):
+        code, out, err = _run_on("ascii", ["extract", "--id", "nö", "--index", accented_store["index"]])
+        assert (code, out, err) == (1, b"", b"LbpmarkdexError: image id 'n\\xf6' not in index\n")
+        index_path, gone = tmp_path / "i.tsv", str(tmp_path / "störe" / "é9.pgm")
+        Index({"é9": IndexEntry("é9", gone)}).save(index_path)
+        code, out, err = _run_on("ascii", ["find-patient", "--patient-id", "P1", "--index", str(index_path)])
+        assert (code, out) == (0, b"")
+        assert err.startswith(f"skipping é9 ({gone}): IoFailure: ".encode("ascii", "backslashreplace"))
+        assert err.count(b"\n") == 1
+
+
 class TestEvaluateVerb:
     def test_matches_library_result(self, cli_store, capsys):
         code = run(
@@ -767,9 +861,9 @@ class TestEvaluateVerb:
         index = Index.load(cli_store["index"])
         descriptors = {
             e.image_id: read_stored(e.locator).descriptor
-            for e in index.entries
+            for e in index.values()
         }
-        labels = {e.image_id: e.class_label for e in index.entries}
+        labels = {e.image_id: e.class_label for e in index.values()}
         assert out == render_pr_csv(class_mean_pr(descriptors, labels, [1, 3]))
         assert out.splitlines()[0] == "class,k,mean_precision,mean_recall"
         assert {line.split(",")[0] for line in out.splitlines()[1:]} == {
@@ -865,8 +959,8 @@ class TestEvaluateVerb:
         index = Index.load(cli_store["index"])
         index_path = tmp_path / "index.tsv"
         Index(
-            IndexEntry(e.image_id, str(store_copy / f"{e.image_id}.pgm"), e.class_label)
-            for e in index.entries
+            {e.image_id: IndexEntry(e.image_id, str(store_copy / f"{e.image_id}.pgm"), e.class_label)
+             for e in index.values()}
         ).save(index_path)
         damaged = store_copy / "sb1.pgm"
         damaged.write_bytes(damaged.read_bytes()[:-100])
@@ -875,10 +969,10 @@ class TestEvaluateVerb:
         assert code == 0
         intact = {
             e.image_id: read_stored(e.locator).descriptor
-            for e in index.entries
+            for e in index.values()
             if e.image_id != "sb1"
         }
-        labels = {e.image_id: e.class_label for e in index.entries}
+        labels = {e.image_id: e.class_label for e in index.values()}
         assert capsys.readouterr().out == render_pr_csv(class_mean_pr(intact, labels, [1, 2]))
         assert [r.getMessage() for r in caplog.records] == [
             f"skipping sb1 ({damaged}): TruncatedData: expected 25600 pixel bytes, found 25500"

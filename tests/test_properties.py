@@ -10,15 +10,20 @@ codes, folded histogram, scatter-free embed) equal plain reference forms,
 read_stored on damaged files agrees with a reference chain of copy, masked
 stream read and sliced decode, index rows are accepted exactly by the
 row rule, an index whose last row is cut at any byte can still be
-relinked and added to, and a repeated id is a bad line naming its first
-line.
+relinked and added to, a repeated id is a bad line naming its first
+line, and cli.run, fuzzed over every verb on strict output streams,
+exits 0, 1 or 2 with at most one error line.
 
 Runs are derandomized so every run of the suite checks the same examples,
 unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
 4,000 random examples per property.
 """
 
+import contextlib
+import io
 import os
+import re
+import shutil
 import struct
 import tempfile
 import zlib
@@ -68,7 +73,7 @@ from lbpmarkdex.errors import (
 )
 from lbpmarkdex.descriptor import _normalize, _row_distances
 from lbpmarkdex.lbp import NEIGHBOR_OFFSETS
-from lbpmarkdex import retrieval
+from lbpmarkdex import cli, errors, retrieval
 from lbpmarkdex.retrieval import rank_by_distance
 from lbpmarkdex.watermark import _layout, _pair_words, _rewrite, _slots, _write, extract_data, rle_encode_map
 
@@ -853,8 +858,8 @@ def test_index_entry_accepts_exactly_what_the_row_rule_accepts(image_id, locator
     assert _reference_entry_ok(image_id, locator, class_label)
     with tempfile.TemporaryDirectory() as root:
         index_path = os.path.join(root, "i.tsv")
-        Index([entry]).save(index_path)
-        assert Index.load(index_path) == Index([entry])
+        Index({image_id: entry}).save(index_path)
+        assert Index.load(index_path) == {image_id: entry}
 
 
 # A one-byte character, and two- and three-byte UTF-8 characters that a cut
@@ -891,10 +896,10 @@ def test_an_index_cut_inside_its_last_row_can_be_relinked_and_added_to(torn_stor
         index_path = os.path.join(root, "i.tsv")
         with open(index_path, "wb") as fh:
             fh.write(head + last[:cut])
-        assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+        assert [e.image_id for e in Index.load(index_path).values()] == ["a"]
         rebuilt, report = relink(store, index_path)
-        assert [(e.image_id, e.class_label) for e in rebuilt.entries] == sorted([("a", "tumour"), (image_id, "")])
-        assert report.repaired == [rebuilt.find(image_id).locator]
+        assert [(e.image_id, e.class_label) for e in rebuilt.values()] == sorted([("a", "tumour"), (image_id, "")])
+        assert report.repaired == [rebuilt.get(image_id).locator]
         assert report.unreadable == report.conflicting == []
         with open(index_path, "wb") as fh:
             fh.write(head + last[:cut])
@@ -972,7 +977,7 @@ def test_index_add_refuses_exactly_the_ids_index_load_finds(index_file, data):
             assert written == raw
             return
         assert written == raw[: raw.rfind(b"\n") + 1] + f"{image_id}\t{outcome.locator}\t\n".encode("utf-8")
-        assert Index.load(index_path).find(image_id) == outcome
+        assert Index.load(index_path).get(image_id) == outcome
 
 
 @st.composite
@@ -1013,7 +1018,7 @@ def test_a_repeated_id_is_a_bad_line_naming_its_first_line(index_file):
             assert repeats and str(exc) == f"{source} {repeats[0]}"
         else:
             assert not repeats
-            assert [e.image_id for e in loaded.entries] == list(first)
+            assert [e.image_id for e in loaded.values()] == list(first)
         bad = []
         kept = retrieval._load_rows(index_path, bad.append)
     ids = list(rows.values())
@@ -1021,3 +1026,118 @@ def test_a_repeated_id_is_a_bad_line_naming_its_first_line(index_file):
     assert list(kept) == once
     assert [kept[i].locator for i in once] == [f"s/{first[i]}.pgm" for i in once]
     assert bad == [f"{source} {message}" for message in repeats]
+
+
+# Text a command line can carry, as Python decodes it: no NUL, and a byte
+# that is not UTF-8 becomes a lone surrogate in U+DC80-U+DCFF.
+_CLI_CHAR = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00") | st.sampled_from(
+    ["\udc80", "\udcff", "é", "✓", "\t", "\n", "#", " ", "/", "."]
+)
+_CLI_ARG = st.text(_CLI_CHAR, max_size=6)
+# Ids, names, labels and the like may hold any lone surrogate, as an
+# in-process caller of cli.run can pass one.
+_CLI_FIELD = st.text(_CLI_CHAR | st.characters(whitelist_categories=("Cs",)), max_size=6)
+_CLI_FILES = ["in/plain.pgm", "in/stored.pgm", "in/flipped.pgm", "in/cut.pgm", "in/text.pgm", "in/small.pgm", "in/dir", "in/i.tsv", "in/s", "absent"]
+_ERROR_LINE = re.compile(r"([A-Z]\w*): ")
+
+
+def _mostly(likely, wild):
+    """Usually one of the likely values, else a draw of wild."""
+    return st.integers(0, 5).flatmap(lambda k: wild if k == 0 else st.sampled_from(likely))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory of inputs, good and bad: a store "s" of two images
+    indexed in "i.tsv" as "a" (patient P1, "José") and "b" (P2), both
+    labelled "clé"; an unmarked image; a copy of a stored file, the copy
+    with one stream bit flipped and the copy cut short; bytes that are no
+    PGM; an image too small to carry a payload; and a directory."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    rng = np.random.default_rng(70)
+    for image_id, patient in (("a", PatientRecord("P1", "José")), ("b", PatientRecord("P2"))):
+        index_add(root / "i.tsv", smooth_noise_image(rng, 160, 160), image_id, patient, root / "s", "clé")
+    save_pgm(root / "plain.pgm", smooth_noise_image(rng, 160, 160))
+    stored = (root / "s" / "a.pgm").read_bytes()
+    (root / "stored.pgm").write_bytes(stored)
+    save_pgm(root / "flipped.pgm", flip_stream_bit(read_pgm(stored), 300))
+    (root / "cut.pgm").write_bytes(stored[:-500])
+    (root / "text.pgm").write_bytes(b"not a\tpgm\n\xff\n")
+    save_pgm(root / "small.pgm", smooth_noise_image(rng, 16, 16))
+    (root / "dir").mkdir()
+    return root
+
+
+def _cli_argv(draw, verb: str, path) -> list[str]:
+    """Generated arguments of one verb; path(likely) draws a path under
+    the example's directory, mostly likely, else an input or any text."""
+    image = "--image=" + path("in/plain.pgm")
+    index = "--index=" + path("in/i.tsv")
+    if verb == "index":
+        birthday = draw(_mostly(["1961-02-03", "2020-02-30"], st.sampled_from(["2020-13-01", "0000-00-00"]) | _CLI_ARG))
+        fields = [
+            f"--{name}={draw(_mostly(likely, _CLI_FIELD))}"
+            for name, likely in [
+                ("id", ["c", "é", "a"]),
+                ("patient-id", ["P1", "P3"]),
+                ("name", ["José", ""]),
+                ("diagnostic", ["", "routine"]),
+                ("class-label", ["clé", "x"]),
+            ]
+        ]
+        return [*fields, image, "--store=" + path("in/s"), f"--birthday={birthday}", index]
+    if verb == "query":
+        return [image, f"--k={draw(_mostly(['1', '3'], st.sampled_from(['0', '-1']) | _CLI_ARG))}", index]
+    if verb == "find-patient":
+        return [f"--patient-id={draw(_mostly(['P1', 'P3'], _CLI_FIELD))}", index]
+    if verb in ("extract", "restore"):
+        target = f"--id={draw(_mostly(['a', 'c', 'é'], _CLI_FIELD))}" if draw(st.booleans()) else "--image=" + path("in/stored.pgm")
+        last = ["--out=" + path("out.pgm")] if verb == "restore" else draw(st.sampled_from([[], ["--descriptor"]]))
+        return [target, *last, index]
+    if verb == "relink":
+        return ["--store=" + path("in/s"), index]
+    if verb == "evaluate":
+        cutoffs = draw(_mostly(["1", "1,2"], st.sampled_from(["0", ","]) | _CLI_ARG))
+        options = draw(st.lists(st.sampled_from(["--labels=" + path("labels.tsv"), "--out=" + path("out.csv")]), unique=True))
+        return [f"--cutoffs={cutoffs}", *options, index]
+    return [image]
+
+
+@PROPERTY
+@given(st.data())
+def test_cli_run_exits_0_1_or_2_with_at_most_one_error_line(cli_inputs, data):
+    """A few cli.run calls on a copy of the inputs, each with generated
+    arguments and a strict UTF-8, ASCII or Latin-1 standard output: each
+    returns 0 or 1, or exits 2 through argparse, and raises nothing else;
+    standard error, which escapes as Python's own does, ends in one
+    `Class: message` line exactly when the call returns 1, and holds no
+    other."""
+    verbs = ["index", "query", "find-patient", "extract", "restore", "relink", "evaluate", "capacity"]
+    with tempfile.TemporaryDirectory() as root:
+        shutil.copytree(cli_inputs, os.path.join(root, "in"))
+        labels = data.draw(st.lists(st.tuples(_mostly(["a", "b", "c"], _CLI_FIELD), _CLI_FIELD), max_size=3), label="labels")
+        with open(os.path.join(root, "labels.tsv"), "wb") as fh:
+            fh.write("".join(f"{i}\t{c}\n" for i, c in labels).encode("utf-8", "surrogatepass"))
+
+        def path(likely):
+            return os.path.join(root, data.draw(_mostly([likely], st.sampled_from(_CLI_FILES) | _CLI_ARG)))
+
+        for _ in range(data.draw(st.integers(1, 4), label="calls")):
+            verb = data.draw(st.sampled_from(verbs), label="verb")
+            argv = data.draw(st.sampled_from([[], ["-v"]])) + [verb, *_cli_argv(data.draw, verb, path)]
+            encoding = data.draw(st.sampled_from(["utf-8", "ascii", "latin-1"]), label="encoding")
+            buffers = io.BytesIO(), io.BytesIO()
+            out = io.TextIOWrapper(buffers[0], encoding=encoding, errors="strict", newline="\n")
+            err = io.TextIOWrapper(buffers[1], encoding=encoding, errors="backslashreplace", newline="\n")
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.run(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                continue
+            out.flush()
+            err.flush()
+            assert code in (0, 1), argv
+            lines = buffers[1].getvalue().decode(encoding).splitlines()
+            named = [line for line in lines if (m := _ERROR_LINE.match(line)) and hasattr(errors, m.group(1))]
+            assert named == (lines[-1:] if code else []), (argv, lines)

@@ -70,11 +70,11 @@ class TestIndexFile:
         text = "# heading\n\na\tstore/a.pgm\t\n   \nb\tstore/b.pgm\tx\n"
         index = Index.load(_index_file(tmp_path, text))
         assert len(index) == 2
-        assert index.find("b").class_label == "x"
+        assert index.get("b").class_label == "x"
 
     def test_two_field_lines_allowed(self, tmp_path):
         index = Index.load(_index_file(tmp_path, "a\tstore/a.pgm\n"))
-        assert index.find("a").class_label == ""
+        assert index.get("a").class_label == ""
 
     def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(IoFailure):
@@ -89,7 +89,7 @@ class TestIndexFile:
         for torn in ("bbbb", "\tx", "b\tx\ty\tz", "b\ty", "a\tx\ttum"):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
-                assert Index.load(_index_file(tmp_path, f"a\tx\n{torn}")) == Index([IndexEntry("a", "x")])
+                assert Index.load(_index_file(tmp_path, f"a\tx\n{torn}")) == {"a": IndexEntry("a", "x")}
             assert len(caplog.records) == 1
             assert f"{source} line 2, an unterminated last line" in caplog.records[0].getMessage()
         for bad in ("bbbb", "\tx", "b\tx\ty\tz"):
@@ -97,7 +97,7 @@ class TestIndexFile:
                 Index.load(_index_file(tmp_path, f"a\tx\n{bad}\n"))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
-            assert Index.load(_index_file(tmp_path, "a\tx\nb\ty\n")) == Index([IndexEntry("a", "x"), IndexEntry("b", "y")])
+            assert Index.load(_index_file(tmp_path, "a\tx\nb\ty\n")) == {"a": IndexEntry("a", "x"), "b": IndexEntry("b", "y")}
         assert caplog.records == []
 
     def test_duplicate_rejected(self, tmp_path):
@@ -108,7 +108,10 @@ class TestIndexFile:
             Index.load(path)
         assert str(raised.value) == f"index {str(path)!r} line 4: repeats image_id 'a' of line 1"
 
-    def test_an_index_equals_only_an_index(self):
+    def test_an_index_equals_the_dict_of_its_rows(self):
+        rows = {"a": IndexEntry("a", "s/a.pgm"), "b": IndexEntry("b", "s/b.pgm", "L")}
+        assert Index(rows) == rows
+        assert Index(rows) != {"a": rows["a"]}
         assert (Index() == 0) is False
         assert (Index() != ()) is True
 
@@ -133,21 +136,21 @@ class TestIndexFile:
 
     def test_crlf_lines_read(self, tmp_path):
         index = Index.load(_index_file(tmp_path, "a\tstore/a.pgm\tL\r\nb\tstore/b.pgm\r\n"))
-        assert [e.image_id for e in index.entries] == ["a", "b"]
-        assert index.find("a").class_label == "L"
-        assert index.find("b").locator == "store/b.pgm"
+        assert [e.image_id for e in index.values()] == ["a", "b"]
+        assert index.get("a").class_label == "L"
+        assert index.get("b").locator == "store/b.pgm"
 
     def test_only_newline_ends_a_row(self, tmp_path):
         # str.splitlines would also break at U+0085, U+2028, \x1c and \f
         text = "a\x85b\ts/1.pgm\nc\u2028d\ts/2.pgm\ne\x1cf\fg\ts/3.pgm\n"
         index = Index.load(_index_file(tmp_path, text))
-        assert [e.image_id for e in index.entries] == ["a\x85b", "c\u2028d", "e\x1cf\fg"]
+        assert [e.image_id for e in index.values()] == ["a\x85b", "c\u2028d", "e\x1cf\fg"]
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert len(Index.load(tmp_path / "absent.tsv")) == 0
 
     def test_save_load_round_trip(self, tmp_path):
-        index = Index([IndexEntry("a", "s/a.pgm", "L"), IndexEntry("b", "s/b.pgm", "")])
+        index = Index({"a": IndexEntry("a", "s/a.pgm", "L"), "b": IndexEntry("b", "s/b.pgm", "")})
         path = tmp_path / "idx.tsv"
         index.save(path)
         assert Index.load(path) == index
@@ -155,7 +158,7 @@ class TestIndexFile:
     def test_parse_render_round_trip(self, tmp_path):
         # The written text form: one tab-separated line per entry, an empty
         # label kept as a trailing tab; read back, it is the same index.
-        index = Index([IndexEntry("a", "store/a.pgm", "classA"), IndexEntry("b", "store/b.pgm", "")])
+        index = Index({"a": IndexEntry("a", "store/a.pgm", "classA"), "b": IndexEntry("b", "store/b.pgm", "")})
         path = tmp_path / "idx.tsv"
         index.save(path)
         text = path.read_text(encoding="utf-8")
@@ -168,7 +171,7 @@ class TestIndexFile:
 
     def test_save_into_a_missing_directory_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure, match="cannot write index"):
-            Index([IndexEntry("a", "s/a.pgm")]).save(tmp_path / "absent" / "idx.tsv")
+            Index({"a": IndexEntry("a", "s/a.pgm")}).save(tmp_path / "absent" / "idx.tsv")
 
 
 @pytest.fixture(scope="module")
@@ -190,14 +193,14 @@ def store(tmp_path_factory):
 
 class TestIndexAdd:
     def test_locator_convention_and_file_exists(self, store):
-        entry = Index.load(store["index"]).find("img000")
+        entry = Index.load(store["index"]).get("img000")
         assert entry.locator == os.path.join(store["dir"], "img000.pgm")
         assert os.path.exists(entry.locator)
 
     def test_payload_matches_original(self, store):
         """The stored file must carry the descriptor of the original image
         and restore that image byte for byte."""
-        entry = Index.load(store["index"]).find("img004")
+        entry = Index.load(store["index"]).get("img004")
         payload = read_stored(entry.locator)
         restored = restore_stored(entry.locator)
         original = store["originals"]["img004"]
@@ -345,19 +348,19 @@ class TestIndexAdd:
         store_dir = str(tmp_path / "s")
         img = smooth_noise_image(np.random.default_rng(16), 160, 160)
         entry = index_add(str(index_path), img, "a", sample_patient(0), store_dir)
-        assert Index.load(index_path).find("a") == entry
+        assert Index.load(index_path).get("a") == entry
         rebuilt, report = relink(store_dir, str(tmp_path / "other" / "i.tsv"))
-        assert rebuilt.find("a") == entry and report.repaired == [entry.locator]
+        assert rebuilt.get("a") == entry and report.repaired == [entry.locator]
 
     def test_id_with_unicode_line_separator_round_trips(self, tmp_path):
         index_path = str(tmp_path / "i.tsv")
         store_dir = str(tmp_path / "s")
         img = smooth_noise_image(np.random.default_rng(17), 160, 160)
         entry = index_add(index_path, img, "a\x85b", sample_patient(0), store_dir)
-        assert Index.load(index_path).find("a\x85b") == entry
+        assert Index.load(index_path).get("a\x85b") == entry
         os.unlink(index_path)
         rebuilt, report = relink(store_dir, index_path)
-        assert rebuilt.find("a\x85b").locator == entry.locator
+        assert rebuilt.get("a\x85b").locator == entry.locator
         assert report.repaired == [entry.locator]
         assert Index.load(index_path) == rebuilt
 
@@ -370,7 +373,7 @@ class TestIndexAdd:
         img = smooth_noise_image(np.random.default_rng(18), 160, 160)
         entry = index_add(str(index_path), img, "b", sample_patient(0), str(tmp_path / "s"))
         assert index_path.read_bytes() == f"b\t{entry.locator}\t\n".encode("utf-8")
-        assert Index.load(index_path).entries == (entry,)
+        assert Index.load(index_path) == {"b": entry}
 
     @pytest.mark.parametrize(
         "image_id, class_label, store_name, field",
@@ -391,7 +394,7 @@ class TestIndexAdd:
         assert [p.name for p in tmp_path.iterdir()] == ["i.tsv"]
         assert index_path.read_bytes() == b"a\ts/a.pgm\t\n"
         entry = index_add(str(index_path), img, "b", sample_patient(0), str(tmp_path / "s"))
-        assert Index.load(index_path).entries[1] == entry
+        assert list(Index.load(index_path).values()) == [IndexEntry("a", "s/a.pgm"), entry]
 
     def test_all_whitespace_id_is_refused(self, tmp_path):
         """A line that starts with "  \t" may be a comment, as here, so the
@@ -406,21 +409,21 @@ class TestIndexAdd:
         assert [p.name for p in tmp_path.iterdir()] == ["i.tsv"]
 
     def test_add_builds_no_index(self, tmp_path, monkeypatch):
-        """The duplicate check reads the index bytes: it neither loads nor
-        builds an Index."""
+        """The duplicate check reads the index bytes: it neither loads an
+        Index nor parses a row."""
 
         def no_index(*args, **kwargs):
             raise AssertionError("index_add built an Index")
 
         monkeypatch.setattr(Index, "load", no_index)
-        monkeypatch.setattr(Index, "__init__", no_index)
+        monkeypatch.setattr(retrieval, "_parse_tsv", no_index)
         index_path, store_dir = str(tmp_path / "i.tsv"), str(tmp_path / "s")
         rng = np.random.default_rng(25)
         entry = index_add(index_path, smooth_noise_image(rng, 160, 160), "a", sample_patient(0), store_dir)
         with pytest.raises(DuplicateId, match="already indexed"):
             index_add(index_path, smooth_noise_image(rng, 160, 160), "a", sample_patient(1), store_dir)
         monkeypatch.undo()
-        assert Index.load(index_path).entries == (entry,)
+        assert Index.load(index_path) == {"a": entry}
 
     def test_add_appends_its_row_and_keeps_every_earlier_byte(self, tmp_path):
         index_path = tmp_path / "i.tsv"
@@ -463,9 +466,9 @@ def test_concurrent_writers_keep_every_row(tmp_path):
             p.kill()
     index = Index.load(index_path)
     ids = [f"w{w}-{j}" for w in range(4) for j in range(3)]
-    assert sorted(e.image_id for e in index.entries) == ids
+    assert sorted(e.image_id for e in index.values()) == ids
     for image_id in ids:
-        locator = index.find(image_id).locator
+        locator = index.get(image_id).locator
         w, j = map(int, image_id[1:].split("-"))
         assert restore_stored(locator) == smooth_noise_image(np.random.default_rng(300 + 3 * w + j), 160, 160)
         assert read_stored(locator).locator == locator
@@ -634,7 +637,7 @@ class TestIndexAddThreads:
                 index_add(index, img, image_id, sample_patient(1), store)
             assert threading.active_count() == before
         assert {p.name: p.read_bytes() for p in Path(store_dir).iterdir()} == kept
-        assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+        assert [e.image_id for e in Index.load(index_path).values()] == ["a"]
         assert Path(store_file).read_bytes() == b""
         assert Path(locked).read_text(encoding="utf-8") == f"a\t{entry.locator}\t\n"
         assert not os.path.exists(long_store)
@@ -737,7 +740,7 @@ class TestIndexAddThreads:
                     index_add(index_path, img, image_id, sample_patient(1), store_dir)
             assert threading.active_count() == before
         assert {p.name: p.read_bytes() for p in Path(store_dir).iterdir()} == kept
-        assert [e.image_id for e in Index.load(index_path).entries] == ["a"]
+        assert [e.image_id for e in Index.load(index_path).values()] == ["a"]
         assert [p for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
 
     def test_blocked_pairs_among_the_descriptor_bits(self, tmp_path):
@@ -794,7 +797,7 @@ class TestIndexAddThreads:
                 assert restore_stored(locator) == images[winner]
                 assert read_stored(locator).record == sample_patient(winner)
                 assert os.listdir(store_dir) == ["same.pgm"]
-                assert [e.image_id for e in Index.load(index_path).entries] == ["same"]
+                assert [e.image_id for e in Index.load(index_path).values()] == ["same"]
         finally:
             sys.setswitchinterval(switch)
 
@@ -823,8 +826,8 @@ class TestIndexAddThreads:
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(waited[1]) == 0
         index = Index.load(index_path)
-        assert [e.image_id for e in index.entries] == ["parent", "child"]
-        assert restore_stored(index.find("child").locator) == child_img
+        assert [e.image_id for e in index.values()] == ["parent", "child"]
+        assert restore_stored(index.get("child").locator) == child_img
 
 
 class TestReadStored:
@@ -832,7 +835,7 @@ class TestReadStored:
         """Every single-bit flip of the payload's flags byte (offset 5) or
         reserved bytes (14, 15) makes the file unreadable: the body
         checksum does not cover them."""
-        locator = Index.load(store["index"]).find("img001").locator
+        locator = Index.load(store["index"]).get("img001").locator
         marked = load_pgm(locator)
         data_start = parse_wire(marked.pixels.astype(np.int64))["data_start"]
         tampered_path = tmp_path / "tampered.pgm"
@@ -999,7 +1002,7 @@ class TestQueryByPatientId:
 
     def test_ids_out_of_index_order_come_back_ascending(self, store, tmp_path):
         index_path = tmp_path / "idx.tsv"
-        Index(reversed(Index.load(store["index"]).entries)).save(index_path)
+        Index(reversed(Index.load(store["index"]).items())).save(index_path)
         hits = query_by_patient_id("P0002", index_path)
         assert [entry.image_id for entry, _ in hits] == ["img002", "img003"]
 
@@ -1038,7 +1041,7 @@ class TestTornIndexTail:
             assert index_path.read_bytes() == torn[: -len(tail)] + f"new\t{entry.locator}\t\n".encode("utf-8")
             index_path.write_bytes(torn)
             rebuilt, _ = relink(store["dir"], index_path)
-        assert [e.image_id for e in rebuilt.entries] == sorted(store["originals"])
+        assert [e.image_id for e in rebuilt.values()] == sorted(store["originals"])
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 4
         assert all(repr(str(index_path)) in w and "line 2, an unterminated last line" in w for w in warnings)
@@ -1051,8 +1054,8 @@ class TestRelink:
         index_path = str(tmp_path / "index.tsv")
         original = Index.load(store["index"])
         Index(
-            IndexEntry(e.image_id, os.path.join(store_dir, f"{e.image_id}.pgm"), e.class_label)
-            for e in original.entries
+            {e.image_id: IndexEntry(e.image_id, os.path.join(store_dir, f"{e.image_id}.pgm"), e.class_label)
+             for e in original.values()}
         ).save(index_path)
         return index_path, store_dir
 
@@ -1119,9 +1122,9 @@ class TestRelink:
             f"relink skips {source} line 4: repeats image_id 'img001' of line 3",
             f"relink skips {source} line 9: has 1 fields, expected 2 or 3",
         ]
-        labels = {e.image_id: e.class_label for e in rebuilt.entries}
+        labels = {e.image_id: e.class_label for e in rebuilt.values()}
         assert labels == {"img000": "L", "img001": "", "img002": "L", "img003": "", "img004": "", "img005": "", "new": "N"}
-        assert report.repaired == [rebuilt.find("img001").locator]
+        assert report.repaired == [rebuilt.get("img001").locator]
         assert report.unreadable == report.conflicting == []
         assert Index.load(index_path) == rebuilt
 
@@ -1148,7 +1151,7 @@ class TestRelink:
             os.path.join(store_dir, "zz-moved.pgm"),
         )
         rebuilt, report = relink(store_dir, index_path)
-        entry = rebuilt.find("img005")
+        entry = rebuilt.get("img005")
         assert entry is not None
         assert entry.locator == os.path.join(store_dir, "zz-moved.pgm")
         assert report.repaired == [os.path.join(store_dir, "zz-moved.pgm")]
@@ -1175,17 +1178,17 @@ class TestRelink:
         rebuilt, report = relink(store_dir, index_path)
         # sorted scan meets img000.pgm first; the copy loses
         assert report.conflicting == [os.path.join(store_dir, "img000_copy.pgm")]
-        assert rebuilt.find("img000").locator == os.path.join(store_dir, "img000.pgm")
+        assert rebuilt.get("img000").locator == os.path.join(store_dir, "img000.pgm")
 
     def test_labels_preserved_for_known_ids(self, store, tmp_path):
         index_path, store_dir = self._clone_store(store, tmp_path)
-        entries = Index.load(index_path).entries
+        entries = Index.load(index_path).values()
         relabeled = Index(
-            IndexEntry(e.image_id, e.locator, "kept") for e in entries
+            {e.image_id: IndexEntry(e.image_id, e.locator, "kept") for e in entries}
         )
         relabeled.save(index_path)
         rebuilt, _ = relink(store_dir, index_path)
-        assert all(e.class_label == "kept" for e in rebuilt.entries)
+        assert all(e.class_label == "kept" for e in rebuilt.values())
 
     def test_scan_waits_for_the_index_lock(self, store, tmp_path):
         """A file stored while a writer holds the lock is in the rebuild."""
@@ -1209,7 +1212,7 @@ class TestRelink:
         assert not worker.is_alive()
         rebuilt, report = result["out"]
         assert report.repaired == [late]
-        assert rebuilt.find("img005").locator == late
+        assert rebuilt.get("img005").locator == late
 
     def test_lock_failure_is_io_failure_and_leaves_the_index(self, store, tmp_path, monkeypatch):
         """flock failing (here ENOLCK) is an IoFailure naming the lock file,
