@@ -3,14 +3,17 @@
 Verbs: index, query, find-patient, extract, restore, relink, evaluate,
 capacity. Exit status is 0 on success, 1 on a domain error (the error
 class name goes to standard error), 2 on usage errors. The environment
-variable LBPMARKDEX_INDEX supplies the default for --index. Every line
-goes out through _write, so text a stream cannot encode is escaped, not
-an error.
+variable LBPMARKDEX_INDEX supplies the default for --index. Every line,
+argparse's usage, error and help text included, goes out through _write,
+so text a stream cannot encode is escaped, not an error. A path argument
+holding NUL, or a character the file system cannot encode, is a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -68,8 +71,15 @@ def _cutoff_list(text: str) -> list[int]:
     return cutoffs
 
 
-def _add_index_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--index", help=f"index file path (default: ${INDEX_ENV})")
+def _path(text: str) -> str:
+    """A path the file system can be handed: no NUL, and encodable by
+    os.fsencode (a lone surrogate outside U+DC80-U+DCFF is not)."""
+    try:
+        if b"\0" not in os.fsencode(text):
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a path the file system can take, got {text!r}")
 
 
 def _need_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
@@ -80,8 +90,12 @@ def _need_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> st
     return index
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser every run() shares; building it costs about a millisecond.
+    Each verb's handler is its `run` default and returns the verb's
+    standard output text."""
+    parser = _Parser(
         prog="lbpmarkdex",
         description=(
             "Index grayscale PGM images by embedding their own texture "
@@ -97,11 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="log more (-v info, -vv debug)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Parents: every verb but capacity takes --index; extract and restore
+    # also name their target by --id or --image.
+    indexed = argparse.ArgumentParser(add_help=False)
+    indexed.add_argument("--index", type=_path, help=f"index file path (default: ${INDEX_ENV})")
+    target = argparse.ArgumentParser(add_help=False, parents=[indexed])
+    group = target.add_mutually_exclusive_group(required=True)
+    group.add_argument("--id", help="indexed image id")
+    group.add_argument("--image", type=_path, help="watermarked PGM file")
 
-    p = sub.add_parser("index", help="watermark an image and add it to the index")
+    p = sub.add_parser("index", parents=[indexed], help="watermark an image and add it to the index")
+    p.set_defaults(run=_cmd_index)
     p.add_argument("--id", required=True, help="unique image id")
-    p.add_argument("--image", required=True, help="original PGM file")
-    p.add_argument("--store", required=True, help="directory for watermarked files")
+    p.add_argument("--image", type=_path, required=True, help="original PGM file")
+    p.add_argument("--store", type=_path, required=True, help="directory for watermarked files")
     p.add_argument("--patient-id", required=True)
     p.add_argument("--name", default="")
     p.add_argument(
@@ -112,38 +135,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--diagnostic", default="")
     p.add_argument("--class-label", default="", help="optional label for evaluation")
-    _add_index_flag(p)
 
-    p = sub.add_parser("query", help="rank indexed images by distance to an example")
-    p.add_argument("--image", required=True, help="query PGM file")
+    p = sub.add_parser("query", parents=[indexed], help="rank indexed images by distance to an example")
+    p.set_defaults(run=_cmd_query)
+    p.add_argument("--image", type=_path, required=True, help="query PGM file")
     p.add_argument("--k", type=_positive_int, default=10, help="results to return")
-    _add_index_flag(p)
 
-    p = sub.add_parser("find-patient", help="list indexed images of one patient")
+    p = sub.add_parser("find-patient", parents=[indexed], help="list indexed images of one patient")
+    p.set_defaults(run=_cmd_find_patient)
     p.add_argument("--patient-id", required=True)
-    _add_index_flag(p)
 
-    p = sub.add_parser("extract", help="print the payload stored in an image")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", help="indexed image id")
-    group.add_argument("--image", help="watermarked PGM file")
+    p = sub.add_parser("extract", parents=[target], help="print the payload stored in an image")
+    p.set_defaults(run=_cmd_extract)
     p.add_argument("--descriptor", action="store_true", help="also dump the 256 bins")
-    _add_index_flag(p)
 
-    p = sub.add_parser("restore", help="write the original's exact pixels back out, always with maxval 255")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", help="indexed image id")
-    group.add_argument("--image", help="watermarked PGM file")
-    p.add_argument("--out", required=True, help="output PGM path; must not exist")
-    _add_index_flag(p)
+    p = sub.add_parser("restore", parents=[target], help="write the original's exact pixels back out, always with maxval 255")
+    p.set_defaults(run=_cmd_restore)
+    p.add_argument("--out", type=_path, required=True, help="output PGM path; must not exist")
 
-    p = sub.add_parser("relink", help="rebuild the index from stored watermarks")
-    p.add_argument("--store", required=True, help="directory of watermarked files")
-    _add_index_flag(p)
+    p = sub.add_parser("relink", parents=[indexed], help="rebuild the index from stored watermarks")
+    p.set_defaults(run=_cmd_relink)
+    p.add_argument("--store", type=_path, required=True, help="directory of watermarked files")
 
-    p = sub.add_parser("evaluate", help="leave-one-out precision/recall per class")
+    p = sub.add_parser("evaluate", parents=[indexed], help="leave-one-out precision/recall per class")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument(
         "--labels",
+        type=_path,
         help="TSV file image_id<TAB>class; defaults to index class labels",
     )
     p.add_argument(
@@ -152,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated ranking cutoffs, e.g. 1,5,10",
     )
-    p.add_argument("--out", help="CSV output path, must not exist (default: standard output)")
-    _add_index_flag(p)
+    p.add_argument("--out", type=_path, help="CSV output path, must not exist (default: standard output)")
 
     p = sub.add_parser("capacity", help="print how many bits an image can carry")
-    p.add_argument("--image", required=True, help="PGM file")
+    p.set_defaults(run=_cmd_capacity)
+    p.add_argument("--image", type=_path, required=True, help="PGM file")
 
     return parser
 
@@ -184,6 +202,16 @@ def _write(stream, text: str) -> None:
     encoding = stream.encoding or "utf-8"
     text = text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help, usage and error text, its subparsers'
+    included, go out through _write."""
+
+    def _print_message(self, message, file=None) -> None:
+        # argparse's own rule: a stream it cannot write is skipped.
+        with contextlib.suppress(AttributeError, OSError):
+            _write(file or sys.stderr, message)
 
 
 class _LogHandler(logging.StreamHandler):
@@ -302,27 +330,8 @@ def _cmd_capacity(parser, args) -> str:
     return f"{watermark.capacity(load_pgm(args.image))}\n"
 
 
-# Each verb returns the text of its standard output, which run() writes.
-_COMMANDS = {
-    "index": _cmd_index,
-    "query": _cmd_query,
-    "find-patient": _cmd_find_patient,
-    "extract": _cmd_extract,
-    "restore": _cmd_restore,
-    "relink": _cmd_relink,
-    "evaluate": _cmd_evaluate,
-    "capacity": _cmd_capacity,
-}
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every run() shares; building it costs about a millisecond."""
-    return build_parser()
-
-
 def run(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     # This call's messages go to this call's stderr at this call's level.
     # The package logger still propagates, so handlers the host program put
@@ -333,7 +342,7 @@ def run(argv: list[str] | None = None) -> int:
     log.addHandler(handler)
     log.setLevel([logging.WARNING, logging.INFO, logging.DEBUG][min(args.verbose, 2)])
     try:
-        _write(sys.stdout, _COMMANDS[args.command](parser, args))
+        _write(sys.stdout, args.run(parser, args))
         return 0
     except LbpmarkdexError as exc:
         _write(sys.stderr, f"{type(exc).__name__}: {exc}\n")

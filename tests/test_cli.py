@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, and output formats."""
 
+import argparse
 import contextlib
 import io
 import logging
@@ -25,7 +26,7 @@ from lbpmarkdex import (
     render_pr_csv,
     save_pgm,
 )
-from lbpmarkdex.cli import INDEX_ENV, run
+from lbpmarkdex.cli import INDEX_ENV, build_parser, run
 
 from helpers import (
     flip_stream_bit,
@@ -767,11 +768,15 @@ class TestRelinkVerb:
 
 def _run_on(encoding: str, argv: list[str]) -> tuple[int, bytes, bytes]:
     """run(argv) with standard output and error strict text streams of
-    encoding: (exit status, the bytes written to each)."""
+    encoding: (exit status, argparse's SystemExit code included, the bytes
+    written to each)."""
     buffers = io.BytesIO(), io.BytesIO()
     out, err = (io.TextIOWrapper(b, encoding=encoding, errors="strict", newline="\n") for b in buffers)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
     out.flush()
     err.flush()
     return code, buffers[0].getvalue(), buffers[1].getvalue()
@@ -1015,6 +1020,10 @@ class TestCapacityVerb:
         assert int(out.strip()) == capacity(load_pgm(path))
 
 
+def _options(names: str) -> list[str]:
+    return sorted(["-h", "--help", *names.split()])
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -1025,6 +1034,87 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    def test_each_verb_takes_its_options(self):
+        """--index is declared once and inherited by every verb but
+        capacity; --id | --image, required and mutually exclusive, by
+        extract and restore only."""
+        verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        table = {
+            verb: (
+                sorted(o for a in p._actions for o in a.option_strings),
+                [(g.required, [o for a in g._group_actions for o in a.option_strings]) for g in p._mutually_exclusive_groups],
+            )
+            for verb, p in verbs.items()
+        }
+        exclusive = [(True, ["--id", "--image"])]
+        assert table == {
+            "index": (_options("--id --image --store --patient-id --name --birthday --diagnostic --class-label --index"), []),
+            "query": (_options("--image --k --index"), []),
+            "find-patient": (_options("--patient-id --index"), []),
+            "extract": (_options("--id --image --descriptor --index"), exclusive),
+            "restore": (_options("--id --image --out --index"), exclusive),
+            "relink": (_options("--store --index"), []),
+            "evaluate": (_options("--labels --cutoffs --out --index"), []),
+            "capacity": (_options("--image"), []),
+        }
+
+    @pytest.mark.parametrize(
+        "verb",
+        [[], ["index"], ["query"], ["find-patient"], ["extract"], ["restore"], ["relink"], ["evaluate"], ["capacity"]],
+        ids=lambda verb: verb[0] if verb else "top",
+    )
+    def test_help_on_a_strict_ascii_stream_exits_zero(self, verb):
+        code, out, err = _run_on("ascii", [*verb, "-h"])
+        assert (code, err) == (0, b"")
+        assert out.startswith(b"usage: lbpmarkdex " + " ".join(verb).encode("ascii"))
+
+    def test_a_usage_error_prints_escaped_on_a_strict_ascii_stream(self, tmp_path):
+        argv = ["index", "--id", "x", "--image", "in.pgm", "--store", "s", "--patient-id", "P", "--birthday", "é"]
+        code, out, err = _run_on("ascii", [*argv, "--index", str(tmp_path / "i.tsv")])
+        assert (code, out) == (2, b"")
+        assert err.endswith(b"lbpmarkdex index: error: argument --birthday: birthday must be YYYY-MM-DD, got '\\xe9'\n")
+        assert _tree(tmp_path) == []
+
+    def test_a_usage_error_on_a_stream_that_cannot_be_written_still_exits_two(self):
+        """argparse's own rule: text for a missing standard error is dropped."""
+        with contextlib.redirect_stderr(None), pytest.raises(SystemExit) as exc:
+            run(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("bad", ["\x00", "\ud800"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("option", ["--image", "--store", "--index", "--labels", "--out"])
+    def test_a_path_the_file_system_cannot_take_is_a_usage_error(self, cli_store, tmp_path, capsys, option, bad):
+        """The command line runs with a good path; with the bad one it exits
+        2 naming the option, and touches no file."""
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("ga0\tgrad\nsb0\tstripe\n")
+        good = {
+            "--image": str(cli_store["inputs"] / "ga0.pgm"),
+            "--store": str(tmp_path / "store"),
+            "--index": str(tmp_path / "i.tsv"),
+            "--labels": str(labels),
+            "--out": str(tmp_path / "out"),
+        }
+        index = ["index", "--id", "x", "--patient-id", "P"]
+        argv = {
+            "--image": [*index, "--store", good["--store"], "--index", good["--index"]],
+            "--store": [*index, "--image", good["--image"], "--index", good["--index"]],
+            "--index": [*index, "--image", good["--image"], "--store", good["--store"]],
+            "--labels": ["evaluate", "--cutoffs", "1", "--out", good["--out"], "--index", cli_store["index"]],
+            "--out": ["restore", "--id", "sb0", "--index", cli_store["index"]],
+        }[option]
+        before = _tree(tmp_path), _tree(cli_store["root"])
+        value = good[option] + bad
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, option, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f": error: argument {option}: not a path the file system can take, got {value!r}\n")
+        assert err.count("error:") == 1
+        assert (_tree(tmp_path), _tree(cli_store["root"])) == before
+        assert run([*argv, option, good[option]]) == 0
+        assert _tree(tmp_path) != before[0]
 
 
 class TestConsoleScript:

@@ -1035,8 +1035,10 @@ _CLI_CHAR = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x
 )
 _CLI_ARG = st.text(_CLI_CHAR, max_size=6)
 # Ids, names, labels and the like may hold any lone surrogate, as an
-# in-process caller of cli.run can pass one.
-_CLI_FIELD = st.text(_CLI_CHAR | st.characters(whitelist_categories=("Cs",)), max_size=6)
+# in-process caller of cli.run can pass one; paths may also hold NUL.
+_CLI_FIELD_CHAR = _CLI_CHAR | st.characters(whitelist_categories=("Cs",))
+_CLI_FIELD = st.text(_CLI_FIELD_CHAR, max_size=6)
+_CLI_PATH = st.text(_CLI_FIELD_CHAR | st.just("\x00"), max_size=6)
 _CLI_FILES = ["in/plain.pgm", "in/stored.pgm", "in/flipped.pgm", "in/cut.pgm", "in/text.pgm", "in/small.pgm", "in/dir", "in/i.tsv", "in/s", "absent"]
 _ERROR_LINE = re.compile(r"([A-Z]\w*): ")
 
@@ -1107,33 +1109,38 @@ def _cli_argv(draw, verb: str, path) -> list[str]:
 @given(st.data())
 def test_cli_run_exits_0_1_or_2_with_at_most_one_error_line(cli_inputs, data):
     """A few cli.run calls on a copy of the inputs, each with generated
-    arguments and a strict UTF-8, ASCII or Latin-1 standard output: each
-    returns 0 or 1, or exits 2 through argparse, and raises nothing else;
-    standard error, which escapes as Python's own does, ends in one
-    `Class: message` line exactly when the call returns 1, and holds no
-    other."""
+    arguments and strict UTF-8, ASCII or Latin-1 standard output and
+    error: each returns 0 or 1, or exits 2 through argparse, and raises
+    nothing else; standard error ends in one `Class: message` line exactly
+    when the call returns 1, and holds no other. A generated path is
+    written under two empty directory names, so text of at most six
+    characters, "/" and "../.." included, stays inside the temporary
+    directory."""
     verbs = ["index", "query", "find-patient", "extract", "restore", "relink", "evaluate", "capacity"]
     with tempfile.TemporaryDirectory() as root:
-        shutil.copytree(cli_inputs, os.path.join(root, "in"))
+        base = os.path.join(root, "d", "d")
+        shutil.copytree(cli_inputs, os.path.join(base, "in"))
         labels = data.draw(st.lists(st.tuples(_mostly(["a", "b", "c"], _CLI_FIELD), _CLI_FIELD), max_size=3), label="labels")
-        with open(os.path.join(root, "labels.tsv"), "wb") as fh:
+        with open(os.path.join(base, "labels.tsv"), "wb") as fh:
             fh.write("".join(f"{i}\t{c}\n" for i, c in labels).encode("utf-8", "surrogatepass"))
 
         def path(likely):
-            return os.path.join(root, data.draw(_mostly([likely], st.sampled_from(_CLI_FILES) | _CLI_ARG)))
+            return base + "/" + data.draw(_mostly([likely], st.sampled_from(_CLI_FILES) | _CLI_PATH))
 
         for _ in range(data.draw(st.integers(1, 4), label="calls")):
             verb = data.draw(st.sampled_from(verbs), label="verb")
             argv = data.draw(st.sampled_from([[], ["-v"]])) + [verb, *_cli_argv(data.draw, verb, path)]
             encoding = data.draw(st.sampled_from(["utf-8", "ascii", "latin-1"]), label="encoding")
             buffers = io.BytesIO(), io.BytesIO()
-            out = io.TextIOWrapper(buffers[0], encoding=encoding, errors="strict", newline="\n")
-            err = io.TextIOWrapper(buffers[1], encoding=encoding, errors="backslashreplace", newline="\n")
+            out, err = (io.TextIOWrapper(b, encoding=encoding, errors="strict", newline="\n") for b in buffers)
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = cli.run(argv)
             except SystemExit as exc:
+                err.flush()
                 assert exc.code == 2, argv
+                last = buffers[1].getvalue().decode(encoding).splitlines()[-1]
+                assert re.match(r"lbpmarkdex( [\w-]+)?: error: ", last), (argv, last)
                 continue
             out.flush()
             err.flush()
