@@ -93,8 +93,8 @@ def _need_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> st
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser every run() shares; building it costs about a millisecond.
-    Each verb's handler is its `run` default and returns the verb's
-    standard output text."""
+    Each verb's `run` default is its handler, given the verb's own parser,
+    and returns the verb's standard output text."""
     parser = _Parser(
         prog="lbpmarkdex",
         description=(
@@ -120,8 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", help="indexed image id")
     group.add_argument("--image", type=_path, help="watermarked PGM file")
 
-    p = sub.add_parser("index", parents=[indexed], help="watermark an image and add it to the index")
-    p.set_defaults(run=_cmd_index)
+    def verb(name, handler, help, parent=indexed):
+        p = sub.add_parser(name, parents=[parent] if parent else [], help=help)
+        # The handler reports usage errors through its own verb's parser.
+        p.set_defaults(run=functools.partial(handler, p))
+        return p
+
+    p = verb("index", _cmd_index, "watermark an image and add it to the index")
     p.add_argument("--id", required=True, help="unique image id")
     p.add_argument("--image", type=_path, required=True, help="original PGM file")
     p.add_argument("--store", type=_path, required=True, help="directory for watermarked files")
@@ -136,29 +141,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnostic", default="")
     p.add_argument("--class-label", default="", help="optional label for evaluation")
 
-    p = sub.add_parser("query", parents=[indexed], help="rank indexed images by distance to an example")
-    p.set_defaults(run=_cmd_query)
+    p = verb("query", _cmd_query, "rank indexed images by distance to an example")
     p.add_argument("--image", type=_path, required=True, help="query PGM file")
     p.add_argument("--k", type=_positive_int, default=10, help="results to return")
 
-    p = sub.add_parser("find-patient", parents=[indexed], help="list indexed images of one patient")
-    p.set_defaults(run=_cmd_find_patient)
+    p = verb("find-patient", _cmd_find_patient, "list indexed images of one patient")
     p.add_argument("--patient-id", required=True)
 
-    p = sub.add_parser("extract", parents=[target], help="print the payload stored in an image")
-    p.set_defaults(run=_cmd_extract)
+    p = verb("extract", _cmd_extract, "print the payload stored in an image", target)
     p.add_argument("--descriptor", action="store_true", help="also dump the 256 bins")
 
-    p = sub.add_parser("restore", parents=[target], help="write the original's exact pixels back out, always with maxval 255")
-    p.set_defaults(run=_cmd_restore)
+    p = verb("restore", _cmd_restore, "write the original's exact pixels back out, always with maxval 255", target)
     p.add_argument("--out", type=_path, required=True, help="output PGM path; must not exist")
 
-    p = sub.add_parser("relink", parents=[indexed], help="rebuild the index from stored watermarks")
-    p.set_defaults(run=_cmd_relink)
+    p = verb("relink", _cmd_relink, "rebuild the index from stored watermarks")
     p.add_argument("--store", type=_path, required=True, help="directory of watermarked files")
 
-    p = sub.add_parser("evaluate", parents=[indexed], help="leave-one-out precision/recall per class")
-    p.set_defaults(run=_cmd_evaluate)
+    p = verb("evaluate", _cmd_evaluate, "leave-one-out precision/recall per class")
     p.add_argument(
         "--labels",
         type=_path,
@@ -172,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=_path, help="CSV output path, must not exist (default: standard output)")
 
-    p = sub.add_parser("capacity", help="print how many bits an image can carry")
-    p.set_defaults(run=_cmd_capacity)
+    p = verb("capacity", _cmd_capacity, "print how many bits an image can carry", None)
     p.add_argument("--image", type=_path, required=True, help="PGM file")
 
     return parser
@@ -246,7 +244,8 @@ def _cmd_index(parser, args) -> str:
 
 
 def _cmd_query(parser, args) -> str:
-    results = query_by_image(load_pgm(args.image), _need_index(parser, args), args.k)
+    index_path = _need_index(parser, args)
+    results = query_by_image(load_pgm(args.image), index_path, args.k)
     return "".join(f"{rank}\t{r.image_id}\t{r.distance:.6f}\n" for rank, r in enumerate(results, start=1))
 
 
@@ -342,7 +341,7 @@ def run(argv: list[str] | None = None) -> int:
     log.addHandler(handler)
     log.setLevel([logging.WARNING, logging.INFO, logging.DEBUG][min(args.verbose, 2)])
     try:
-        _write(sys.stdout, args.run(parser, args))
+        _write(sys.stdout, args.run(args))
         return 0
     except LbpmarkdexError as exc:
         _write(sys.stderr, f"{type(exc).__name__}: {exc}\n")

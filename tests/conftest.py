@@ -3,6 +3,8 @@ import os
 import pytest
 from hypothesis import settings
 
+from lbpmarkdex import retrieval
+
 # HYPOTHESIS_PROFILE=deep runs the property tests (tests/test_properties.py)
 # on 4,000 fresh random examples each instead of the 200 fixed ones that
 # tier-1 checks; CI runs it on a schedule.
@@ -22,3 +24,10 @@ _HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:Dep
 def pytest_collection_modifyitems(items):
     for item in items:
         item.add_marker(pytest.mark.filterwarnings(_HYPOTHESIS_REPORT_WARNING))
+
+
+@pytest.fixture(autouse=True)
+def _empty_descriptor_cache():
+    """retrieval's descriptor cache lives as long as the process: each test
+    starts with it empty, so no test sees what an earlier one kept."""
+    retrieval._DESCRIPTORS.clear()

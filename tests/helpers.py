@@ -11,6 +11,8 @@ format.
 
 from __future__ import annotations
 
+import os
+import time
 import zlib
 
 import numpy as np
@@ -307,6 +309,34 @@ def save_locator_file(path, rng: np.random.Generator, locator: str) -> None:
         record=PatientRecord(patient_id="P-LOC"),
     )
     save_pgm(path, embed(img, encode_payload(payload)))
+
+
+# ---------------------------------------------------------------------------
+# The descriptor cache's clock and stamps
+
+
+class CacheClock:
+    """A stand-in for lbpmarkdex.retrieval.time_ns: the real clock plus
+    offset ns, or `at` when that is set."""
+
+    def __init__(self) -> None:
+        self.offset = 0
+        self.at: int | None = None
+
+    def __call__(self) -> int:
+        return time.time_ns() + self.offset if self.at is None else self.at
+
+
+def ctime_past(path, floor: int) -> int:
+    """Make path's ctime later than floor and return it. A file system
+    with a coarse clock can give a change the ctime of an earlier one;
+    the descriptor cache only trusts a stamp 2 s old, but a test that sets
+    retrieval's clock ahead skips that wait, so it waits for the next tick
+    here instead (chmod to the file's own mode moves only its ctime)."""
+    while (st := os.stat(path)).st_ctime_ns <= floor:
+        time.sleep(0.001)
+        os.chmod(path, st.st_mode)
+    return st.st_ctime_ns
 
 
 # ---------------------------------------------------------------------------

@@ -1069,6 +1069,35 @@ class TestUsage:
         assert (code, err) == (0, b"")
         assert out.startswith(b"usage: lbpmarkdex " + " ".join(verb).encode("ascii"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--image", "absent.pgm"],
+            ["query", "--image", "in.pgm"],
+            ["find-patient", "--patient-id", "P"],
+            ["index", "--id", "x", "--image", "in.pgm", "--store", "s", "--patient-id", "P"],
+            ["extract", "--id", "x"],
+            ["restore", "--id", "x", "--out", "out.pgm"],
+            ["relink", "--store", "s"],
+            ["evaluate", "--cutoffs", "1"],
+        ],
+        ids=["query-absent-image", "query", "find-patient", "index", "extract", "restore", "relink", "evaluate"],
+    )
+    def test_no_index_anywhere_is_a_usage_error_of_the_verb(self, tmp_path, capsys, monkeypatch, argv):
+        """Without --index or its variable a verb that needs an index exits
+        2 with its own usage line, before it reads any other input."""
+        monkeypatch.delenv(INDEX_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        save_pgm(tmp_path / "in.pgm", smooth_noise_image(np.random.default_rng(3), 32, 32))
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        usage = verbs[argv[0]].format_usage()
+        assert usage.startswith(f"usage: lbpmarkdex {argv[0]} ")
+        assert capsys.readouterr().err == f"{usage}lbpmarkdex {argv[0]}: error: --index is required (or set ${INDEX_ENV})\n"
+        assert _tree(tmp_path) == ["in.pgm"]
+
     def test_a_usage_error_prints_escaped_on_a_strict_ascii_stream(self, tmp_path):
         argv = ["index", "--id", "x", "--image", "in.pgm", "--store", "s", "--patient-id", "P", "--birthday", "é"]
         code, out, err = _run_on("ascii", [*argv, "--index", str(tmp_path / "i.tsv")])

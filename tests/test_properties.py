@@ -11,8 +11,10 @@ read_stored on damaged files agrees with a reference chain of copy, masked
 stream read and sliced decode, index rows are accepted exactly by the
 row rule, an index whose last row is cut at any byte can still be
 relinked and added to, a repeated id is a bad line naming its first
-line, and cli.run, fuzzed over every verb on strict output streams,
-exits 0, 1 or 2 with at most one error line.
+line, cli.run, fuzzed over every verb on strict output streams,
+exits 0, 1 or 2 with at most one error line, and the descriptor cache
+gives the scans and warnings of an empty one through any sequence of
+writes to the store.
 
 Runs are derandomized so every run of the suite checks the same examples,
 unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
@@ -21,6 +23,7 @@ unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
 
 import contextlib
 import io
+import logging
 import os
 import re
 import shutil
@@ -79,7 +82,9 @@ from lbpmarkdex.watermark import _layout, _pair_words, _rewrite, _slots, _write,
 
 from helpers import (
     TEXTURE_CLASSES,
+    CacheClock,
     banded_noise_image,
+    ctime_past,
     flip_stream_bit,
     parse_wire,
     reference_check_cutoffs,
@@ -1148,3 +1153,114 @@ def test_cli_run_exits_0_1_or_2_with_at_most_one_error_line(cli_inputs, data):
             lines = buffers[1].getvalue().decode(encoding).splitlines()
             named = [line for line in lines if (m := _ERROR_LINE.match(line)) and hasattr(errors, m.group(1))]
             assert named == (lines[-1:] if code else []), (argv, lines)
+
+
+@pytest.fixture(scope="module")
+def cache_sources(tmp_path_factory):
+    """The bytes of three stored files, each with its own descriptor and
+    locator."""
+    root = tmp_path_factory.mktemp("cache_sources")
+    rng = np.random.default_rng(33)
+    for k in range(3):
+        index_add(root / "i.tsv", smooth_noise_image(rng, 160, 160), f"s{k}", PatientRecord(f"P{k}"), root / "s")
+    return [(root / "s" / f"s{k}.pgm").read_bytes() for k in range(3)]
+
+
+class _Messages(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record) -> None:
+        self.messages.append(record.getMessage())
+
+
+# (what, which file, a number for its detail, whether the clock then moves
+# RACY_NS on): write a new file, flip one bit of a file in place (and
+# maybe put its mtime back), cut it short, os.replace it with a stored
+# file, or set its mtime to when it was written or 2 s before.
+_CACHE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "flip", "truncate", "replace", "utime"]),
+        st.integers(0, 7),
+        st.integers(0, 2**32),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(PROPERTY, **({} if os.environ.get("HYPOTHESIS_PROFILE") else {"max_examples": 40}))
+@given(steps=_CACHE_STEPS)
+def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
+    """After each step, stored_descriptors of the files (and of a missing
+    one) and relink of the store, with their warnings, equal what the same
+    calls give with an empty cache. The clock runs RACY_NS ahead, and more
+    after some steps, so files are kept from their first scan; the file
+    system cannot give a change the ctime of an earlier one (ctime_past
+    waits for its clock to tick), which is what the 2 s rule ensures
+    outside a test."""
+    log = logging.getLogger("lbpmarkdex.retrieval")
+    handler = _Messages()
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        clock = CacheClock()
+        clock.offset = retrieval.RACY_NS
+        patch.setattr(retrieval, "time_ns", clock)
+        patch.setattr(retrieval, "_DESCRIPTORS", {})
+        store, index_path = os.path.join(root, "s"), os.path.join(root, "i.tsv")
+        os.mkdir(store)
+        files: list[str] = []
+        written: dict[str, int] = {}  # path -> its mtime when last written whole
+        last_ctime = 0
+
+        def write(path, data):
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(data)
+            os.replace(path + ".tmp", path)
+            written[path] = os.stat(path).st_mtime_ns
+
+        def outcome():
+            del handler.messages[:]
+            entries = [IndexEntry(f"e{k}", path) for k, path in enumerate(files)]
+            found = retrieval.stored_descriptors([*entries, IndexEntry("gone", os.path.join(root, "gone.pgm"))])
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(index_path)
+            rebuilt, report = relink(store, index_path)
+            return {k: v.tolist() for k, v in found.items()}, dict(rebuilt), report, list(handler.messages)
+
+        log.addHandler(handler)
+        try:
+            for what, which, number, advance in [("add", 0, 0, False), *steps]:
+                if what == "add":
+                    path = os.path.join(store, f"f{len(files)}.pgm")
+                    files.append(path)
+                    write(path, cache_sources[number % 3])
+                else:
+                    path = files[which % len(files)]
+                    size = os.stat(path).st_size
+                    if what == "flip" and size:
+                        before = os.stat(path)
+                        # The low bit: it changes the parity a pixel pair's
+                        # stream bit is read from.
+                        with open(path, "r+b") as fh:
+                            fh.seek(number // 2 % size)
+                            byte = fh.read(1)[0] ^ 1
+                            fh.seek(number // 2 % size)
+                            fh.write(bytes([byte]))
+                        if number % 2:
+                            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+                    elif what == "truncate":
+                        os.truncate(path, number % (size + 1))
+                    elif what == "replace":
+                        write(path, cache_sources[number % 3])
+                    elif what == "utime":
+                        os.utime(path, ns=(0, written[path] - number % 2 * retrieval.RACY_NS))
+                last_ctime = ctime_past(path, last_ctime)
+                clock.offset += retrieval.RACY_NS * advance
+                cached = outcome()
+                with patch.context() as empty:
+                    empty.setattr(retrieval, "_DESCRIPTORS", {})
+                    assert outcome() == cached, (what, path)
+        finally:
+            log.removeHandler(handler)

@@ -35,7 +35,7 @@ from lbpmarkdex import (
     restore_stored,
     save_pgm,
 )
-from lbpmarkdex import descriptor, retrieval
+from lbpmarkdex import cli, descriptor, image_io, retrieval
 from lbpmarkdex.errors import (
     DuplicateId,
     EmptyIndex,
@@ -49,6 +49,8 @@ from lbpmarkdex.errors import (
 from lbpmarkdex.watermark import _layout, _pair_words, _slots
 
 from helpers import (
+    CacheClock,
+    ctime_past,
     flip_stream_bit,
     parse_wire,
     sample_patient,
@@ -978,6 +980,193 @@ class TestScanSkipRule:
         rebuilt, report = relink(store_dir, tmp_path / "i.tsv")
         assert report.unreadable == [str(empty)]
         assert len(rebuilt) == 0
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """retrieval's clock, the real one until a test moves it."""
+    clock = CacheClock()
+    monkeypatch.setattr(retrieval, "time_ns", clock)
+    return clock
+
+
+class TestDescriptorCache:
+    """stored_descriptors and relink keep each decoded file's descriptor
+    under its (st_dev, st_ino), with its (size, mtime, ctime) stamp; a file
+    is read again when its stamp changes, and only kept once the stamp is
+    RACY_NS older than the clock."""
+
+    @pytest.fixture
+    def copy(self, store, tmp_path):
+        """A copy of the store's files and an index naming the copies."""
+        files = tmp_path / "files"
+        shutil.copytree(store["dir"], files)
+        index_path = tmp_path / "index.tsv"
+        Index({e.image_id: IndexEntry(e.image_id, str(files / f"{e.image_id}.pgm"))
+               for e in Index.load(store["index"]).values()}).save(index_path)
+        return index_path, files
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The paths load_pgm reads, in order."""
+        paths = []
+        real = retrieval.load_pgm
+        monkeypatch.setattr(retrieval, "load_pgm", lambda path, fh=None: paths.append(str(path)) or real(path, fh))
+        return paths
+
+    @staticmethod
+    def _scan(index_path, caplog):
+        """stored_descriptors of the index, and the skip warnings it logged."""
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            found = retrieval.stored_descriptors(Index.load(index_path).values())
+        return found, [r.getMessage() for r in caplog.records]
+
+    @staticmethod
+    def _same_as_uncached(scan, index_path, caplog, monkeypatch) -> bool:
+        """Whether a scan's result equals that of a scan with an empty
+        cache, whose reads are not counted."""
+        with monkeypatch.context() as m:
+            m.setattr(retrieval, "_DESCRIPTORS", {})
+            m.setattr(retrieval, "load_pgm", image_io.load_pgm)
+            uncached = TestDescriptorCache._scan(index_path, caplog)
+        cached, uncached = [({i: d.tolist() for i, d in found.items()}, warnings) for found, warnings in (scan, uncached)]
+        return cached == uncached
+
+    def test_a_second_scan_reads_no_file(self, copy, clock, reads, caplog):
+        index_path, _ = copy
+        clock.offset = retrieval.RACY_NS
+        first, _ = self._scan(index_path, caplog)
+        assert len(reads) == 6
+        second, warnings = self._scan(index_path, caplog)
+        assert len(reads) == 6 and warnings == []
+        assert list(second) == list(first) == sorted(first)
+        for image_id, desc in second.items():
+            assert np.array_equal(desc, read_stored(Index.load(index_path)[image_id].locator).descriptor)
+            assert desc.dtype == np.int64 and not desc.flags.writeable
+
+    def test_a_bit_flipped_in_place_with_its_mtime_put_back_is_read_again(self, copy, clock, reads, caplog, monkeypatch):
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        before, _ = self._scan(index_path, caplog)
+        path = files / "img002.pgm"
+        old = os.stat(path)
+        marked = load_pgm(path)
+        flipped = flip_stream_bit(marked, parse_wire(marked.pixels.astype(np.int64))["data_start"] + 8 * 100)
+        with open(path, "r+b") as fh:
+            fh.write(lbpmarkdex.write_pgm(flipped))
+        os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+        ctime_past(path, old.st_ctime_ns)
+        new = os.stat(path)
+        assert (new.st_ino, new.st_size, new.st_mtime_ns) == (old.st_ino, old.st_size, old.st_mtime_ns)
+        assert new.st_ctime_ns > old.st_ctime_ns
+        del reads[:]
+        clock.offset += retrieval.RACY_NS
+        for _ in range(2):
+            found, warnings = scan = self._scan(index_path, caplog)
+            assert self._same_as_uncached(scan, index_path, caplog, monkeypatch)
+            assert list(found) == [i for i in before if i != "img002"]
+            assert len(warnings) == 1 and warnings[0].startswith(f"skipping img002 ({path}): ChecksumMismatch: ")
+        assert reads == [str(path)] * 2
+
+    def test_a_file_replaced_by_os_replace_is_read_again(self, copy, clock, reads, caplog):
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        before, _ = self._scan(index_path, caplog)
+        path = files / "img001.pgm"
+        (files / "new.tmp").write_bytes((files / "img004.pgm").read_bytes())
+        os.replace(files / "new.tmp", path)
+        del reads[:]
+        after, _ = self._scan(index_path, caplog)
+        assert reads == [str(path)]
+        assert np.array_equal(after["img001"], before["img004"])
+        assert not np.array_equal(after["img001"], before["img001"])
+
+    def test_a_file_inside_the_racy_window_is_read_on_every_scan(self, copy, clock, reads, caplog):
+        """A file whose mtime or ctime is within RACY_NS of the clock is
+        read but not kept; one exactly RACY_NS old is kept."""
+        index_path, files = copy
+        newest = {str(p): max(os.stat(p).st_mtime_ns, os.stat(p).st_ctime_ns) for p in sorted(files.iterdir())}
+        clock.at = max(newest.values()) + retrieval.RACY_NS - 1
+        inside = [path for path, ns in newest.items() if ns > clock.at - retrieval.RACY_NS]
+        assert inside
+        for _ in range(3):
+            del reads[:]
+            self._scan(index_path, caplog)
+        assert reads == inside
+        clock.at += 1
+        self._scan(index_path, caplog)
+        del reads[:]
+        self._scan(index_path, caplog)
+        assert reads == []
+        assert len(retrieval._DESCRIPTORS) == 6
+
+    def test_a_truncated_file_warns_on_every_scan(self, copy, clock, reads, caplog, monkeypatch):
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        self._scan(index_path, caplog)
+        path = files / "img005.pgm"
+        os.truncate(path, os.stat(path).st_size - 1000)
+        del reads[:]
+        for _ in range(3):
+            clock.offset += retrieval.RACY_NS
+            found, warnings = scan = self._scan(index_path, caplog)
+            assert self._same_as_uncached(scan, index_path, caplog, monkeypatch)
+            assert warnings == [f"skipping img005 ({path}): TruncatedData: expected 25600 pixel bytes, found 24600"]
+            assert "img005" not in found and len(found) == 5
+        assert reads == [str(path)] * 3
+
+    def test_an_unreadable_path_is_skipped_with_the_error_read_stored_raises(self, tmp_path, clock, caplog):
+        """A missing file and a directory: the warning names the error
+        read_stored raises, and no file descriptor is left open."""
+        (tmp_path / "dir.pgm").mkdir()
+        clock.offset = retrieval.RACY_NS
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for name in ("missing.pgm", "dir.pgm"):
+            path = str(tmp_path / name)
+            with pytest.raises(IoFailure) as exc:
+                read_stored(path)
+            index_path = tmp_path / "index.tsv"
+            index_path.write_text(f"x\t{path}\t\n", encoding="utf-8")
+            for _ in range(2):
+                assert self._scan(index_path, caplog) == ({}, [f"skipping x ({path}): IoFailure: {exc.value}"])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert retrieval._DESCRIPTORS == {}
+
+    def test_find_patient_reads_every_file_and_keeps_nothing(self, copy, clock, reads):
+        index_path, _ = copy
+        clock.offset = retrieval.RACY_NS
+        for scan in range(1, 3):
+            assert [e.image_id for e, _ in query_by_patient_id("P0002", index_path)] == ["img002", "img003"]
+            assert len(reads) == 6 * scan
+        assert retrieval._DESCRIPTORS == {}
+
+    def test_relink_then_evaluate_gives_the_rows_of_an_uncached_run(self, copy, clock, reads, tmp_path, capsys):
+        """Cached or not, the cycle prints the same report, CSV and skip
+        warnings; cached, evaluate reads no file that relink has read, and
+        the next relink reads only the damaged file."""
+        index_path, files = copy
+        truncated = files / "img001.pgm"
+        os.truncate(truncated, 5000)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"img00{i}\t{'ab'[i % 2]}\n" for i in range(6)), encoding="utf-8")
+
+        def cycle():
+            del reads[:]
+            outputs = []
+            for argv in (["relink", "--store", str(files)], ["evaluate", "--cutoffs", "1,2", "--labels", str(labels)]):
+                assert cli.run([*argv, "--index", str(index_path)]) == 0
+                outputs.append(capsys.readouterr())
+            return outputs
+
+        uncached = cycle()
+        assert len(reads) == 6 + 5 and retrieval._DESCRIPTORS == {}
+        assert "unreadable\t1\n" in uncached[0].out and "TruncatedData" in uncached[0].err
+        clock.offset = retrieval.RACY_NS
+        assert cycle() == uncached
+        assert reads == sorted(str(p) for p in files.iterdir())
+        assert cycle() == uncached
+        assert reads == [str(truncated)]
 
 
 class TestQueryByPatientId:
