@@ -299,13 +299,19 @@ def _cmd_relink(parser, args) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _label(image_id: str, label: str) -> str:
+    """The value of a --labels row; a named function, so that the parse
+    memo (retrieval._parse_tsv) knows this parser again."""
+    return label
+
+
 def _load_labels(path: str) -> dict[str, str]:
     """image_id -> class from a --labels file, parsed whole: nothing
     appends to it, so an unterminated last line is read like any other.
     A bad line or a repeated id raises IoFailure naming the file and line;
     an empty class, as in the index, leaves the image unlabeled."""
     with open(path, "rb") as fh:
-        labels = _parse_tsv(fh.read(), f"labels {path!r}", (2,), lambda image_id, label: label)
+        labels = _parse_tsv(fh.read(), f"labels {path!r}", (2,), _label)
     return {i: c for i, c in labels.items() if c}
 
 

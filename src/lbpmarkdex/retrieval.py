@@ -9,21 +9,31 @@ the whole index from the files alone.
 
 Descriptor cache: query, evaluate (stored_descriptors) and relink read a
 stored file through _DESCRIPTORS, one dict per process. It maps the
-file's (st_dev, st_ino) to its stamp (st_size, st_mtime_ns, st_ctime_ns),
-its embedded locator and its read-only descriptor, about 2.7 KB a file,
-and holds no patient record: find-patient reads every file on every call.
-The stamp is os.fstat of the open file, taken before its bytes are read;
-when it matches the kept one the file is not read. A file is kept only
-once it has decoded and its mtime and ctime are at least RACY_NS (2 s)
-older than the clock read before the fstat: a change within the same
-timestamp tick would keep the stamp, so such a file is read on every scan
-until it is older (git's "racy git" rule). A file that fails is never
-kept, so each scan logs it again. Nothing is written to disk, and only
-an entry whose file a scan finds changed is dropped (that of a deleted
-file stays until the process ends). A process that scans once, such as
-one CLI call, reads every file as before and pays the fstat and the
-lookup on each: about 4 µs a file more (63 against 59 µs for a stored
-256² file on a 2-core VM), where a cached file costs about 3 µs.
+file's (st_dev, st_ino) to its stamp (st_size, st_mtime_ns, st_ctime_ns)
+and the outcome of its last read: its embedded locator and read-only
+descriptor, about 2.7 KB a file, or the class and args of the domain
+error its bytes raised. It holds no patient record: find-patient reads
+every file on every call. A scan first takes os.stat of the path; when
+the stamp matches the kept one the file is not opened, and a kept error
+is raised again as a fresh exception, so each scan logs it again.
+Otherwise the file is opened and read, with the stamp taken by os.fstat
+of the open file before its bytes are read. An outcome is kept only once
+the file's mtime and ctime are at least RACY_NS (2 s) older than the
+clock read before the open: a change within the same timestamp tick
+would keep the stamp, so such a file is read on every scan until it is
+older (git's "racy git" rule). IoFailure is never kept: it depends on
+more than the bytes. Nothing is written to disk, and only an entry whose
+file a scan finds changed is dropped (that of a deleted file stays until
+the process ends). A process that scans once, such as one CLI call,
+reads every file as before and pays the stat and the lookup on each.
+
+Parse memo: a strict _parse_tsv that succeeds keeps its rows in _PARSED,
+keyed by its parser (IndexEntry for the index, or the --labels rule) and
+holding the exact bytes it parsed, one result per parser. A parse of the
+same bytes by the same parser returns those rows without decoding a line;
+callers copy or filter them and never change them. A failed parse is
+never kept, so a bad line raises on every load, and the unterminated-tail
+warning of _rows is logged before the lookup, on every load.
 
 Index is that file's rows as a plain dict, image_id -> IndexEntry in row
 order, with two methods: Index.load reads the file (a missing file is an
@@ -206,6 +216,12 @@ def _skipped_line(line: str) -> bool:
     return not stripped or stripped.startswith("#")
 
 
+# (make, widths) -> (bytes, rows) of the last strict _parse_tsv by that
+# parser that succeeded. Callers pass IndexEntry or a module-level
+# function, so it holds one entry per parser.
+_PARSED: dict[tuple, tuple[bytes, dict]] = {}
+
+
 def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None) -> dict:
     """{first field: make(*fields)} for every data line of tab-separated
     UTF-8 bytes.
@@ -217,7 +233,15 @@ def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None
     line number, or, if bad is given, is skipped after bad(message). A
     skipped repeat drops the earlier row as well, so an id on more than
     one row keeps none.
+
+    The result is shared through _PARSED and must not be changed: a
+    strict parse that succeeds keeps it, and any parse of the same bytes
+    by the same make and widths returns it. A lenient parse keeps nothing,
+    but may return a strict one's rows, which hold no bad line.
     """
+    kept = _PARSED.get((make, widths))
+    if kept is not None and kept[0] == data:
+        return kept[1]
     rows, first = {}, {}
     # Only the writer's "\n" (or "\r\n") ends a line: str.splitlines would
     # also split inside fields at characters such as U+0085 or "\f".
@@ -240,6 +264,8 @@ def _parse_tsv(data: bytes, source: str, widths: tuple[int, ...], make, bad=None
             if bad is None:
                 raise IoFailure(message) from exc
             bad(message)
+    if bad is None:
+        _PARSED[make, widths] = data, rows
     return rows
 
 
@@ -425,75 +451,116 @@ def _read_payload(locator: str | os.PathLike, fh=None) -> Payload:
 # timestamp tick of 1-2 s on some file systems, plus the coarse clock's lag.
 RACY_NS = 2_000_000_000
 
-# (st_dev, st_ino) -> ((st_size, st_mtime_ns, st_ctime_ns), embedded
-# locator, descriptor) of each stored file _read_descriptor has decoded.
-# No lock: each entry pairs a stamp with the bytes read under it, so
-# threads that race can only drop an entry or keep one a later scan finds
-# stale.
-_DESCRIPTORS: dict[tuple[int, int], tuple[tuple[int, int, int], str, np.ndarray]] = {}
+# (st_dev, st_ino) -> ((st_size, st_mtime_ns, st_ctime_ns), value, error)
+# of each stored file _read_descriptor has read: value is (embedded
+# locator, descriptor) of one that decoded, error (exception class, args)
+# of one whose bytes raised a domain error other than IoFailure, and the
+# other one is None. No lock: each entry pairs a stamp with the bytes read
+# under it, so threads that race can only drop an entry or keep one a
+# later scan finds stale.
+_DESCRIPTORS: dict[tuple[int, int], tuple] = {}
 
 
-def _read_descriptor(locator: str | os.PathLike) -> tuple[str, np.ndarray]:
-    """(embedded locator, descriptor) of a stored file, raising what
-    _read_payload raises: from _DESCRIPTORS when the open file's stamp
-    matches, else read as _read_payload reads it.
+def _read_descriptor(locator: str | os.PathLike) -> tuple[bool, tuple[str, np.ndarray]]:
+    """(cached, (embedded locator, descriptor)) of a stored file, raising
+    what _read_payload raises: from _DESCRIPTORS, with cached True, when
+    the stamp os.stat gives matches the kept one, else read as
+    _read_payload reads it.
 
-    The stamp is os.fstat of the open file, taken before its bytes are
-    read, so stamp and bytes come from one file even if the path is
-    replaced meanwhile. A file whose mtime or ctime is less than RACY_NS
-    older than the clock (read before the fstat) is read but not kept: a
-    change in the same timestamp tick could leave its stamp as it is.
-    Only a file that decodes is kept, so a bad one is read, and logged,
-    on every scan.
+    On a miss the stamp is taken again, by os.fstat of the open file before
+    its bytes are read, so the stamp kept and the bytes come from one file
+    even if the path is replaced meanwhile. A file whose mtime or ctime is
+    less than RACY_NS older than the clock (read before the open) is read
+    but not kept: a change in the same timestamp tick could leave its stamp
+    as it is. A domain error is kept like a descriptor and raised again,
+    anew, on a hit, since it depends only on the bytes and names no path;
+    an IoFailure is never kept.
     """
-    racy = time_ns() - RACY_NS
     path = os.fspath(locator)
-    # No _io_failure here: its generator costs about 2 µs a file.
+    # No _io_failure or suppress here: a context manager costs about 1-2 µs
+    # a file. A path stat cannot take is opened below, which raises the
+    # error load_pgm gives.
+    try:
+        st = os.stat(path)
+    except OSError:
+        pass
+    else:
+        kept = _DESCRIPTORS.get((st.st_dev, st.st_ino))
+        if kept is not None and kept[0] == (st.st_size, st.st_mtime_ns, st.st_ctime_ns):
+            _, value, error = kept
+            if error is not None:
+                raise error[0](*error[1])
+            return True, value
+    racy = time_ns() - RACY_NS
     try:
         fd = os.open(path, os.O_RDONLY)
         st = os.fstat(fd)
         key, stamp = (st.st_dev, st.st_ino), (st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        cached = _DESCRIPTORS.get(key)
-        if cached is not None and cached[0] == stamp:
-            os.close(fd)
-            return cached[1], cached[2]
         _DESCRIPTORS.pop(key, None)
         # open() takes fd over and closes it, also when it refuses a
         # directory with the error load_pgm gives, naming path.
         fh = open(path, "rb", buffering=0, opener=lambda *_: fd)
     except OSError as exc:
         raise IoFailure(f"cannot read {path!r}: {exc}") from exc
+    keep = max(st.st_mtime_ns, st.st_ctime_ns) <= racy
     with fh:
-        payload = _read_payload(path, fh)
-    if max(st.st_mtime_ns, st.st_ctime_ns) <= racy:
-        _DESCRIPTORS[key] = stamp, payload.locator, payload.descriptor
-    return payload.locator, payload.descriptor
+        try:
+            payload = _read_payload(path, fh)
+        except IoFailure:
+            raise
+        except LbpmarkdexError as exc:
+            if keep:
+                _DESCRIPTORS[key] = stamp, None, (type(exc), exc.args)
+            raise
+    value = payload.locator, payload.descriptor
+    if keep:
+        _DESCRIPTORS[key] = stamp, value, None
+    return False, value
 
 
-def _scan(items, read, skipped: list[str] | None = None):
-    """Yield (name, locator, read(locator)) for each (name, locator) item
-    that read takes: _read_payload, or _read_descriptor, its cached form.
+def _scan(items, skipped: list[str] | None = None, payloads: bool = False):
+    """Yield (name, locator, (embedded locator, descriptor)) for each
+    (name, locator) item that _read_descriptor takes; with payloads, the
+    find-patient scan, (name, locator, payload) for each that _read_payload
+    takes, every file read.
 
     Every other item (missing, damaged, not watermarked, or carrying a
     descriptor that sums to zero) is logged once as skipped and its
-    locator appended to skipped, if given.
+    locator appended to skipped, if given. Once the items run out, a scan
+    through the cache logs one INFO line (-v): "scanned N: C cached, R
+    read, S skipped (Class n, ...)", the skips by error class. The
+    payloads scan logs none, as it reads every file.
     """
+    found = hits = 0
+    errors: dict[str, int] = {}
     for name, locator in items:
         try:
-            value = read(locator)
+            if payloads:
+                value = _read_payload(locator)
+            else:
+                hit, value = _read_descriptor(locator)
+                hits += hit
         except LbpmarkdexError as exc:
-            logger.warning(
-                "skipping %s (%s): %s: %s", name, locator, type(exc).__name__, exc
-            )
+            kind = type(exc).__name__
+            logger.warning("skipping %s (%s): %s: %s", name, locator, kind, exc)
+            errors[kind] = errors.get(kind, 0) + 1
             if skipped is not None:
                 skipped.append(locator)
             continue
+        found += 1
         yield name, locator, value
+    if not payloads and logger.isEnabledFor(logging.INFO):
+        failed = sum(errors.values())
+        detail = ", ".join(f"{kind} {n}" for kind, n in sorted(errors.items()))
+        logger.info(
+            "scanned %d: %d cached, %d read, %d skipped%s",
+            found + failed, hits, found - hits, failed, f" ({detail})" if detail else "",
+        )
 
 
 def stored_descriptors(entries) -> dict[str, np.ndarray]:
     """image_id -> stored descriptor of each entry; the scan logs and drops the rest."""
-    scan = _scan(((e.image_id, e.locator) for e in entries), _read_descriptor)
+    scan = _scan((e.image_id, e.locator) for e in entries)
     return {image_id: descriptor for image_id, _, (_, descriptor) in scan}
 
 
@@ -526,7 +593,7 @@ def query_by_patient_id(pid: str, index_path: str | os.PathLike) -> list[tuple[I
     in ascending image_id order. Broken entries are skipped and logged."""
     index = Index.load(index_path)
     # A full read of every file: _DESCRIPTORS holds no patient record.
-    scan = _scan(((e.image_id, e.locator) for e in index.values()), _read_payload)
+    scan = _scan(((e.image_id, e.locator) for e in index.values()), payloads=True)
     hits = [
         (index[image_id], payload.record)
         for image_id, _, payload in scan
@@ -571,7 +638,7 @@ def relink(store_dir: str | os.PathLike, index_path: str | os.PathLike) -> tuple
         with _io_failure(f"cannot scan store {store!r}"):
             names = sorted(os.listdir(store))
         files = ((n, os.path.join(store, n)) for n in names if n.endswith(".pgm"))
-        for _, path, (locator, _) in _scan(files, _read_descriptor, report.unreadable):
+        for _, path, (locator, _) in _scan(files, report.unreadable):
             image_id = os.path.splitext(os.path.basename(locator))[0]
             previous = old.get(image_id)
             try:

@@ -28,6 +28,8 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(autouse=True)
 def _empty_descriptor_cache():
-    """retrieval's descriptor cache lives as long as the process: each test
-    starts with it empty, so no test sees what an earlier one kept."""
+    """retrieval's descriptor cache and parse memo live as long as the
+    process: each test starts with both empty, so no test sees what an
+    earlier one kept."""
     retrieval._DESCRIPTORS.clear()
+    retrieval._PARSED.clear()

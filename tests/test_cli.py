@@ -26,9 +26,11 @@ from lbpmarkdex import (
     render_pr_csv,
     save_pgm,
 )
+from lbpmarkdex import retrieval
 from lbpmarkdex.cli import INDEX_ENV, build_parser, run
 
 from helpers import (
+    CacheClock,
     flip_stream_bit,
     gradient_image,
     parse_wire,
@@ -666,6 +668,31 @@ class TestLoggingPerCall:
         # The host program's root handler sees each warning; root is untouched.
         assert host_messages == [errs[0].rstrip("\n")] * 2
         assert (root.level, root.handlers) == root_before
+
+    def test_query_v_counts_a_warm_scan(self, cli_store, tmp_path, monkeypatch, capsys):
+        """At -v a query's scan logs one line counting its entries: served
+        from the descriptor cache, read, and skipped by error class. A
+        damaged file is skipped, and warned about, on every scan. The
+        default level prints the warning alone."""
+        store = tmp_path / "store"
+        shutil.copytree(cli_store["store"], store)
+        index_path = tmp_path / "index.tsv"
+        Index({i: IndexEntry(i, str(store / f"{i}.pgm")) for i in Index.load(cli_store["index"])}).save(index_path)
+        damaged = store / "sb1.pgm"
+        os.truncate(damaged, 5000)
+        clock = CacheClock()
+        clock.offset = retrieval.RACY_NS
+        monkeypatch.setattr(retrieval, "time_ns", clock)
+        query = ["query", "--image", str(cli_store["inputs"] / "ga0.pgm"), "--k", "4", "--index", str(index_path)]
+        warning = f"skipping sb1 ({damaged}): TruncatedData: "
+        errs = []
+        for verbose in (["-v"], ["-v"], []):
+            assert run([*verbose, *query]) == 0
+            errs.append(capsys.readouterr().err.splitlines())
+        assert [len(err) for err in errs] == [2, 2, 1]
+        assert all(err[0].startswith(warning) for err in errs)
+        assert errs[0][1] == "scanned 4: 0 cached, 3 read, 1 skipped (TruncatedData 1)"
+        assert errs[1][1] == "scanned 4: 3 cached, 0 read, 1 skipped (TruncatedData 1)"
 
     def test_package_logger_level_is_restored(self, cli_store, capsys):
         log = logging.getLogger("lbpmarkdex")

@@ -13,8 +13,8 @@ row rule, an index whose last row is cut at any byte can still be
 relinked and added to, a repeated id is a bad line naming its first
 line, cli.run, fuzzed over every verb on strict output streams,
 exits 0, 1 or 2 with at most one error line, and the descriptor cache
-gives the scans and warnings of an empty one through any sequence of
-writes to the store.
+and the parse memo give the loads, scans and warnings of empty ones
+through any sequence of writes to the store and its index.
 
 Runs are derandomized so every run of the suite checks the same examples,
 unless HYPOTHESIS_PROFILE names a profile: ``deep`` (conftest.py) runs
@@ -1178,10 +1178,12 @@ class _Messages(logging.Handler):
 # (what, which file, a number for its detail, whether the clock then moves
 # RACY_NS on): write a new file, flip one bit of a file in place (and
 # maybe put its mtime back), cut it short, os.replace it with a stored
-# file, or set its mtime to when it was written or 2 s before.
+# file, set its mtime to when it was written or 2 s before, or overwrite
+# its magic (and maybe put its mtime back); or, on the index, append a row
+# naming a file, rewrite one byte in place, or cut its tail short.
 _CACHE_STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["add", "flip", "truncate", "replace", "utime"]),
+        st.sampled_from(["add", "flip", "truncate", "replace", "utime", "damage", "row", "poke", "tear"]),
         st.integers(0, 7),
         st.integers(0, 2**32),
         st.booleans(),
@@ -1194,13 +1196,15 @@ _CACHE_STEPS = st.lists(
 @settings(PROPERTY, **({} if os.environ.get("HYPOTHESIS_PROFILE") else {"max_examples": 40}))
 @given(steps=_CACHE_STEPS)
 def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
-    """After each step, stored_descriptors of the files (and of a missing
-    one) and relink of the store, with their warnings, equal what the same
-    calls give with an empty cache. The clock runs RACY_NS ahead, and more
-    after some steps, so files are kept from their first scan; the file
-    system cannot give a change the ctime of an earlier one (ctime_past
-    waits for its clock to tick), which is what the 2 s rule ensures
-    outside a test."""
+    """After each step, Index.load of an index the steps write,
+    stored_descriptors of the files (and of a missing one) and relink of
+    the store onto a copy of that index, with their warnings, equal what
+    the same calls give with the descriptor cache and the parse memo both
+    empty. The clock runs RACY_NS ahead, and more after some steps, so
+    files are kept from their first scan, a failed decode included; the
+    file system cannot give a change the ctime of an earlier one
+    (ctime_past waits for its clock to tick), which is what the 2 s rule
+    ensures outside a test."""
     log = logging.getLogger("lbpmarkdex.retrieval")
     handler = _Messages()
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
@@ -1208,8 +1212,11 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
         clock.offset = retrieval.RACY_NS
         patch.setattr(retrieval, "time_ns", clock)
         patch.setattr(retrieval, "_DESCRIPTORS", {})
-        store, index_path = os.path.join(root, "s"), os.path.join(root, "i.tsv")
+        patch.setattr(retrieval, "_PARSED", {})
+        store, index_path, relinked = (os.path.join(root, name) for name in ("s", "q.tsv", "i.tsv"))
         os.mkdir(store)
+        with open(index_path, "wb"):
+            pass
         files: list[str] = []
         written: dict[str, int] = {}  # path -> its mtime when last written whole
         last_ctime = 0
@@ -1222,20 +1229,37 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
 
         def outcome():
             del handler.messages[:]
+            try:
+                index = dict(Index.load(index_path))
+            except IoFailure as exc:
+                index = str(exc)
             entries = [IndexEntry(f"e{k}", path) for k, path in enumerate(files)]
             found = retrieval.stored_descriptors([*entries, IndexEntry("gone", os.path.join(root, "gone.pgm"))])
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(index_path)
-            rebuilt, report = relink(store, index_path)
-            return {k: v.tolist() for k, v in found.items()}, dict(rebuilt), report, list(handler.messages)
+            shutil.copyfile(index_path, relinked)
+            rebuilt, report = relink(store, relinked)
+            return index, {k: v.tolist() for k, v in found.items()}, dict(rebuilt), report, list(handler.messages)
 
         log.addHandler(handler)
         try:
-            for what, which, number, advance in [("add", 0, 0, False), *steps]:
+            for what, which, number, advance in [("add", 0, 0, False), ("row", 0, 1, False), *steps]:
                 if what == "add":
                     path = os.path.join(store, f"f{len(files)}.pgm")
                     files.append(path)
                     write(path, cache_sources[number % 3])
+                elif what in ("row", "poke", "tear"):
+                    path, size = index_path, os.stat(index_path).st_size
+                    if what == "row":
+                        # An id of a stored file, so relink keeps its label.
+                        label = "ab"[number % 2] if number % 3 else ""
+                        row = f"s{number % 3}\t{files[which % len(files)]}\t{label}\n"
+                        with open(path, "ab") as fh:
+                            fh.write(row.encode("utf-8"))
+                    elif what == "poke" and size:
+                        with open(path, "r+b") as fh:
+                            fh.seek(number // 8 % size)
+                            fh.write(b"\t\nx#\xff s0"[number % 8 : number % 8 + 1])
+                    elif what == "tear" and size:
+                        os.truncate(path, size - 1 - number % min(size, 8))
                 else:
                     path = files[which % len(files)]
                     size = os.stat(path).st_size
@@ -1256,11 +1280,18 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
                         write(path, cache_sources[number % 3])
                     elif what == "utime":
                         os.utime(path, ns=(0, written[path] - number % 2 * retrieval.RACY_NS))
+                    elif what == "damage" and size:
+                        before = os.stat(path)
+                        with open(path, "r+b") as fh:
+                            fh.write(b"P2"[: min(size, 2)])
+                        if number % 2:
+                            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
                 last_ctime = ctime_past(path, last_ctime)
                 clock.offset += retrieval.RACY_NS * advance
                 cached = outcome()
                 with patch.context() as empty:
                     empty.setattr(retrieval, "_DESCRIPTORS", {})
+                    empty.setattr(retrieval, "_PARSED", {})
                     assert outcome() == cached, (what, path)
         finally:
             log.removeHandler(handler)

@@ -2,6 +2,7 @@
 
 import errno
 import fcntl
+import io
 import logging
 import os
 import re
@@ -991,10 +992,10 @@ def clock(monkeypatch):
 
 
 class TestDescriptorCache:
-    """stored_descriptors and relink keep each decoded file's descriptor
-    under its (st_dev, st_ino), with its (size, mtime, ctime) stamp; a file
-    is read again when its stamp changes, and only kept once the stamp is
-    RACY_NS older than the clock."""
+    """stored_descriptors and relink keep each decoded file's descriptor,
+    or the decode error of one that fails, under its (st_dev, st_ino), with
+    its (size, mtime, ctime) stamp; a file is read again when its stamp
+    changes, and only kept once the stamp is RACY_NS older than the clock."""
 
     @pytest.fixture
     def copy(self, store, tmp_path):
@@ -1028,6 +1029,7 @@ class TestDescriptorCache:
         cache, whose reads are not counted."""
         with monkeypatch.context() as m:
             m.setattr(retrieval, "_DESCRIPTORS", {})
+            m.setattr(retrieval, "_PARSED", {})
             m.setattr(retrieval, "load_pgm", image_io.load_pgm)
             uncached = TestDescriptorCache._scan(index_path, caplog)
         cached, uncached = [({i: d.tolist() for i, d in found.items()}, warnings) for found, warnings in (scan, uncached)]
@@ -1067,7 +1069,7 @@ class TestDescriptorCache:
             assert self._same_as_uncached(scan, index_path, caplog, monkeypatch)
             assert list(found) == [i for i in before if i != "img002"]
             assert len(warnings) == 1 and warnings[0].startswith(f"skipping img002 ({path}): ChecksumMismatch: ")
-        assert reads == [str(path)] * 2
+        assert reads == [str(path)]
 
     def test_a_file_replaced_by_os_replace_is_read_again(self, copy, clock, reads, caplog):
         index_path, files = copy
@@ -1101,6 +1103,21 @@ class TestDescriptorCache:
         assert reads == []
         assert len(retrieval._DESCRIPTORS) == 6
 
+    def test_a_failure_inside_the_racy_window_is_read_on_every_scan(self, copy, clock, reads, caplog):
+        """The 2 s rule holds for a kept failure as for a kept descriptor."""
+        index_path, files = copy
+        path = files / "img005.pgm"
+        os.truncate(path, 5000)
+        window = max(os.stat(path).st_mtime_ns, os.stat(path).st_ctime_ns) + retrieval.RACY_NS - 1
+        read = []
+        for clock.at in (window, window, window + 1, window + 1):
+            del reads[:]
+            _, warnings = self._scan(index_path, caplog)
+            assert len(warnings) == 1 and warnings[0].startswith(f"skipping img005 ({path}): TruncatedData: ")
+            read.append(str(path) in reads)
+        assert read == [True, True, True, False]
+        assert len(retrieval._DESCRIPTORS) == 6
+
     def test_a_truncated_file_warns_on_every_scan(self, copy, clock, reads, caplog, monkeypatch):
         index_path, files = copy
         clock.offset = retrieval.RACY_NS
@@ -1114,7 +1131,7 @@ class TestDescriptorCache:
             assert self._same_as_uncached(scan, index_path, caplog, monkeypatch)
             assert warnings == [f"skipping img005 ({path}): TruncatedData: expected 25600 pixel bytes, found 24600"]
             assert "img005" not in found and len(found) == 5
-        assert reads == [str(path)] * 3
+        assert reads == [str(path)]
 
     def test_an_unreadable_path_is_skipped_with_the_error_read_stored_raises(self, tmp_path, clock, caplog):
         """A missing file and a directory: the warning names the error
@@ -1133,6 +1150,56 @@ class TestDescriptorCache:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert retrieval._DESCRIPTORS == {}
 
+    @pytest.mark.parametrize("step", ["open", "read"])
+    def test_an_os_error_on_a_read_is_not_kept(self, copy, clock, reads, caplog, monkeypatch, step):
+        """An OSError while a file is opened or read skips it as IoFailure
+        and keeps nothing: the next scan reads the file and finds it."""
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        path = str(files / "img003.pgm")
+        failures = [OSError(errno.EIO, "injected")]
+        if step == "open":
+            real_open = os.open
+
+            def failing_open(name, *args, **kwargs):
+                if name == path and failures:
+                    raise failures.pop()
+                return real_open(name, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", failing_open)
+        else:
+
+            class FailingRead(io.FileIO):
+                def read(self, *args):
+                    if self.name == path and failures:
+                        raise failures.pop()
+                    return super().read(*args)
+
+            # retrieval's open(path, "rb", ...) calls, unbuffered.
+            monkeypatch.setattr(retrieval, "open", lambda name, mode, buffering=0, opener=None: FailingRead(name, mode, opener=opener), raising=False)
+        found, warnings = self._scan(index_path, caplog)
+        assert warnings == [f"skipping img003 ({path}): IoFailure: cannot read {path!r}: [Errno 5] injected"]
+        assert "img003" not in found and len(retrieval._DESCRIPTORS) == 5
+        del reads[:]
+        found, warnings = self._scan(index_path, caplog)
+        assert warnings == [] and reads == [path] and len(found) == 6
+
+    @pytest.mark.parametrize("change", ["deleted", "directory"])
+    def test_a_cached_file_deleted_or_made_a_directory_gives_the_error_read_stored_raises(self, copy, clock, caplog, change):
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        self._scan(index_path, caplog)
+        path = files / "img004.pgm"
+        path.unlink()
+        if change == "directory":
+            path.mkdir()
+        with pytest.raises(IoFailure) as exc:
+            read_stored(path)
+        for _ in range(2):
+            found, warnings = self._scan(index_path, caplog)
+            assert warnings == [f"skipping img004 ({path}): IoFailure: {exc.value}"]
+            assert "img004" not in found and len(found) == 5
+
     def test_find_patient_reads_every_file_and_keeps_nothing(self, copy, clock, reads):
         index_path, _ = copy
         clock.offset = retrieval.RACY_NS
@@ -1144,7 +1211,7 @@ class TestDescriptorCache:
     def test_relink_then_evaluate_gives_the_rows_of_an_uncached_run(self, copy, clock, reads, tmp_path, capsys):
         """Cached or not, the cycle prints the same report, CSV and skip
         warnings; cached, evaluate reads no file that relink has read, and
-        the next relink reads only the damaged file."""
+        the next cycle reads none, the damaged file included."""
         index_path, files = copy
         truncated = files / "img001.pgm"
         os.truncate(truncated, 5000)
@@ -1166,7 +1233,7 @@ class TestDescriptorCache:
         assert cycle() == uncached
         assert reads == sorted(str(p) for p in files.iterdir())
         assert cycle() == uncached
-        assert reads == [str(truncated)]
+        assert reads == []
 
 
 class TestQueryByPatientId:
@@ -1209,6 +1276,65 @@ class TestQueryByPatientId:
             "badtext" in rec.getMessage() and "MalformedStream" in rec.getMessage()
             for rec in caplog.records
         )
+
+
+class TestParseMemo:
+    """A strict parse that succeeds is kept with the bytes it parsed, one
+    per parser: the same bytes are not parsed again, wherever they are
+    read from, and a parse that fails is never kept."""
+
+    def test_equal_bytes_give_the_kept_rows_and_a_changed_byte_is_parsed_again(self, store, tmp_path):
+        first = Index.load(store["index"])
+        copy = tmp_path / "copy.tsv"
+        data = Path(store["index"]).read_bytes()
+        copy.write_bytes(data)
+        second = Index.load(copy)
+        assert second == first and second is not first
+        assert all(a is b for a, b in zip(first.values(), second.values()))
+        changed = data.replace(b"img000\t", b"img00x\t", 1)
+        assert len(changed) == len(data) and changed != data
+        copy.write_bytes(changed)
+        third = Index.load(copy)
+        assert list(third) == ["img00x", *list(first)[1:]]
+        assert third["img001"] == first["img001"] and third["img001"] is not first["img001"]
+
+    def test_a_bad_row_raises_on_every_load(self, tmp_path):
+        index_path = tmp_path / "i.tsv"
+        index_path.write_bytes(b"a\ts/a.pgm\t\n")
+        assert list(Index.load(index_path)) == ["a"]
+        kept = dict(retrieval._PARSED)
+        with open(index_path, "ab") as fh:
+            fh.write(b"b\n")
+        for _ in range(2):
+            with pytest.raises(IoFailure, match="line 2: has 1 fields"):
+                Index.load(index_path)
+        assert retrieval._PARSED == kept
+
+    def test_a_torn_tail_warns_on_every_load(self, tmp_path, caplog):
+        index_path = tmp_path / "i.tsv"
+        index_path.write_bytes(b"a\ts/a.pgm\t\nbb")
+        with caplog.at_level(logging.WARNING, logger="lbpmarkdex.retrieval"):
+            loads = [Index.load(index_path) for _ in range(3)]
+        assert [list(index) for index in loads] == [["a"]] * 3
+        assert loads[2]["a"] is loads[0]["a"]
+        warning = f"skipping index {str(index_path)!r} line 2, an unterminated last line"
+        assert [r.getMessage() for r in caplog.records] == [warning] * 3
+
+    def test_one_result_is_kept_per_parser_and_relink_keeps_none(self, store, tmp_path):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("img000\ta\nimg001\t\n", encoding="utf-8")
+        assert cli._load_labels(str(labels)) == cli._load_labels(str(labels)) == {"img000": "a"}
+        other = tmp_path / "other.tsv"
+        other.write_bytes(b"x\ts/x.pgm\t\n")
+        Index.load(store["index"])
+        assert list(Index.load(other)) == ["x"]
+        assert len(retrieval._PARSED) == 2
+        assert retrieval._PARSED[IndexEntry, (2, 3)][0] == other.read_bytes()
+        retrieval._PARSED.clear()
+        index_path = tmp_path / "i.tsv"
+        shutil.copy(store["index"], index_path)
+        relink(store["dir"], index_path)
+        assert retrieval._PARSED == {}
 
 
 class TestTornIndexTail:
