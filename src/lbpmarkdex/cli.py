@@ -308,9 +308,10 @@ def _label(image_id: str, label: str) -> str:
 def _load_labels(path: str) -> dict[str, str]:
     """image_id -> class from a --labels file, parsed whole: nothing
     appends to it, so an unterminated last line is read like any other.
-    A bad line or a repeated id raises IoFailure naming the file and line;
-    an empty class, as in the index, leaves the image unlabeled."""
-    with open(path, "rb") as fh:
+    A file that cannot be read, a bad line or a repeated id raises
+    IoFailure naming the file (and the line); an empty class, as in the
+    index, leaves the image unlabeled."""
+    with _io_failure(f"cannot read labels {path!r}"), open(path, "rb") as fh:
         labels = _parse_tsv(fh.read(), f"labels {path!r}", (2,), _label)
     return {i: c for i, c in labels.items() if c}
 

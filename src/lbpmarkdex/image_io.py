@@ -145,17 +145,13 @@ def write_pgm(img: GrayImage) -> bytes:
     return _pgm_header(img) + img.tobytes()
 
 
-def load_pgm(path: str | os.PathLike, fh=None) -> GrayImage:
+def load_pgm(path: str | os.PathLike) -> GrayImage:
     """Read a PGM file from disk; a file that cannot be read (missing, a
-    directory, not permitted) raises IoFailure naming the path. fh, if
-    given, is path already opened by open(path, "rb", buffering=0): the
-    rest of it is read and it is left open."""
+    directory, not permitted) raises IoFailure naming the path."""
     # One unbuffered read of the whole file gives the bytes read_pgm keeps.
     # read_pgm raises no OSError; parsing before the close, not after it,
     # kept the ingest benchmark's peak RSS 2 MB lower (1024² images).
     try:
-        if fh is not None:
-            return read_pgm(fh.read())
         with open(path, "rb", buffering=0) as fh:
             return read_pgm(fh.read())
     except OSError as exc:

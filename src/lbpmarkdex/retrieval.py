@@ -13,19 +13,21 @@ file's (st_dev, st_ino) to its stamp (st_size, st_mtime_ns, st_ctime_ns)
 and the outcome of its last read: its embedded locator and read-only
 descriptor, about 2.7 KB a file, or the class and args of the domain
 error its bytes raised. It holds no patient record: find-patient reads
-every file on every call. A scan first takes os.stat of the path; when
+every file on every call. A scan takes one os.stat of the path; when
 the stamp matches the kept one the file is not opened, and a kept error
 is raised again as a fresh exception, so each scan logs it again.
-Otherwise the file is opened and read, with the stamp taken by os.fstat
-of the open file before its bytes are read. An outcome is kept only once
-the file's mtime and ctime are at least RACY_NS (2 s) older than the
-clock read before the open: a change within the same timestamp tick
-would keep the stamp, so such a file is read on every scan until it is
-older (git's "racy git" rule). IoFailure is never kept: it depends on
-more than the bytes. Nothing is written to disk, and only an entry whose
-file a scan finds changed is dropped (that of a deleted file stays until
-the process ends). A process that scans once, such as one CLI call,
-reads every file as before and pays the stat and the lookup on each.
+Otherwise the file is read by its path, and its outcome is kept under
+the key and stamp of that one stat: a file the path no longer names, or
+one written since, has had its ctime set, so no later stat matches the
+entry. An outcome is kept only once the file's mtime and ctime are at
+least RACY_NS (2 s) older than the clock read before the read: a change
+within the same timestamp tick would keep the stamp, so such a file is
+read on every scan until it is older (git's "racy git" rule). IoFailure
+is never kept: it depends on more than the bytes. Nothing is written to
+disk, and only an entry whose file a scan finds changed is dropped (that
+of a deleted file stays until the process ends). A process that scans
+once, such as one CLI call, reads every file as before and pays the stat
+and the lookup on each.
 
 Parse memo: a strict _parse_tsv that succeeds keeps its rows in _PARSED,
 keyed by its parser (IndexEntry for the index, or the --labels rule) and
@@ -424,10 +426,10 @@ def index_add(
     return entry
 
 
-def read_stored(locator: str | os.PathLike, fh=None) -> Payload:
-    """The payload a watermarked file carries; its original is not rebuilt.
-    fh, if given, is locator already open, as load_pgm takes it."""
-    return decode_payload(extract_data(load_pgm(locator, fh)))
+def read_stored(locator: str | os.PathLike) -> Payload:
+    """The payload a watermarked file carries, read by its path; its
+    original is not rebuilt."""
+    return decode_payload(extract_data(load_pgm(locator)))
 
 
 def restore_stored(locator: str | os.PathLike) -> GrayImage:
@@ -438,10 +440,10 @@ def restore_stored(locator: str | os.PathLike) -> GrayImage:
     return original
 
 
-def _read_payload(locator: str | os.PathLike, fh=None) -> Payload:
+def _read_payload(locator: str | os.PathLike) -> Payload:
     """read_stored, refusing a descriptor that sums to zero, which
     index_add never writes: what a scan takes from a stored file."""
-    payload = read_stored(locator, fh)
+    payload = read_stored(locator)
     if not payload.descriptor.any():
         raise EmptyDescriptor("stored descriptor has zero total count")
     return payload
@@ -455,9 +457,9 @@ RACY_NS = 2_000_000_000
 # of each stored file _read_descriptor has read: value is (embedded
 # locator, descriptor) of one that decoded, error (exception class, args)
 # of one whose bytes raised a domain error other than IoFailure, and the
-# other one is None. No lock: each entry pairs a stamp with the bytes read
-# under it, so threads that race can only drop an entry or keep one a
-# later scan finds stale.
+# other one is None. No lock: each entry pairs the stamp of one stat with
+# the bytes read after it, so threads that race can only drop an entry or
+# keep one a later scan finds stale.
 _DESCRIPTORS: dict[tuple[int, int], tuple] = {}
 
 
@@ -465,53 +467,48 @@ def _read_descriptor(locator: str | os.PathLike) -> tuple[bool, tuple[str, np.nd
     """(cached, (embedded locator, descriptor)) of a stored file, raising
     what _read_payload raises: from _DESCRIPTORS, with cached True, when
     the stamp os.stat gives matches the kept one, else read as
-    _read_payload reads it.
+    _read_payload reads it, by path.
 
-    On a miss the stamp is taken again, by os.fstat of the open file before
-    its bytes are read, so the stamp kept and the bytes come from one file
-    even if the path is replaced meanwhile. A file whose mtime or ctime is
-    less than RACY_NS older than the clock (read before the open) is read
-    but not kept: a change in the same timestamp tick could leave its stamp
-    as it is. A domain error is kept like a descriptor and raised again,
-    anew, on a hit, since it depends only on the bytes and names no path;
-    an IoFailure is never kept.
+    One os.stat per call, hit or miss: on a miss the outcome of the read is
+    kept under that stat's key and stamp. This holds even if the path is
+    changed between the stat and the read. If the path names another file
+    by then, the outcome is kept under the old file's (st_dev, st_ino); the
+    old file lost a link, which sets its st_ctime (POSIX, for unlink and
+    rename-over alike), so no later stat matches the entry. A write to the
+    file sets its st_ctime too. The clock is read after the stat and before
+    the read, and a file whose mtime or ctime is less than RACY_NS older
+    than it is read but not kept: a change in the same timestamp tick could
+    leave its stamp as it is. A domain error is kept like a descriptor and
+    raised again, anew, on a hit, since it depends only on the bytes and
+    names no path; an IoFailure is never kept, nor is anything when the
+    stat fails.
     """
     path = os.fspath(locator)
     # No _io_failure or suppress here: a context manager costs about 1-2 µs
-    # a file. A path stat cannot take is opened below, which raises the
-    # error load_pgm gives.
+    # a file. A path stat cannot take is read all the same, which raises
+    # the error load_pgm gives.
     try:
         st = os.stat(path)
     except OSError:
-        pass
-    else:
-        kept = _DESCRIPTORS.get((st.st_dev, st.st_ino))
-        if kept is not None and kept[0] == (st.st_size, st.st_mtime_ns, st.st_ctime_ns):
-            _, value, error = kept
-            if error is not None:
-                raise error[0](*error[1])
-            return True, value
-    racy = time_ns() - RACY_NS
+        payload = _read_payload(path)
+        return False, (payload.locator, payload.descriptor)
+    key, stamp = (st.st_dev, st.st_ino), (st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    kept = _DESCRIPTORS.get(key)
+    if kept is not None and kept[0] == stamp:
+        _, value, error = kept
+        if error is not None:
+            raise error[0](*error[1])
+        return True, value
+    _DESCRIPTORS.pop(key, None)
+    keep = max(st.st_mtime_ns, st.st_ctime_ns) <= time_ns() - RACY_NS
     try:
-        fd = os.open(path, os.O_RDONLY)
-        st = os.fstat(fd)
-        key, stamp = (st.st_dev, st.st_ino), (st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        _DESCRIPTORS.pop(key, None)
-        # open() takes fd over and closes it, also when it refuses a
-        # directory with the error load_pgm gives, naming path.
-        fh = open(path, "rb", buffering=0, opener=lambda *_: fd)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
-    keep = max(st.st_mtime_ns, st.st_ctime_ns) <= racy
-    with fh:
-        try:
-            payload = _read_payload(path, fh)
-        except IoFailure:
-            raise
-        except LbpmarkdexError as exc:
-            if keep:
-                _DESCRIPTORS[key] = stamp, None, (type(exc), exc.args)
-            raise
+        payload = _read_payload(path)
+    except IoFailure:
+        raise
+    except LbpmarkdexError as exc:
+        if keep:
+            _DESCRIPTORS[key] = stamp, None, (type(exc), exc.args)
+        raise
     value = payload.locator, payload.descriptor
     if keep:
         _DESCRIPTORS[key] = stamp, value, None

@@ -418,7 +418,8 @@ class TestBadTsvFiles:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert re.fullmatch(rf"IoFailure: \[Errno \d+\] [^\n]+: {re.escape(repr(str(labels_path)))}\n", captured.err)
+        reason = "[Errno 21] Is a directory" if directory else "[Errno 2] No such file or directory"
+        assert captured.err == f"IoFailure: cannot read labels {str(labels_path)!r}: {reason}: {str(labels_path)!r}\n"
         assert os.listdir(tmp_path) == (["labels.tsv"] if directory else [])
 
 

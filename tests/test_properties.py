@@ -1178,12 +1178,15 @@ class _Messages(logging.Handler):
 # (what, which file, a number for its detail, whether the clock then moves
 # RACY_NS on): write a new file, flip one bit of a file in place (and
 # maybe put its mtime back), cut it short, os.replace it with a stored
-# file, set its mtime to when it was written or 2 s before, or overwrite
-# its magic (and maybe put its mtime back); or, on the index, append a row
-# naming a file, rewrite one byte in place, or cut its tail short.
+# file, set its mtime to when it was written or 2 s before, overwrite its
+# magic (and maybe put its mtime back), or os.replace it with a stored
+# file and change it again between the next scan's stat and its read (a
+# race: os.replace with another stored file, or one bit flipped in place
+# with the mtime put back); or, on the index, append a row naming a file,
+# rewrite one byte in place, or cut its tail short.
 _CACHE_STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["add", "flip", "truncate", "replace", "utime", "damage", "row", "poke", "tear"]),
+        st.sampled_from(["add", "flip", "truncate", "replace", "utime", "damage", "race", "row", "poke", "tear"]),
         st.integers(0, 7),
         st.integers(0, 2**32),
         st.booleans(),
@@ -1204,7 +1207,8 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
     files are kept from their first scan, a failed decode included; the
     file system cannot give a change the ctime of an earlier one
     (ctime_past waits for its clock to tick), which is what the 2 s rule
-    ensures outside a test."""
+    ensures outside a test. A race step's second change is made by
+    read_stored, after the stat of the first scan that reads the file."""
     log = logging.getLogger("lbpmarkdex.retrieval")
     handler = _Messages()
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
@@ -1219,6 +1223,7 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
             pass
         files: list[str] = []
         written: dict[str, int] = {}  # path -> its mtime when last written whole
+        racing: dict[str, int] = {}  # path -> number of its race step, until it is read
         last_ctime = 0
 
         def write(path, data):
@@ -1226,6 +1231,35 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
                 fh.write(data)
             os.replace(path + ".tmp", path)
             written[path] = os.stat(path).st_mtime_ns
+
+        def flip(path, number, restore_mtime):
+            """Flip the low bit of one byte of path in place: it changes
+            the parity a pixel pair's stream bit is read from."""
+            before = os.stat(path)
+            with open(path, "r+b") as fh:
+                fh.seek(number % before.st_size)
+                byte = fh.read(1)[0] ^ 1
+                fh.seek(number % before.st_size)
+                fh.write(bytes([byte]))
+            if restore_mtime:
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+        real_read_stored = retrieval.read_stored
+
+        def read_stored(locator):
+            """retrieval.read_stored, which first changes a file a race
+            step left in racing: the scan has taken its stat by now."""
+            nonlocal last_ctime
+            number = racing.pop(locator, None)
+            if number is not None:
+                if number % 2:
+                    write(locator, cache_sources[number // 2 % 3])
+                else:
+                    flip(locator, number // 2, restore_mtime=True)
+                last_ctime = ctime_past(locator, last_ctime)
+            return real_read_stored(locator)
+
+        patch.setattr(retrieval, "read_stored", read_stored)
 
         def outcome():
             del handler.messages[:]
@@ -1264,20 +1298,16 @@ def test_the_descriptor_cache_scans_like_an_empty_one(cache_sources, steps):
                     path = files[which % len(files)]
                     size = os.stat(path).st_size
                     if what == "flip" and size:
-                        before = os.stat(path)
-                        # The low bit: it changes the parity a pixel pair's
-                        # stream bit is read from.
-                        with open(path, "r+b") as fh:
-                            fh.seek(number // 2 % size)
-                            byte = fh.read(1)[0] ^ 1
-                            fh.seek(number // 2 % size)
-                            fh.write(bytes([byte]))
-                        if number % 2:
-                            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+                        flip(path, number // 2, restore_mtime=number % 2)
                     elif what == "truncate":
                         os.truncate(path, number % (size + 1))
                     elif what == "replace":
                         write(path, cache_sources[number % 3])
+                    elif what == "race":
+                        # The new file is read by the next scan: that read
+                        # changes it again once its stat is taken.
+                        write(path, cache_sources[number % 3])
+                        racing[path] = number
                     elif what == "utime":
                         os.utime(path, ns=(0, written[path] - number % 2 * retrieval.RACY_NS))
                     elif what == "damage" and size:

@@ -1012,7 +1012,7 @@ class TestDescriptorCache:
         """The paths load_pgm reads, in order."""
         paths = []
         real = retrieval.load_pgm
-        monkeypatch.setattr(retrieval, "load_pgm", lambda path, fh=None: paths.append(str(path)) or real(path, fh))
+        monkeypatch.setattr(retrieval, "load_pgm", lambda path: paths.append(str(path)) or real(path))
         return paths
 
     @staticmethod
@@ -1046,6 +1046,20 @@ class TestDescriptorCache:
         for image_id, desc in second.items():
             assert np.array_equal(desc, read_stored(Index.load(index_path)[image_id].locator).descriptor)
             assert desc.dtype == np.int64 and not desc.flags.writeable
+
+    def test_a_scan_takes_one_stat_per_file_read_or_not(self, copy, clock, reads, caplog, monkeypatch):
+        """A miss keeps the stamp of the stat its lookup took and reads the
+        file by path: no second stat, fstat or os.open, read or not."""
+        index_path, _ = copy
+        clock.offset = retrieval.RACY_NS
+        calls = []
+        for name in ("stat", "fstat", "open"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda *args, _name=name, _real=real, **kwargs: calls.append(_name) or _real(*args, **kwargs))
+        for read in (6, 0):
+            del calls[:], reads[:]
+            found, _ = self._scan(index_path, caplog)
+            assert calls == ["stat"] * 6 and len(reads) == read and len(found) == 6
 
     def test_a_bit_flipped_in_place_with_its_mtime_put_back_is_read_again(self, copy, clock, reads, caplog, monkeypatch):
         index_path, files = copy
@@ -1083,6 +1097,55 @@ class TestDescriptorCache:
         assert reads == [str(path)]
         assert np.array_equal(after["img001"], before["img004"])
         assert not np.array_equal(after["img001"], before["img001"])
+
+    @pytest.mark.parametrize("change", ["replace", "flip"])
+    def test_a_file_changed_between_the_stat_and_the_read_gives_what_was_read(self, copy, clock, reads, caplog, monkeypatch, change):
+        """read_stored changes img001 after the scan's stat of it and just
+        before its bytes are read: another stored file is moved onto the
+        path with os.replace, while a second hard link to the old file is
+        indexed as "link"; or a payload bit is flipped in place and the
+        mtime put back. The scan returns what it read, and every later scan
+        gives, for each path, the outcome of the file now at that path."""
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        path, link = files / "img001.pgm", files / "link.pgm"
+        os.link(path, link)
+        with open(index_path, "a", encoding="utf-8") as fh:
+            fh.write(f"link\t{link}\t\n")
+        old = os.stat(path)
+        real, raced = retrieval.read_stored, []
+
+        def read_stored(locator):
+            if locator == str(path) and not raced:
+                raced.append(locator)
+                if change == "replace":
+                    (files / "new.tmp").write_bytes((files / "img004.pgm").read_bytes())
+                    os.replace(files / "new.tmp", path)
+                    ctime_past(link, old.st_ctime_ns)
+                else:
+                    marked = load_pgm(path)
+                    flipped = flip_stream_bit(marked, parse_wire(marked.pixels.astype(np.int64))["data_start"] + 8 * 100)
+                    with open(path, "r+b") as fh:
+                        fh.write(lbpmarkdex.write_pgm(flipped))
+                    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+                    ctime_past(path, old.st_ctime_ns)
+            return real(locator)
+
+        monkeypatch.setattr(retrieval, "read_stored", read_stored)
+        descriptors = {i: real(files / f"{i}.pgm").descriptor.tolist() for i in ("img001", "img004")}
+        for _ in range(3):
+            del reads[:]
+            found, warnings = result = self._scan(index_path, caplog)
+            assert raced == [str(path)]
+            assert self._same_as_uncached(result, index_path, caplog, monkeypatch)
+            if change == "replace":
+                assert warnings == []
+                assert found["img001"].tolist() == descriptors["img004"]
+                assert found["link"].tolist() == descriptors["img001"]
+            else:
+                assert [w.split(": ")[1] for w in warnings] == ["ChecksumMismatch"] * 2
+                assert "img001" not in found and "link" not in found
+        assert reads == []
 
     def test_a_file_inside_the_racy_window_is_read_on_every_scan(self, copy, clock, reads, caplog):
         """A file whose mtime or ctime is within RACY_NS of the clock is
@@ -1159,14 +1222,13 @@ class TestDescriptorCache:
         path = str(files / "img003.pgm")
         failures = [OSError(errno.EIO, "injected")]
         if step == "open":
-            real_open = os.open
 
             def failing_open(name, *args, **kwargs):
                 if name == path and failures:
                     raise failures.pop()
-                return real_open(name, *args, **kwargs)
+                return open(name, *args, **kwargs)
 
-            monkeypatch.setattr(os, "open", failing_open)
+            monkeypatch.setattr(image_io, "open", failing_open, raising=False)
         else:
 
             class FailingRead(io.FileIO):
@@ -1175,14 +1237,51 @@ class TestDescriptorCache:
                         raise failures.pop()
                     return super().read(*args)
 
-            # retrieval's open(path, "rb", ...) calls, unbuffered.
-            monkeypatch.setattr(retrieval, "open", lambda name, mode, buffering=0, opener=None: FailingRead(name, mode, opener=opener), raising=False)
+            # load_pgm(path)'s open(path, "rb", buffering=0) call.
+            monkeypatch.setattr(image_io, "open", lambda name, mode, buffering=0: FailingRead(name, mode), raising=False)
         found, warnings = self._scan(index_path, caplog)
         assert warnings == [f"skipping img003 ({path}): IoFailure: cannot read {path!r}: [Errno 5] injected"]
         assert "img003" not in found and len(retrieval._DESCRIPTORS) == 5
         del reads[:]
         found, warnings = self._scan(index_path, caplog)
         assert warnings == [] and reads == [path] and len(found) == 6
+
+    def test_a_file_whose_stat_fails_is_read_and_not_kept(self, copy, clock, reads, caplog, monkeypatch):
+        """A stat that fails (once, injected) means a plain read of the
+        path: the scan finds the file and keeps nothing, and the next scan
+        stats it, reads it and keeps it."""
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        path = str(files / "img003.pgm")
+        failures, real_stat = [OSError(errno.EIO, "injected")], os.stat
+
+        def failing_stat(name, *args, **kwargs):
+            if name == path and failures:
+                raise failures.pop()
+            return real_stat(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", failing_stat)
+        found, warnings = self._scan(index_path, caplog)
+        assert warnings == [] and len(found) == 6 and len(retrieval._DESCRIPTORS) == 5
+        assert found["img003"].tolist() == read_stored(path).descriptor.tolist()
+        del reads[:]
+        found, _ = self._scan(index_path, caplog)
+        assert reads == [path] and len(found) == 6 and len(retrieval._DESCRIPTORS) == 6
+
+    def test_a_changed_file_read_inside_the_racy_window_loses_its_entry(self, copy, clock, caplog):
+        """An entry is dropped once a scan finds its file changed, also when
+        the new read is too recent to be kept."""
+        index_path, files = copy
+        clock.offset = retrieval.RACY_NS
+        self._scan(index_path, caplog)
+        path = files / "img005.pgm"
+        key = (os.stat(path).st_dev, os.stat(path).st_ino)
+        assert key in retrieval._DESCRIPTORS
+        os.truncate(path, 5000)
+        clock.offset = 0
+        _, warnings = self._scan(index_path, caplog)
+        assert len(warnings) == 1 and warnings[0].startswith(f"skipping img005 ({path}): TruncatedData: ")
+        assert key not in retrieval._DESCRIPTORS and len(retrieval._DESCRIPTORS) == 5
 
     @pytest.mark.parametrize("change", ["deleted", "directory"])
     def test_a_cached_file_deleted_or_made_a_directory_gives_the_error_read_stored_raises(self, copy, clock, caplog, change):
